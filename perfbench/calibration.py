@@ -57,6 +57,11 @@ def int_sets():
     return perf_counter() - t0
 
 
+# setup_s is reported in seconds of a host on which interpreter() takes this
+# long: the set-up time divided by interpreter() runs next to it, times this.
+INTERPRETER_REFERENCE_S = 0.1
+
+
 def interpreter():
     """A fresh interpreter that imports the stdlib modules the nodepoly CLI
     imports, then exits."""

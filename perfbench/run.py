@@ -27,6 +27,7 @@ from time import perf_counter
 
 import calibration
 import checks
+import tree
 import workloads
 
 SETUP_REPS = 9
@@ -39,7 +40,6 @@ class Checker:
 
     def __init__(self, workload):
         self.workload = workload
-        self.verified = {}
         self.samples = {}
         self.attempted = 0
         self.failed = 0
@@ -57,15 +57,7 @@ class Checker:
     def _evaluate(self, op, output):
         if isinstance(output, Exception):
             return [f"exception: {output!r}"]
-        output = self.workload.normalize(output)
-        # an output equal to one already verified for the same op passes
-        key = self.workload.key(op)
-        if key is not None and self.verified.get(key) == output:
-            return []
-        failures = self.workload.check(op, output)
-        if not failures and key is not None:
-            self.verified[key] = output
-        return failures
+        return self.workload.check(op, output)
 
     def selftest(self):
         """Feed each sub-check a tampered copy of a passing output; return
@@ -76,7 +68,6 @@ class Checker:
                 missed.append(f"{name} (no {kind} sample)")
                 continue
             op, output = self.samples[kind]
-            output = self.workload.normalize(output)
             if name not in self.workload.check(op, tamper(output)):
                 missed.append(name)
         return missed
@@ -96,16 +87,19 @@ def measure(workload, np, seed, seconds, checker):
 
     Returns (ops, setups, calib, files).  ops holds (latency, calibration
     before, calibration after) per op.  setups holds the set-up times of
-    SETUP_REPS fresh interpreters started at even intervals of the run, so
-    that they see the same host as the ops, and files the nodepoly files
-    they imported.  calib holds every calibration time.
+    SETUP_REPS fresh interpreters started at even intervals of the run, each
+    divided by the mean of calibration.interpreter runs just before and after
+    it, and files the nodepoly files they imported.  calib holds every run of
+    the workload's calibration kernel.
     """
     calibrate = workload.calibrate
     ops, setups, calib, files = [], [], [calibrate()], set()
 
     def probe():
+        before = calibration.interpreter()
         seconds_taken, nodepoly_file = setup_time(workload)
-        setups.append(seconds_taken)
+        after = calibration.interpreter()
+        setups.append(seconds_taken * 2 / (before + after))
         files.add(nodepoly_file)
         calib.append(calibrate())
 
@@ -131,7 +125,7 @@ def child_time(argv, stdin_text):
     reports, and the nodepoly file it imported."""
     t0 = time.monotonic()
     proc = subprocess.run([sys.executable] + argv, input=stdin_text, capture_output=True,
-                          text=True, env=workloads.child_env(), cwd=workloads.ROOT)
+                          text=True, env=tree.child_env(), cwd=tree.ROOT)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench: child {argv} failed:\n{proc.stderr}")
     doc = json.loads(proc.stdout.splitlines()[-1])
@@ -141,8 +135,8 @@ def child_time(argv, stdin_text):
 
 
 def setup_time(workload):
-    argv = [str(workloads.HERE / "child.py"), "setup", workload.name]
-    return child_time(argv, json.dumps(workload.warm_op()))
+    return child_time([str(tree.HERE / "child.py"), "setup"],
+                      json.dumps(workload.warm_op))
 
 
 def startup_time():
@@ -173,8 +167,10 @@ def end_to_end(workload, np, args, checker, report):
     report["notes"] = {
         "n": len(ops),
         "tail": f"p{tail(latencies)[1]:.1f} of the n ops ({TAIL_BEYOND} beyond it)",
-        "setup_s": f"median of {SETUP_REPS} fresh interpreters spread over the run: "
-                   f"start + import nodepoly + warm op",
+        "setup_s": f"median of {SETUP_REPS} fresh interpreters spread over the run "
+                   f"(start + import nodepoly + warm op), each divided by the mean of "
+                   f"calibration.interpreter just before and after it, times "
+                   f"{calibration.INTERPRETER_REFERENCE_S} s",
         "peak_rss_mb": "this process" if workload.in_process else "largest child",
         "host.calib_s": f"median {statistics.median(calib)!r} s of {len(calib)} runs of "
                         f"calibration.{workload.calibrate.__name__}",
@@ -183,7 +179,7 @@ def end_to_end(workload, np, args, checker, report):
         "latency_p50_norm": (statistics.median(norm), "ratio"),
         "latency_tail_norm": (tail(norm)[0], "ratio"),
         "ops_per_s_norm": (len(norm) / sum(norm), "ops/calib"),
-        "setup_s": (statistics.median(setups), "s"),
+        "setup_s": (statistics.median(setups) * calibration.INTERPRETER_REFERENCE_S, "s"),
         "peak_rss_mb": (peak_kb / 1024, "MB"),
     }
     as_measured = {
@@ -266,20 +262,20 @@ def traced(workload, np, args, checker, report):
     metrics["trace.overhead"] = (traced_s / untraced_s, "ratio")
     report["notes"] = {"traced_ops": n, "passes": n // len(block),
                        "per_op": "calls/op and s/op are totals over traced ops / traced ops"}
-    out = workloads.ROOT / ".perfbench_out"
+    out = tree.ROOT / ".perfbench_out"
     out.mkdir(exist_ok=True)
     trace_file = out / f"trace-{workload.name}-seed{args.seed}.json"
     trace_file.write_text(json.dumps(tracer.export()))
-    report["trace_file"] = str(trace_file.relative_to(workloads.ROOT))
+    report["trace_file"] = str(trace_file.relative_to(tree.ROOT))
     return metrics, {}
 
 
 def git_commit():
     try:
         proc = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-                              cwd=workloads.ROOT,
+                              cwd=tree.ROOT,
                               env=dict(os.environ,
-                                       GIT_CEILING_DIRECTORIES=str(workloads.ROOT.parent)))
+                                       GIT_CEILING_DIRECTORIES=str(tree.ROOT.parent)))
     except OSError:
         return None
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -293,7 +289,7 @@ def main(argv=None):
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    np = workloads.load_nodepoly()
+    np = tree.load_nodepoly()
     workload = workloads.WORKLOADS[args.workload]()
     checker = Checker(workload)
     report = {

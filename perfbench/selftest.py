@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import run
 import tracing
+import tree
 import workloads
 
 COUNT_SUFFIXES = ("calls", "calls_per_op", "max_terms", "max_coeff_bits", "output_bytes")
@@ -61,9 +62,9 @@ def test_checker_catches_tampering(np, name):
 
 def traced_counts(name, seed):
     proc = subprocess.run(
-        [sys.executable, str(workloads.HERE / "run.py"), "--workload", name, "--seed",
+        [sys.executable, str(tree.HERE / "run.py"), "--workload", name, "--seed",
          str(seed), "--seconds", "0", "--trace", "1"],
-        capture_output=True, text=True, cwd=workloads.ROOT, check=True)
+        capture_output=True, text=True, cwd=tree.ROOT, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"], proc.stdout
     return {k: v["value"] for k, v in result["metrics"].items() if k.endswith(COUNT_SUFFIXES)}
@@ -75,7 +76,7 @@ def test_traced_counts_repeat(name):
 
 
 def main():
-    np = workloads.load_nodepoly()
+    np = tree.load_nodepoly()
     tests = [("exact ChernPoly counts", lambda: test_exact_chernpoly_counts(np))]
     for name in workloads.WORKLOADS:
         tests.append((f"{name}: checker catches tampering",

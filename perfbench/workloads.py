@@ -7,49 +7,16 @@ mix is fixed; the seed shuffles each block and picks its free parameters
 different seeds describe the same mix.
 """
 
-import io
 import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import calibration
 import checks
-
-HERE = Path(__file__).resolve().parent
-ROOT = HERE.parent
-SRC = ROOT / "src"
-
-
-def load_nodepoly():
-    """Import nodepoly from this checkout's src tree, and from nowhere else."""
-    if not (SRC / "nodepoly" / "__init__.py").is_file():
-        raise SystemExit(f"perfbench: no nodepoly package under {SRC}")
-    sys.path.insert(0, str(SRC))
-    import nodepoly
-    import nodepoly.cli
-    if Path(nodepoly.__file__).resolve().parent != SRC / "nodepoly":
-        raise SystemExit(f"perfbench: nodepoly imported from {nodepoly.__file__}, "
-                         f"not from {SRC}")
-    return nodepoly
-
-
-def child_env():
-    """Environment for child interpreters: the checkout's src comes first."""
-    env = dict(os.environ)
-    rest = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = str(SRC) + (os.pathsep + rest if rest else "")
-    return env
-
-
-def run_cli(np, argv, stdin_text=""):
-    """nodepoly.cli.run in this process; returns (exit code, stdout text)."""
-    out = io.StringIO()
-    rc = np.cli.run(argv, out=out, err=io.StringIO(), stdin=io.StringIO(stdin_text))
-    return rc, out.getvalue()
+from tree import HERE, ROOT, child_env, run_cli
 
 
 def blocks(workload, seed):
@@ -92,16 +59,8 @@ class CliDelta5:
                 ops.append({"kind": kind, "argv": [kind, "--max-delta", "5"]})
         return ops
 
-    def warm_op(self):
-        return {"kind": "node-polys", "argv": ["node-polys", "--max-delta", "5"]}
-
-    @staticmethod
-    def key(op):
-        return tuple(op["argv"])
-
-    @staticmethod
-    def normalize(output):
-        return output
+    # the op that ends set-up, run in a fresh interpreter by child.py
+    warm_op = {"argv": ["node-polys", "--max-delta", "5"]}
 
     def prepare(self, np, op):
         return lambda: run_cli(np, op["argv"])
@@ -161,16 +120,8 @@ class QseriesDeep:
         rng.shuffle(ops)
         return ops
 
-    def warm_op(self):
-        return {"kind": "log", "n": 64, "base": "DG2/q"}
-
-    @staticmethod
-    def key(op):
-        return tuple(sorted(op.items()))
-
-    @staticmethod
-    def normalize(output):
-        return output.coeffs
+    # small, so that set-up is mostly start-up, import and first use
+    warm_op = {"log_dg2_over_q": 32}
 
     def _series(self, np, what, base, n):
         key = (what, base, n)
@@ -226,16 +177,9 @@ class InclexclLattice:
         sets = [[x for x in range(universe) if rng.random() < 0.5] for _ in range(k)]
         return {"kind": kind, "sets": sets}
 
-    def warm_op(self):
-        return self._op("L8", random.Random(0))
-
-    @staticmethod
-    def key(op):
-        return None
-
-    @staticmethod
-    def normalize(output):
-        return output
+    # small, so that set-up is mostly start-up, import and first use
+    warm_op = {"argv": ["inclexcl"], "stdin": json.dumps(
+        [list(range(i, 1000, i + 1)) for i in range(6)])}
 
     def prepare(self, np, op):
         text = json.dumps(op["sets"])
