@@ -29,7 +29,8 @@ from .series import PSeries
 
 MAX_DELTA = 5
 
-B1_COEFFS = (1, -1, -5, 30, -345, 2961)
+# Goettsche, alg-geom/9711012; B1 = 1 - q - 5q^2 + 39q^3 - 345q^4 + 2961q^5.
+B1_COEFFS = (1, -1, -5, 39, -345, 2961)
 B2_COEFFS = (1, 5, 2, 35, -140, 986)
 
 IN_RANGE = "in range"
@@ -280,15 +281,18 @@ class FactorizedForm:
         return total.exp()
 
 
-def factorize_generating_function(max_delta=MAX_DELTA):
+def factorize_generating_function(max_delta=MAX_DELTA, table=None):
     """Split log F(t) into the four per-Chern-number series.
 
     Every t-coefficient of log F must be homogeneous-linear in
     (L2, LK, K2, c2) with no constant part; a violation would falsify
-    factorizability at this order and raises.
+    factorizability at this order and raises.  ``table`` is a
+    ``node_polynomials(max_delta)`` result to reuse.
     """
     _check_order(max_delta)
-    logf = node_polynomials(max_delta).generating_series().log()
+    if table is None:
+        table = node_polynomials(max_delta)
+    logf = table.generating_series().log()
     logs = {name: [Fraction(0)] for name in ("a1", "a2", "a3", "a4")}
     for n in range(1, max_delta + 1):
         poly = ChernPoly.promote(logf[n])

@@ -4,7 +4,11 @@ import io
 import json
 from fractions import Fraction
 
-from nodepoly.cli import fmt_rational, parse_rational, run
+from nodepoly import nodal
+from nodepoly.cli import MAX_SERIES_ORDER, fmt_rational, parse_rational, run
+from nodepoly.inclexcl import SetSystem
+
+from test_inclexcl import backward_induction_oracle
 
 
 def invoke(argv, stdin_text=""):
@@ -68,6 +72,19 @@ def test_series_b1_data_limit():
     assert "q^5" in err
 
 
+def test_series_order_is_bounded():
+    code, out, _ = invoke(["series", "--name", "G2", "--order",
+                           str(MAX_SERIES_ORDER), "--format", "csv"])
+    assert code == 0
+    assert len(out.splitlines()) == MAX_SERIES_ORDER + 2
+    for order in (MAX_SERIES_ORDER + 1, 10**9, -1):
+        code, out, err = invoke(["series", "--name", "DELTA", "--order",
+                                 str(order)])
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err
+
+
 def test_series_unknown_name():
     code, _, err = invoke(["series", "--name", "E8", "--order", "3"])
     assert code == 2
@@ -97,6 +114,10 @@ def test_count_p2_outside_range():
     assert payload["validity"] == "outside guaranteed range"
     assert payload["chi_L"] == 10
     assert payload["dim_linear_system"] == 9
+    # the Severi degree N^{3,3}: triangles through 6 general points
+    code, out, _ = invoke(["count", "--surface", "P2:3", "--delta", "3"])
+    assert code == 0
+    assert payload_of(out)["count"] == "15"
 
 
 def test_count_k3_in_range():
@@ -156,6 +177,16 @@ def test_factorize():
                                     "A3": "L2", "A4": "LK"}
 
 
+def test_factorize_builds_node_polynomials_once(monkeypatch):
+    calls = []
+    build = nodal.node_polynomials
+    monkeypatch.setattr(nodal, "node_polynomials",
+                        lambda *a: calls.append(a) or build(*a))
+    code, _, _ = invoke(["factorize", "--max-delta", "3"])
+    assert code == 0
+    assert calls == [(3,)]
+
+
 def test_inclexcl_from_stdin():
     code, out, _ = invoke(["inclexcl"], stdin_text="[[1, 2], [2, 3]]")
     assert code == 0
@@ -181,6 +212,40 @@ def test_inclexcl_csv_and_errors():
     code, _, err = invoke(["inclexcl"], stdin_text=json.dumps([[1]] * 11))
     assert code == 2
     assert "bound" in err
+
+
+def test_inclexcl_rejects_booleans():
+    for text in ("[[true, 2], [1]]", "[[1, true]]", "[[false]]"):
+        code, out, err = invoke(["inclexcl"], stdin_text=text)
+        assert code == 2
+        assert out == ""
+        assert "nonnegative integers" in err
+
+
+def test_inclexcl_golden_output_k8():
+    # Expected bytes built from the backward-induction oracle, in the
+    # documented layout: rows by (size, sorted indices), JSON with
+    # indent=2 and sorted keys, CSV with the index set quoted.
+    sets = [[x for x in range(48) if (x * (2 * i + 3)) % 11 < 5]
+            for i in range(8)]
+    table = backward_induction_oracle(SetSystem(sets))
+    rows = [(",".join(map(str, sorted(i))), *table[i])
+            for i in sorted(table, key=lambda i: (len(i), sorted(i)))]
+    union = len(set().union(*sets))
+    doc = {"command": "inclexcl", "parameters": {"k": 8}, "order": None,
+           "format": "json", "payload": {
+               "table": [{"index_set": ix, "cardinality": plain,
+                          "modified_cardinality": mod}
+                         for ix, plain, mod in rows],
+               "union_size": union, "union_via_modified": union,
+               "union_via_alternating": union}}
+    expected_json = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    expected_csv = "index_set,cardinality,modified_cardinality\n" + "".join(
+        f'"{ix}",{plain},{mod}\n' for ix, plain, mod in rows)
+    text = json.dumps(sets)
+    assert invoke(["inclexcl"], stdin_text=text) == (0, expected_json, "")
+    assert invoke(["inclexcl", "--format", "csv"], stdin_text=text) == \
+        (0, expected_csv, "")
 
 
 def test_usage_errors_exit_2():

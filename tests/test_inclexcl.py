@@ -1,8 +1,9 @@
-"""Modified cardinalities against the membership-signature oracle.
+"""Modified cardinalities against two independent oracles.
 
-The oracle partitions the union by the exact index set of containing sets;
-the size of each signature class must equal the modified cardinality that
-the backward-induction recursion produces.
+The signature oracle partitions the union by the exact index set of
+containing sets, one frozenset per element.  The backward-induction oracle
+builds every intersection and settles the lattice from the largest index
+sets down.  The histogram kernel must agree with both.
 """
 
 import random
@@ -12,6 +13,17 @@ import pytest
 from nodepoly.inclexcl import (SetSystem, intersection_table,
                                modified_cardinalities, nonempty_index_sets,
                                union_via_alternating, union_via_modified)
+
+
+def backward_induction_oracle(system):
+    """(plain, modified) per index set by the O(4^k) lattice recursion:
+    modified(I) = |inter_I| - sum of modified(J) over J strictly above I."""
+    inter = intersection_table(system)
+    modified = {}
+    for index_set in sorted(inter, key=len, reverse=True):
+        correction = sum(modified[j] for j in modified if j > index_set)
+        modified[index_set] = len(inter[index_set]) - correction
+    return {i: (len(inter[i]), modified[i]) for i in inter}
 
 
 def signature_oracle(system):
@@ -28,6 +40,19 @@ def random_system(rng, max_k=5, universe=12):
     return SetSystem([
         [x for x in range(universe) if rng.random() < 0.4]
         for _ in range(k)])
+
+
+def shaped_systems(rng, k):
+    """Random, sparse, dense, empty-set, identical and disjoint systems."""
+    for p in (0.1, 0.5, 0.9):
+        yield SetSystem([[x for x in range(40) if rng.random() < p]
+                         for _ in range(k)])
+    sets = [[x for x in range(20) if rng.random() < 0.5] for _ in range(k)]
+    sets[rng.randrange(k)] = []
+    yield SetSystem(sets)
+    yield SetSystem([[]] * k)
+    yield SetSystem([[1, 5, 9]] * k)
+    yield SetSystem([[3 * i, 3 * i + 1] for i in range(k)])
 
 
 def test_two_set_example():
@@ -93,6 +118,28 @@ def test_recursion_matches_signature_oracle():
             assert modified >= 0
 
 
+def test_kernel_matches_both_oracles_up_to_ten_sets():
+    rng = random.Random(101)
+    for k in range(1, 11):
+        for system in shaped_systems(rng, k):
+            table = modified_cardinalities(system)
+            assert list(table) == list(nonempty_index_sets(k))
+            assert table == backward_induction_oracle(system)
+            oracle = signature_oracle(system)
+            for index_set, (_, modified) in table.items():
+                assert modified == oracle.get(index_set, 0)
+
+
+def test_union_routes_reuse_a_table():
+    rng = random.Random(53)
+    for k in range(1, 11):
+        for system in shaped_systems(rng, k):
+            table = modified_cardinalities(system)
+            expected = len(system.union())
+            assert union_via_modified(system, table) == expected
+            assert union_via_alternating(system, table) == expected
+
+
 def test_lemma_identity_holds_for_every_index_set():
     # modified(I) + sum over strict supersets J of modified(J) = plain(I)
     rng = random.Random(29)
@@ -129,4 +176,8 @@ def test_validation():
         SetSystem([{-1}])
     with pytest.raises(ValueError):
         SetSystem([{0.5}])
+    # bool is an int subclass: True would otherwise count as the element 1
+    for sets in ([[True, 2], [1]], [[1, True]], [[False]]):
+        with pytest.raises(ValueError):
+            SetSystem(sets)
     assert SetSystem([{1}] * 11, max_sets=12).k == 11

@@ -1,6 +1,7 @@
 """The closed-form generating function, node polynomials and identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -45,7 +46,7 @@ def t1_hand_oracle():
 # -- B series ------------------------------------------------------------------
 
 def test_b_series_constants():
-    assert b1_series() == PSeries([1, -1, -5, 30, -345, 2961])
+    assert b1_series() == PSeries([1, -1, -5, 39, -345, 2961])
     assert b2_series() == PSeries([1, 5, 2, 35, -140, 986])
     assert b1_series(4)[4] == -345
     assert b2_series(0)[0] == 1
@@ -176,6 +177,29 @@ def test_validity_range_rule():
     assert validity_range(K3(8), 5) == IN_RANGE
     assert validity_range(T4(6), 4) == IN_RANGE
     assert validity_range(P2(3).blowup(), 1) == RANGE_UNKNOWN
+
+
+def test_p2_counts_match_severi_degrees():
+    # Severi degrees N^{d,delta} of plane curves, independent of the closed
+    # form and of B1/B2.
+    table = node_polynomials(5)
+    for d, delta, severi in ((3, 3, 15), (4, 3, 675), (8, 4, 11225145),
+                             (10, 5, 4037126346)):
+        assert table.evaluate(P2(d), delta) == severi
+        assert count_nodal(P2(d), delta).value == severi
+
+
+def test_p2_matches_kleiman_piene_polynomials():
+    # Kleiman-Piene: T_2 and T_3 on P2 as polynomials of degree 4 and 6 in d;
+    # agreement at 12 values of d is agreement as polynomials.
+    table = node_polynomials(3)
+    for d in range(1, 13):
+        t2 = Fraction(3, 2) * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11)
+        t3 = (Fraction(9, 2) * d**6 - 27 * d**5 + Fraction(9, 2) * d**4
+              + Fraction(423, 2) * d**3 - 229 * d**2 - Fraction(829, 2) * d
+              + 525)
+        assert table.evaluate(P2(d), 2) == t2
+        assert table.evaluate(P2(d), 3) == t3
 
 
 def test_counts_are_integers_on_catalog():
