@@ -23,11 +23,12 @@ for d in range(3, 9):
     print(f"  degree {d}: {result.value}  [{result.validity}]"
           f"   3(d-1)^2 = {3 * (d - 1) ** 2}")
 
-# The very-ampleness threshold d >= 5*delta - 1 separates guaranteed
-# counts from formal extrapolations.
+# O(d) is d-very ample, and delta-very ampleness guarantees the count
+# (Kool-Shende-Thomas): d >= delta separates guaranteed counts from formal
+# extrapolations such as the negative count on conics.
 print()
-for delta in (1, 2):
-    for d in (3, 4, 9, 14):
+for delta in (2, 3):
+    for d in (1, 2, 3, 4):
         result = count_nodal(P2(d), delta, table=table)
         print(f"  P2:{d} delta={delta}: {str(result.value):>10}"
               f"  [{result.validity}]")

@@ -12,8 +12,8 @@ from .chern import (K3, P2, RRCoefficients, SurfaceClass, T4, builtin_catalog,
 from .chernpoly import ChernPoly
 from .inclexcl import (SetSystem, intersection_table, modified_cardinalities,
                        union_via_alternating, union_via_modified)
-from .modular import (ModularCatalog, d2g2_series, delta_series, dg2_series,
-                      g2_series, partition_power_series, sigma1)
+from .modular import (d2g2_series, delta_series, dg2_series, g2_series,
+                      partition_power_series, sigma1)
 from .nodal import (MAX_DELTA, BlowupCheck, FactorizedForm, NodalCount,
                     NodePolynomialTable, YauZaslowReport, b1_series,
                     b2_series, blowup_identity_check, closed_form_series,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlowupCheck", "ChernPoly", "FactorizedForm", "K3", "MAX_DELTA",
-    "ModularCatalog", "NodalCount", "NodePolynomialTable", "P2", "PSeries",
+    "NodalCount", "NodePolynomialTable", "P2", "PSeries",
     "RRCoefficients", "SetSystem", "SurfaceClass", "T4", "YauZaslowReport",
     "b1_series", "b2_series", "blowup_identity_check", "builtin_catalog",
     "closed_form_series", "closed_form_symbolic", "count_nodal",

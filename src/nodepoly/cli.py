@@ -18,12 +18,19 @@ from fractions import Fraction
 
 from . import inclexcl, nodal
 from .chern import parse_surface, rr_example_pairs, solve_rr_coefficients
-from .modular import ModularCatalog
+from .modular import (d2g2_series, delta_series, dg2_series, g2_series,
+                      partition_power_series)
 from .nodal import MAX_DELTA
 
 # Building DELTA or PARTITION_POWER(24) to q^500 takes about 2 s on a 2-vCPU
 # host, and 9-13 s to q^1000.
 MAX_SERIES_ORDER = 500
+# PARTITION_POWER(e) to q^500 takes about 3 s at e = 1000 and 9.5 s at
+# e = 10^6.
+MAX_PARTITION_EXPONENT = 1000
+
+MODULAR_SERIES = {"G2": g2_series, "DG2": dg2_series, "D2G2": d2g2_series,
+                  "DELTA": delta_series}
 
 
 class UsageError(Exception):
@@ -168,7 +175,7 @@ def cmd_rr_solve(args, out):
 def cmd_factorize(args, out):
     _check_delta(args.max_delta, "max-delta")
     table = nodal.node_polynomials(args.max_delta)
-    form = nodal.factorize_generating_function(args.max_delta, table)
+    form = nodal.factorize_generating_function(args.max_delta)
     reassembled = form.generating_function()
     ok = reassembled == table.generating_series()
     payload = {
@@ -218,6 +225,27 @@ def cmd_inclexcl(args, out, stdin):
     return 0
 
 
+def _modular_series(name, order):
+    """The q-expansion called ``name`` (G2, DG2, D2G2, DELTA or
+    PARTITION_POWER(e), any case) to q^order."""
+    key = name.upper()
+    built = max(order, 1)  # DELTA needs order >= 1
+    if key in MODULAR_SERIES:
+        return MODULAR_SERIES[key](built).truncate(order)
+    if key.startswith("PARTITION_POWER(") and key.endswith(")"):
+        arg = key[len("PARTITION_POWER("):-1]
+        try:
+            e = int(arg)
+        except ValueError:
+            e = 0
+        if not 1 <= e <= MAX_PARTITION_EXPONENT:
+            raise UsageError(
+                f"PARTITION_POWER exponent {arg!r} is out of range: it must "
+                f"be an integer in 1..{MAX_PARTITION_EXPONENT}")
+        return partition_power_series(e, built).truncate(order)
+    raise UsageError(f"unknown series name {name!r}")
+
+
 def cmd_series(args, out):
     if not 0 <= args.order <= MAX_SERIES_ORDER:
         raise UsageError(
@@ -232,11 +260,7 @@ def cmd_series(args, out):
         series = nodal.b1_series(args.order) if name == "B1" \
             else nodal.b2_series(args.order)
     else:
-        try:
-            series = ModularCatalog(max(args.order, 1)).get(name)
-        except KeyError as exc:
-            raise UsageError(str(exc)) from exc
-        series = series.truncate(args.order)
+        series = _modular_series(args.name, args.order)
     if args.format == "csv":
         emit_csv(("k", "coefficient"),
                  ((k, fmt_rational(c)) for k, c in enumerate(series)), out)

@@ -84,53 +84,3 @@ def partition_power_series(e, order):
         raise ValueError("order must be >= 0")
     return euler_product(order).inverse() ** e
 
-
-class ModularCatalog:
-    """Named, cached q-expansions at one fixed truncation order.
-
-    The cache is a plain dict of pure recomputable values: a race at worst
-    recomputes the identical series, so concurrent readers always agree.
-    """
-
-    def __init__(self, order):
-        if order < 1:
-            raise ValueError("catalog order must be >= 1")
-        self.order = order
-        self._cache = {}
-
-    def _memo(self, key, build):
-        value = self._cache.get(key)
-        if value is None:
-            value = build()
-            self._cache[key] = value
-        return value
-
-    @property
-    def g2(self):
-        return self._memo("G2", lambda: g2_series(self.order))
-
-    @property
-    def dg2(self):
-        return self._memo("DG2", lambda: dg2_series(self.order))
-
-    @property
-    def d2g2(self):
-        return self._memo("D2G2", lambda: d2g2_series(self.order))
-
-    @property
-    def delta(self):
-        return self._memo("DELTA", lambda: delta_series(self.order))
-
-    def partition_power(self, e):
-        return self._memo(f"PARTITION_POWER({e})",
-                          lambda: partition_power_series(e, self.order))
-
-    def get(self, name):
-        """Look up a series by name, e.g. "DG2" or "PARTITION_POWER(24)"."""
-        key = name.upper()
-        if key in ("G2", "DG2", "D2G2", "DELTA"):
-            return getattr(self, key.lower())
-        if key.startswith("PARTITION_POWER(") and key.endswith(")"):
-            e = int(key[len("PARTITION_POWER("):-1])
-            return self.partition_power(e)
-        raise KeyError(f"unknown series name {name!r}")

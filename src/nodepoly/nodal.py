@@ -11,10 +11,13 @@ where B1, B2 are the Severi-degree power series known to order q^5.  That
 data limit caps everything here at delta <= 5: the cap is a property of the
 inputs, not of the algorithms.
 
-T_delta is extracted by composing the closed form (with polynomial
-exponents) with the compositional inverse of DG2.  The same machinery
-verifies the Yau-Zaslow count on K3, the one-point blowup formula and the
-factorization of log F into four per-Chern-number power series.
+The logarithm of the closed form is linear in the four exponents, so
+log F(t) = sum_i e_i * (log base_i)(DG2^{-1}(t)) with e_i linear in
+(L2, LK, K2, c2).  The four log-series are plain Fraction series; the
+polynomial ring appears only in the one exp that turns their linear
+combination into F, whose t^delta coefficient is T_delta.  The same four
+series are the factorization of log F into per-Chern-number power series;
+the Yau-Zaslow count on K3 and the one-point blowup formula are checked too.
 """
 
 from dataclasses import dataclass
@@ -95,24 +98,44 @@ def closed_form_series(surface, order=MAX_DELTA):
     return h
 
 
+def _log_terms(order):
+    """log of the closed form as four (exponent, log-series) pairs.
+
+    The exponents are linear polynomials in (L2, LK, K2, c2); the
+    log-series are Fraction series in q with constant term 0.
+    """
+    _check_order(order)
+    return (
+        (chi_L_poly(), dg2_normalized(order).log()),
+        (chernpoly.K2, b1_series(order).log()),
+        (chernpoly.LK, b2_series(order).log()),
+        (-chi_O_poly() / 2, discriminant_factor(order).log()),
+    )
+
+
+def _log_terms_in_t(order):
+    """The pairs of :func:`_log_terms` with q = DG2^{-1}(t) substituted.
+
+    Truncated at t^0 the inverse of DG2 is the zero series, and reversion
+    needs order >= 1, so order 0 substitutes zero directly.
+    """
+    terms = _log_terms(order)
+    inverse = dg2_series(order).reversion() if order else PSeries.zero(0)
+    return tuple((e, log.compose(inverse)) for e, log in terms)
+
+
+def _exp_linear(terms):
+    """exp(sum e_i * log_i): the only exp with polynomial coefficients."""
+    return sum(e * log for e, log in terms).exp()
+
+
 def closed_form_symbolic(order=MAX_DELTA):
     """The closed form with coefficients polynomial in (L2, LK, K2, c2).
 
-    Each base is raised to its exponent through exp(e * log base), with e
-    the appropriate linear polynomial; specializing the result at any
-    surface reproduces :func:`closed_form_series` exactly.
+    One exp of sum e_i * log base_i; specializing the result at any surface
+    reproduces :func:`closed_form_series` exactly.
     """
-    _check_order(order)
-    factors = [
-        (chi_L_poly(), dg2_normalized(order)),
-        (chernpoly.K2, b1_series(order)),
-        (chernpoly.LK, b2_series(order)),
-        (-chi_O_poly() / 2, discriminant_factor(order)),
-    ]
-    h = PSeries.one(order)
-    for exponent, base in factors:
-        h = h * (exponent * base.log()).exp()
-    return h
+    return _exp_linear(_log_terms(order))
 
 
 def specialize(series, surface):
@@ -146,16 +169,12 @@ class NodePolynomialTable:
 
 
 def node_polynomials(max_delta=MAX_DELTA):
-    """The universal node polynomials, from the closed form by reversion.
+    """The universal node polynomials from the log-linear form of F.
 
-    F(t) = closed_form_symbolic composed with the compositional inverse of
-    DG2; the coefficient of t^delta is T_delta.
+    F(t) = exp(sum e_i * (log base_i)(DG2^{-1}(t))); the coefficient of
+    t^delta is T_delta.
     """
-    _check_order(max_delta)
-    if max_delta == 0:
-        return NodePolynomialTable(0, {0: ChernPoly.constant(1)})
-    h = closed_form_symbolic(max_delta)
-    f = h.compose(dg2_series(max_delta).reversion())
+    f = _exp_linear(_log_terms_in_t(max_delta))
     entries = {}
     for delta, coeff in enumerate(f):
         poly = ChernPoly.promote(coeff)
@@ -171,15 +190,17 @@ def node_polynomials(max_delta=MAX_DELTA):
 def validity_range(surface, delta):
     """How far the universal count is guaranteed to be the geometric count.
 
-    P2:d needs H^d to be (5*delta-1)-very ample, i.e. d >= 5*delta - 1.
-    On K3 and abelian surfaces the correction terms vanish for every
-    polarization, so those are always in range.  Anything else is unknown.
+    Kool-Shende-Thomas (arXiv:1010.3211) prove the count right for a
+    delta-very ample L, and O(d) on P2 is d-very ample, so P2:d is in range
+    for d >= delta.  On K3 and abelian surfaces the correction terms vanish
+    for every polarization, so those are always in range.  Anything else is
+    unknown.
     """
     family, _, arg = surface.name.partition(":")
     if family in ("K3", "T4"):
         return IN_RANGE
     if family == "P2" and arg.lstrip("-").isdigit():
-        return IN_RANGE if int(arg) >= 5 * delta - 1 else OUT_OF_RANGE
+        return IN_RANGE if int(arg) >= delta else OUT_OF_RANGE
     return RANGE_UNKNOWN
 
 
@@ -281,29 +302,17 @@ class FactorizedForm:
         return total.exp()
 
 
-def factorize_generating_function(max_delta=MAX_DELTA, table=None):
+def factorize_generating_function(max_delta=MAX_DELTA):
     """Split log F(t) into the four per-Chern-number series.
 
-    Every t-coefficient of log F must be homogeneous-linear in
-    (L2, LK, K2, c2) with no constant part; a violation would falsify
-    factorizability at this order and raises.  ``table`` is a
-    ``node_polynomials(max_delta)`` result to reuse.
+    log F = sum e_i * l_i(t) with each exponent e_i linear in
+    (L2, LK, K2, c2), so the series of one Chern number is the sum of the
+    l_i weighted by that number's coefficient in e_i.
     """
-    _check_order(max_delta)
-    if table is None:
-        table = node_polynomials(max_delta)
-    logf = table.generating_series().log()
-    logs = {name: [Fraction(0)] for name in ("a1", "a2", "a3", "a4")}
-    for n in range(1, max_delta + 1):
-        poly = ChernPoly.promote(logf[n])
-        if not poly.is_homogeneous_linear():
-            raise ValueError(
-                f"log F coefficient at t^{n} is not homogeneous-linear: {poly}")
-        l2, lk, k2, c2 = poly.linear_coefficients()
-        logs["a1"].append(k2)
-        logs["a2"].append(c2)
-        logs["a3"].append(l2)
-        logs["a4"].append(lk)
-    return FactorizedForm(max_delta,
-                          PSeries(logs["a1"]), PSeries(logs["a2"]),
-                          PSeries(logs["a3"]), PSeries(logs["a4"]))
+    terms = _log_terms_in_t(max_delta)
+    per_number = [PSeries.zero(max_delta)] * 4
+    for exponent, log in terms:
+        for i, c in enumerate(exponent.linear_coefficients()):
+            per_number[i] = per_number[i] + c * log
+    l2, lk, k2, c2 = per_number
+    return FactorizedForm(max_delta, k2, c2, l2, lk)

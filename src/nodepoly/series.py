@@ -271,9 +271,6 @@ class PSeries:
             result = result * g + self.coeffs[k]
         return result
 
-    def __call__(self, inner):
-        return self.compose(inner)
-
     def reversion(self):
         """Compositional inverse: the series g with self(g) = g(self) = q.
 

@@ -5,7 +5,8 @@ import json
 from fractions import Fraction
 
 from nodepoly import nodal
-from nodepoly.cli import MAX_SERIES_ORDER, fmt_rational, parse_rational, run
+from nodepoly.cli import (MAX_PARTITION_EXPONENT, MAX_SERIES_ORDER,
+                          fmt_rational, parse_rational, run)
 from nodepoly.inclexcl import SetSystem
 
 from test_inclexcl import backward_induction_oracle
@@ -43,6 +44,12 @@ def test_series_dg2():
     code, out, _ = invoke(["series", "--name", "DG2", "--order", "5"])
     assert code == 0
     assert payload_of(out) == ["0", "1", "6", "12", "28", "30"]
+    code, out, _ = invoke(["series", "--name", "DELTA", "--order", "5"])
+    assert code == 0
+    assert payload_of(out) == ["0", "1", "-24", "252", "-1472", "4830"]
+    code, out, _ = invoke(["series", "--name", "d2g2", "--order", "5"])
+    assert code == 0
+    assert payload_of(out) == ["0", "1", "12", "36", "112", "150"]
 
 
 def test_series_g2_and_partition_power():
@@ -88,7 +95,22 @@ def test_series_order_is_bounded():
 def test_series_unknown_name():
     code, _, err = invoke(["series", "--name", "E8", "--order", "3"])
     assert code == 2
-    assert "E8" in err
+    assert err == "nodepoly: error: unknown series name 'E8'\n"
+
+
+def test_series_partition_exponent_is_bounded():
+    code, out, _ = invoke(["series", "--name",
+                           f"PARTITION_POWER({MAX_PARTITION_EXPONENT})",
+                           "--order", "2"])
+    assert code == 0
+    e = MAX_PARTITION_EXPONENT
+    assert payload_of(out) == ["1", str(e), str(e * (e + 3) // 2)]
+    for arg in (0, -1, MAX_PARTITION_EXPONENT + 1, 10**30, "10^30", "x"):
+        code, out, err = invoke(["series", "--name", f"PARTITION_POWER({arg})",
+                                 "--order", "500"])
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err
 
 
 def test_node_polys_t1():
@@ -111,13 +133,19 @@ def test_count_p2_outside_range():
     assert code == 0
     payload = payload_of(out)
     assert payload["count"] == "12"
-    assert payload["validity"] == "outside guaranteed range"
+    assert payload["validity"] == "in range"
     assert payload["chi_L"] == 10
     assert payload["dim_linear_system"] == 9
     # the Severi degree N^{3,3}: triangles through 6 general points
     code, out, _ = invoke(["count", "--surface", "P2:3", "--delta", "3"])
     assert code == 0
     assert payload_of(out)["count"] == "15"
+    assert payload_of(out)["validity"] == "in range"
+    # conics are 2-very ample, not 3-very ample: a formal, negative count
+    code, out, _ = invoke(["count", "--surface", "P2:2", "--delta", "3"])
+    assert code == 0
+    assert payload_of(out)["count"] == "-32"
+    assert payload_of(out)["validity"] == "outside guaranteed range"
 
 
 def test_count_k3_in_range():
@@ -175,6 +203,14 @@ def test_factorize():
     assert payload["log_A4"][1] == "2"
     assert payload["exponents"] == {"A1": "K2", "A2": "c2",
                                     "A3": "L2", "A4": "LK"}
+
+
+def test_factorize_at_delta_zero():
+    code, out, _ = invoke(["factorize", "--max-delta", "0"])
+    assert code == 0
+    payload = payload_of(out)
+    assert payload["reassembly_exact"] is True
+    assert [payload[f"log_A{i}"] for i in range(1, 5)] == [["0"]] * 4
 
 
 def test_factorize_builds_node_polynomials_once(monkeypatch):

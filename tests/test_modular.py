@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from nodepoly.modular import (ModularCatalog, d2g2_series, delta_series,
-                              dg2_series, euler_product, g2_series,
-                              partition_power_series, sigma1)
+from nodepoly.modular import (d2g2_series, delta_series, dg2_series,
+                              euler_product, g2_series, partition_power_series,
+                              sigma1)
 from nodepoly.series import PSeries
 
 F = Fraction
@@ -165,20 +165,3 @@ def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         g2_series(-1)
 
-
-# -- catalog -----------------------------------------------------------------------
-
-def test_catalog_caches_and_reproduces():
-    cat = ModularCatalog(6)
-    assert cat.g2 is cat.g2
-    assert cat.dg2 == dg2_series(6)
-    assert cat.delta == delta_series(6)
-    assert cat.partition_power(24) is cat.partition_power(24)
-    assert cat.get("DG2") == cat.dg2
-    assert cat.get("partition_power(24)") == cat.partition_power(24)
-    # recomputation at the same order is bit-identical
-    assert ModularCatalog(6).g2 == cat.g2
-    with pytest.raises(KeyError):
-        cat.get("E8")
-    with pytest.raises(ValueError):
-        ModularCatalog(0)

@@ -154,7 +154,9 @@ def test_t1_on_plane_curves():
 
 def test_count_nodal_values_and_flags():
     assert count_nodal(P2(3), 1).value == 12
-    assert count_nodal(P2(3), 1).validity == OUT_OF_RANGE
+    assert count_nodal(P2(3), 1).validity == IN_RANGE
+    assert count_nodal(P2(2), 3).value == -32
+    assert count_nodal(P2(2), 3).validity == OUT_OF_RANGE
     assert count_nodal(K3(0), 1).value == 24
     assert count_nodal(K3(0), 1).validity == IN_RANGE
     assert count_nodal(T4(2), 0).value == 1
@@ -172,7 +174,9 @@ def test_count_nodal_reuses_table():
 
 def test_validity_range_rule():
     assert validity_range(P2(4), 1) == IN_RANGE
-    assert validity_range(P2(3), 1) == OUT_OF_RANGE  # 3 < 5*1 - 1
+    assert validity_range(P2(3), 1) == IN_RANGE
+    assert validity_range(P2(3), 3) == IN_RANGE
+    assert validity_range(P2(2), 3) == OUT_OF_RANGE  # 2 < 3
     assert validity_range(P2(9), 2) == IN_RANGE
     assert validity_range(K3(8), 5) == IN_RANGE
     assert validity_range(T4(6), 4) == IN_RANGE
@@ -187,6 +191,21 @@ def test_p2_counts_match_severi_degrees():
                              (10, 5, 4037126346)):
         assert table.evaluate(P2(d), delta) == severi
         assert count_nodal(P2(d), delta).value == severi
+        assert count_nodal(P2(d), delta).validity == IN_RANGE
+
+
+def test_in_range_p2_counts_are_nonnegative():
+    # an in-range count is a number of curves; a negative one would show the
+    # validity rule too generous
+    table = node_polynomials(5)
+    in_range = 0
+    for d in range(13):
+        for delta in range(6):
+            result = count_nodal(P2(d), delta, table=table)
+            if result.validity == IN_RANGE:
+                in_range += 1
+                assert result.value >= 0, (d, delta, result.value)
+    assert in_range == sum(min(d, 5) + 1 for d in range(13))
 
 
 def test_p2_matches_kleiman_piene_polynomials():
@@ -262,3 +281,43 @@ def test_factorization_log_is_homogeneous_linear():
         poly = ChernPoly.promote(logf[n])
         assert poly.is_homogeneous_linear()
         assert poly.constant_part() == 0
+
+
+# -- the log-linear core against the symbolic exp/compose/log route ----------
+
+def product_of_exps_oracle(order):
+    """The closed form as a product of four symbolic exps, one per base."""
+    h = PSeries.one(order)
+    for exponent, base in ((chi_L_poly(), dg2_normalized(order)),
+                           (chernpoly.K2, b1_series(order)),
+                           (chernpoly.LK, b2_series(order)),
+                           (-chi_O_poly() / 2, discriminant_factor(order))):
+        h = h * (exponent * base.log()).exp()
+    return h
+
+
+def test_closed_form_symbolic_matches_product_of_exps():
+    for n in range(6):
+        assert closed_form_symbolic(n) == product_of_exps_oracle(n)
+
+
+def test_node_polynomials_match_symbolic_compose():
+    assert node_polynomials(0).generating_series() == PSeries.one(0)
+    for n in range(1, 6):
+        composed = closed_form_symbolic(n).compose(dg2_series(n).reversion())
+        assert node_polynomials(n).generating_series() == composed
+
+
+def test_factorization_matches_symbolic_log():
+    for n in range(6):
+        logf = node_polynomials(n).generating_series().log()
+        per_number = [[Fraction(0)] for _ in range(4)]
+        for k in range(1, n + 1):
+            coefficients = ChernPoly.promote(logf[k]).linear_coefficients()
+            for series, c in zip(per_number, coefficients):
+                series.append(c)
+        l2, lk, k2, c2 = (PSeries(s) for s in per_number)
+        form = factorize_generating_function(n)
+        assert form.max_delta == n
+        assert (form.log_a1, form.log_a2, form.log_a3, form.log_a4) == \
+            (k2, c2, l2, lk)
