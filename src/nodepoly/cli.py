@@ -8,7 +8,8 @@ over (L2, LK, K2, c2).  Output is byte-identical across runs for identical
 inputs.
 
 Exit codes: 0 success (and exact equality for the comparison commands),
-1 mathematical mismatch, 2 usage error.
+1 mathematical mismatch or failed internal check, 2 usage error (including
+a division by zero the input asked for).  Errors are one line on stderr.
 """
 
 import argparse
@@ -22,11 +23,11 @@ from .modular import (d2g2_series, delta_series, dg2_series, g2_series,
                       partition_power_series)
 from .nodal import MAX_DELTA
 
-# Building DELTA or PARTITION_POWER(24) to q^500 takes about 2 s on a 2-vCPU
-# host, and 9-13 s to q^1000.
+# Building DELTA or PARTITION_POWER(24) to q^500 takes 0.04-0.13 s on a
+# 2-vCPU host (the whole CLI run 0.2-0.3 s), and 0.2-0.9 s to q^1000.
 MAX_SERIES_ORDER = 500
-# PARTITION_POWER(e) to q^500 takes about 3 s at e = 1000 and 9.5 s at
-# e = 10^6.
+# PARTITION_POWER(e) to q^500 takes about 0.8 s at e = 1000 and 7.8 s at
+# e = 10^6: binary powering, whose coefficients grow with e.
 MAX_PARTITION_EXPONENT = 1000
 
 MODULAR_SERIES = {"G2": g2_series, "DG2": dg2_series, "D2G2": d2g2_series,
@@ -348,9 +349,12 @@ def run(argv=None, out=None, err=None, stdin=None):
     except UsageError as exc:
         err.write(f"nodepoly: error: {exc}\n")
         return 2
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         err.write(f"nodepoly: error: {exc}\n")
         return 2
+    except AssertionError as exc:
+        err.write(f"nodepoly: error: internal check failed: {exc}\n")
+        return 1
 
 
 def main():

@@ -58,12 +58,14 @@ def d2g2_series(order):
 
 def euler_product(order):
     """prod_{k>=1} (1 - q^k) truncated at the given order."""
-    result = PSeries.one(order)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    out = [1] + [0] * order
     for k in range(1, order + 1):
-        factor = [0] * (k + 1)
-        factor[0], factor[k] = 1, -1
-        result = result * PSeries(factor, order=order)
-    return result
+        # multiply by (1 - q^k) in place, top coefficient first
+        for i in range(order, k - 1, -1):
+            out[i] -= out[i - k]
+    return PSeries(out)
 
 
 def delta_series(order):

@@ -192,15 +192,19 @@ def validity_range(surface, delta):
 
     Kool-Shende-Thomas (arXiv:1010.3211) prove the count right for a
     delta-very ample L, and O(d) on P2 is d-very ample, so P2:d is in range
-    for d >= delta.  On K3 and abelian surfaces the correction terms vanish
-    for every polarization, so those are always in range.  Anything else is
-    unknown.
+    for d >= delta.  P2:d is recognised from its Chern data
+    (d^2, -3d, 9, 3), d >= 0: with L ample, LK < 0 and K2 = 9 force the
+    plane, and L2 = d^2 makes L = O(d).  On K3 and abelian surfaces the
+    correction terms vanish for every polarization, so those are always in
+    range; they stay keyed on the family name, because (l2, 0, 0, 0) also
+    fits bielliptic surfaces.  Anything else is unknown.
     """
-    family, _, arg = surface.name.partition(":")
-    if family in ("K3", "T4"):
+    l2, lk, k2, c2 = surface.chern_tuple()
+    d = -lk // 3
+    if (k2, c2) == (9, 3) and lk == -3 * d and d >= 0 and l2 == d * d:
+        return IN_RANGE if d >= delta else OUT_OF_RANGE
+    if surface.name.partition(":")[0] in ("K3", "T4"):
         return IN_RANGE
-    if family == "P2" and arg.lstrip("-").isdigit():
-        return IN_RANGE if int(arg) >= delta else OUT_OF_RANGE
     return RANGE_UNKNOWN
 
 

@@ -11,6 +11,12 @@ with the scalars 0 and 1.  ``fractions.Fraction`` and
 :class:`nodepoly.chernpoly.ChernPoly` both qualify; the two can be mixed
 freely inside one series.  Plain ``int`` coefficients are promoted to
 ``Fraction`` on construction so division never silently produces floats.
+
+When every coefficient is a ``Fraction``, the product, the inverse and exp
+clear denominators once, run their O(N^2) recurrences in Python ints and
+build one Fraction per output coefficient; other coefficient rings take the
+generic loops.  log (the integral of D(s)/s) and reversion (Lagrange
+inversion, N products) are written once over those kernels, for every ring.
 """
 
 from fractions import Fraction
@@ -60,6 +66,66 @@ def _convolve_fractions(a, b, n):
                     out[i + j] += x * y
     den = da * db
     return [Fraction(c, den) for c in out]
+
+
+def _invert_fractions(a):
+    """Reciprocal of an all-Fraction coefficient run, in integers.
+
+    With a = A/d for integers A_j, 1/a = d * sum O_k q^k / A_0^(k+1) where
+    O_0 = 1 and O_k = -sum_{j=1..k} A_j * A_0^(j-1) * O_(k-j).
+    """
+    d = lcm(*(c.denominator for c in a))
+    num = [c.numerator * (d // c.denominator) for c in a]
+    a0 = num[0]
+    scaled = [0] * len(num)
+    p = 1
+    for j in range(1, len(num)):
+        scaled[j] = num[j] * p
+        p *= a0
+    o = [1]
+    for k in range(1, len(num)):
+        acc = 0
+        for j in range(1, k + 1):
+            x = scaled[j]
+            if x:
+                acc += x * o[k - j]
+        o.append(-acc)
+    out = []
+    p = a0
+    for x in o:
+        out.append(Fraction(d * x, p))
+        p *= a0
+    return out
+
+
+def _exp_fractions(a):
+    """Exponential of an all-Fraction run with a_0 = 0, in integers.
+
+    With k*a_k = C_k/dc for integers C_k and b_m = B_m / (m! * dc^m),
+    B_0 = 1 and B_n = sum_k C_k * dc^(k-1) * B_(n-k) * (n-1)!/(n-k)!.
+    The falling factorial is applied by Horner's rule over n-k.
+    """
+    ka = [k * c for k, c in enumerate(a)]
+    dc = lcm(*(c.denominator for c in ka))
+    scaled = [0] * len(a)
+    p = 1
+    for k in range(1, len(a)):
+        c = ka[k]
+        scaled[k] = c.numerator * (dc // c.denominator) * p
+        p *= dc
+    b = [1]
+    for n in range(1, len(a)):
+        acc = 0
+        for j in range(n):
+            acc = acc * j + scaled[n - j] * b[j]
+        b.append(acc)
+    out = []
+    den = 1
+    for n, x in enumerate(b):
+        if n:
+            den *= n * dc
+        out.append(Fraction(x, den))
+    return out
 
 
 class PSeries:
@@ -191,6 +257,8 @@ class PSeries:
         """Multiplicative inverse; requires an invertible constant term."""
         r0 = _reciprocal(self.coeffs[0])
         a = self.coeffs
+        if all(type(c) is Fraction for c in a):
+            return PSeries(_invert_fractions(a))
         out = [r0]
         for k in range(1, self.order + 1):
             acc = a[1] * out[k - 1]
@@ -223,8 +291,9 @@ class PSeries:
             while n:
                 if n & 1:
                     result = result * base
-                base = base * base
                 n >>= 1
+                if n:
+                    base = base * base
             return result.truncate(self.order)
         if self.coeffs[0] != 1:
             raise ValueError("non-integer exponent needs constant term 1")
@@ -233,23 +302,24 @@ class PSeries:
     # -- transcendental operations ----------------------------------------
 
     def log(self):
-        """Formal logarithm; requires constant term 1."""
-        a = self.coeffs
-        if a[0] != 1:
+        """Formal logarithm; requires constant term 1.
+
+        log s is the integral of D(s)/s with D = q*d/dq, so coefficient k
+        of D(s) * s^-1 divided by k; the inverse and the product take the
+        integer paths when the coefficients are Fractions.
+        """
+        if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
-        out = [Fraction(0)]
-        for n in range(1, self.order + 1):
-            acc = a[n]
-            for k in range(1, n):
-                acc = acc - Fraction(k, n) * (out[k] * a[n - k])
-            out.append(acc)
-        return PSeries(out)
+        d = (self.qderiv() * self.inverse()).coeffs
+        return PSeries([Fraction(0)] + [d[k] / k for k in range(1, len(d))])
 
     def exp(self):
         """Formal exponential; requires constant term 0."""
         a = self.coeffs
         if a[0] != 0:
             raise ValueError("exp needs constant term 0")
+        if all(type(c) is Fraction for c in a):
+            return PSeries(_exp_fractions(a))
         out = [Fraction(1)]
         for n in range(1, self.order + 1):
             acc = a[n] * out[0]
@@ -275,21 +345,20 @@ class PSeries:
         """Compositional inverse: the series g with self(g) = g(self) = q.
 
         Requires constant term 0 and an invertible linear coefficient.
-        Solved coefficient by coefficient: the q^n coefficient of self(g)
-        is c1*g_n plus terms involving only g_1 .. g_{n-1}, so each new
-        coefficient comes from one triangular step.
+        Lagrange inversion: with h = (self/q)^-1, the q^m coefficient of g
+        is [q^(m-1)] h^m / m, so N coefficients cost N series products.
         """
         if self.order < 1:
             raise ValueError("reversion needs order >= 1")
         a = self.coeffs
         if a[0] != 0:
             raise ValueError("reversion needs constant term 0")
-        r1 = _reciprocal(a[1])
-        g = [Fraction(0), r1]
-        for n in range(2, self.order + 1):
-            partial = PSeries(g + [Fraction(0)])
-            err = self.truncate(n).compose(partial).coeffs[n]
-            g.append(-r1 * err)
+        h = PSeries(a[1:]).inverse()
+        power = h
+        g = [Fraction(0), h.coeffs[0]]
+        for m in range(2, self.order + 1):
+            power = power * h
+            g.append(power.coeffs[m - 1] / m)
         return PSeries(g)
 
     # -- q-calculus --------------------------------------------------------

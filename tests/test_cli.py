@@ -4,7 +4,7 @@ import io
 import json
 from fractions import Fraction
 
-from nodepoly import nodal
+from nodepoly import cli, nodal
 from nodepoly.cli import (MAX_PARTITION_EXPONENT, MAX_SERIES_ORDER,
                           fmt_rational, parse_rational, run)
 from nodepoly.inclexcl import SetSystem
@@ -148,6 +148,21 @@ def test_count_p2_outside_range():
     assert payload_of(out)["validity"] == "outside guaranteed range"
 
 
+def test_count_explicit_p2_tuple_flags_like_p2():
+    # the validity flag comes from the Chern data, not the spelling
+    for delta in range(6):
+        _, named, _ = invoke(["count", "--surface", "P2:3", "--delta",
+                              str(delta)])
+        _, explicit, _ = invoke(["count", "--surface", "9,-9,9,3", "--delta",
+                                 str(delta)])
+        for key in ("count", "validity"):
+            assert payload_of(explicit)[key] == payload_of(named)[key]
+    _, out, _ = invoke(["count", "--surface", "9,-9,9,3", "--delta", "4"])
+    assert payload_of(out)["validity"] == "outside guaranteed range"
+    _, out, _ = invoke(["count", "--surface", "11,-9,9,3", "--delta", "1"])
+    assert payload_of(out)["validity"] == "range unknown"
+
+
 def test_count_k3_in_range():
     code, out, _ = invoke(["count", "--surface", "K3:0", "--delta", "1"])
     assert code == 0
@@ -289,6 +304,25 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _, _ = invoke(["no-such-command"])
     assert code == 2
+
+
+def test_internal_errors_exit_without_traceback(monkeypatch):
+    def fails(exc):
+        def handler(args, out):
+            raise exc
+        return handler
+
+    monkeypatch.setitem(cli.HANDLERS, "rr-solve",
+                        fails(AssertionError("T_0 must be the constant 1")))
+    code, out, err = invoke(["rr-solve"])
+    assert (code, out) == (1, "")
+    assert err == "nodepoly: error: internal check failed: " \
+        "T_0 must be the constant 1\n"
+    monkeypatch.setitem(cli.HANDLERS, "rr-solve",
+                        fails(ZeroDivisionError("division by zero")))
+    code, out, err = invoke(["rr-solve"])
+    assert (code, out) == (2, "")
+    assert err == "nodepoly: error: division by zero\n"
 
 
 def test_output_is_deterministic():

@@ -153,10 +153,27 @@ def test_delta_times_partition_power_is_q():
     assert product == PSeries([0, 1], order=n)
 
 
+def pentagonal_series(order):
+    """sum_k (-1)^k q^(k(3k-1)/2) over all integers k, truncated."""
+    out = [0] * (order + 1)
+    k = 0
+    while k * (3 * k - 1) // 2 <= order:
+        for j in {k, -k}:
+            if j * (3 * j - 1) // 2 <= order:
+                out[j * (3 * j - 1) // 2] = (-1) ** k
+        k += 1
+    return out
+
+
 def test_euler_product_is_pentagonal():
     # Euler's pentagonal number theorem gives the sparse expansion
     assert list(euler_product(12).coeffs) == \
         [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
+    assert list(euler_product(300).coeffs) == pentagonal_series(300)
+    assert list(euler_product(0).coeffs) == [1]
+    assert list(euler_product(1).coeffs) == [1, -1]
+    with pytest.raises(ValueError):
+        euler_product(-1)
 
 
 def test_rejects_bad_arguments():

@@ -208,6 +208,16 @@ def test_in_range_p2_counts_are_nonnegative():
     assert in_range == sum(min(d, 5) + 1 for d in range(13))
 
 
+def test_k3_and_abelian_counts_are_nonnegative():
+    # counts of curves in a linear system of dimension >= delta
+    table = node_polynomials(5)
+    for m in range(1, 13):
+        for surface in (K3(2 * m - 2), T4(2 * m)):
+            for delta in range(min(5, surface.dim_linear_system()) + 1):
+                value = table.evaluate(surface, delta)
+                assert value >= 0, (surface.name, delta, value)
+
+
 def test_p2_matches_kleiman_piene_polynomials():
     # Kleiman-Piene: T_2 and T_3 on P2 as polynomials of degree 4 and 6 in d;
     # agreement at 12 values of d is agreement as polynomials.

@@ -2,7 +2,10 @@
 
 The composition and inversion tests are checked against a brute-force
 polynomial oracle implemented here on plain coefficient lists, independent
-of the PSeries code paths.
+of the PSeries code paths.  The integer kernels that PSeries runs on
+all-Fraction series are checked against the Fraction-object recurrences
+they replaced (kept here as oracles) and against PSeries' own generic loops,
+which run when the coefficients are ChernPoly constants.
 """
 
 from fractions import Fraction
@@ -40,6 +43,107 @@ def poly_compose(outer, inner, order):
 
 def random_series(rng, order, lo=-5, hi=5):
     return PSeries([F(rng.randint(lo, hi)) for _ in range(order + 1)])
+
+
+def random_rational_series(rng, order, first=0, max_den=50):
+    """Seeded rationals with denominators up to max_den; coefficients
+    below ``first`` are zero."""
+    return PSeries([F(0)] * first + [
+        F(rng.randint(-max_den, max_den), rng.randint(1, max_den))
+        for _ in range(order + 1 - first)])
+
+
+# -- oracles for the integer kernels -----------------------------------------
+
+def log_oracle(s):
+    """log s by the Fraction-object recurrence n*l_n = n*a_n - sum k*l_k*a_(n-k)."""
+    a = s.coeffs
+    assert a[0] == 1
+    out = [F(0)]
+    for n in range(1, s.order + 1):
+        acc = a[n]
+        for k in range(1, n):
+            acc = acc - F(k, n) * (out[k] * a[n - k])
+        out.append(acc)
+    return PSeries(out)
+
+
+def reversion_oracle(s):
+    """Compositional inverse solved one coefficient at a time: the q^n
+    coefficient of s(g) is a_1*g_n plus terms in g_1 .. g_(n-1) only."""
+    a = s.coeffs
+    assert s.order >= 1 and a[0] == 0 and a[1] != 0
+    r1 = 1 / a[1]
+    g = [F(0), r1]
+    for n in range(2, s.order + 1):
+        partial = PSeries(g + [F(0)])
+        err = s.truncate(n).compose(partial).coeffs[n]
+        g.append(-r1 * err)
+    return PSeries(g)
+
+
+def via_generic_loop(method, s):
+    """Run a PSeries method on the ChernPoly-constant copy of s, which takes
+    the generic coefficient loop, and read the constants back."""
+    wrapped = PSeries([ChernPoly.constant(c) for c in s.coeffs])
+    return PSeries([ChernPoly.promote(c).constant_part()
+                    for c in getattr(wrapped, method)().coeffs])
+
+
+def test_inverse_matches_generic_loop():
+    rng = random.Random(61)
+    for order in range(41):
+        s = random_rational_series(rng, order)
+        while s.coeffs[0] == 0:
+            s = random_rational_series(rng, order)
+        got = s.inverse()
+        assert got == via_generic_loop("inverse", s)
+        assert s * got == PSeries.one(order)
+    # non-unit and negative constant terms, integer and rational
+    for c0 in (F(-1), F(3), F(-7, 2), F(5, 49)):
+        s = PSeries((c0,) + random_rational_series(rng, 20).coeffs[1:])
+        assert s.inverse() == via_generic_loop("inverse", s)
+
+
+def test_exp_matches_generic_loop():
+    rng = random.Random(67)
+    for order in range(41):
+        s = random_rational_series(rng, order, first=1)
+        assert s.exp() == via_generic_loop("exp", s)
+    # integer k*a_k, the shape of every log-series exp'd in the package
+    s = PSeries([0] + [F(rng.randint(-9, 9), k) for k in range(1, 31)])
+    assert s.exp() == via_generic_loop("exp", s)
+
+
+def test_log_matches_oracle():
+    rng = random.Random(71)
+    for order in range(41):
+        s = PSeries((F(1),) + random_rational_series(rng, order).coeffs[1:])
+        assert s.log() == log_oracle(s)
+
+
+def test_reversion_matches_oracle():
+    rng = random.Random(73)
+    # the oracle is O(N^4) in ever larger rationals: sample the high orders
+    for order in list(range(1, 25)) + [32, 40]:
+        s = random_rational_series(rng, order, first=1)
+        while s.coeffs[1] == 0:
+            s = random_rational_series(rng, order, first=1)
+        assert s.reversion() == reversion_oracle(s)
+
+
+def test_kernels_at_orders_zero_and_one():
+    assert PSeries([F(-2, 3)]).inverse() == PSeries([F(-3, 2)])
+    assert PSeries([F(-2, 3), F(5, 7)]).inverse() \
+        == PSeries([F(-3, 2), F(-45, 28)])
+    assert PSeries([0]).exp() == PSeries([1])
+    assert PSeries([0, F(5, 7)]).exp() == PSeries([1, F(5, 7)])
+    assert PSeries([1]).log() == PSeries([0])
+    assert PSeries([1, F(-3, 4)]).log() == PSeries([0, F(-3, 4)])
+    assert PSeries([0, F(-4, 9)]).reversion() == PSeries([0, F(-9, 4)])
+    for method in ("inverse", "exp"):
+        s = PSeries([F(1) if method == "inverse" else F(0)])
+        assert getattr(s, method)() == via_generic_loop(method, s)
 
 
 # -- construction and truncation ---------------------------------------------
