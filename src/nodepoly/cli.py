@@ -7,6 +7,12 @@ the "/1"; polynomial coefficients are keyed by exponent tuples "a,b,c,d"
 over (L2, LK, K2, c2).  Output is byte-identical across runs for identical
 inputs.
 
+The JSON layout is fixed: object keys sorted, two-space indent, a comma
+ending each line but an object's or array's last, ": " after each key,
+strings ASCII-escaped (non-ASCII and control characters as \\uXXXX), and
+"{}" / "[]" for empty containers -- byte for byte what
+``json.dumps(doc, indent=2, sort_keys=True)`` prints.
+
 Exit codes: 0 success (and exact equality for the comparison commands),
 1 mathematical mismatch or failed internal check, 2 usage error (including
 a division by zero the input asked for).  Errors are one line on stderr.
@@ -16,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import inclexcl, nodal
 from .chern import parse_surface, rr_example_pairs, solve_rr_coefficients
@@ -48,10 +55,6 @@ def fmt_rational(x):
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_rational(s):
-    return Fraction(s)
-
-
 def fmt_series(series):
     return [fmt_rational(c) for c in series]
 
@@ -65,9 +68,60 @@ def fmt_surface(s):
     return {"name": s.name, "L2": s.L2, "LK": s.LK, "K2": s.K2, "c2": s.c2}
 
 
+def _write_json(value, newline, write):
+    """Pass the JSON text of ``value`` (dict with str keys, list, str, int,
+    bool or None) to ``write`` in pieces; ``newline`` is a line break plus
+    the indent of the level ``value`` sits at.
+
+    ``json.dumps(indent=2)`` runs the pure-Python encoder (CPython's C
+    encoder serves only ``indent=None``); this one covers just the types
+    the documents hold and raises TypeError on any other.
+    """
+    kind = type(value)
+    if kind is str:
+        write(encode_basestring_ascii(value))
+    elif kind is int:
+        write(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            # encode_basestring_ascii raises TypeError on a non-str key
+            write(sep)
+            write(encode_basestring_ascii(key))
+            write(": ")
+            _write_json(value[key], inner, write)
+            sep = "," + inner
+        write(newline)
+        write("}")
+    elif kind is list:
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(newline)
+        write("]")
+    elif value is None:
+        write("null")
+    elif kind is bool:
+        write("true" if value else "false")
+    else:
+        raise TypeError(f"cannot emit a {kind.__name__} as JSON")
+
+
 def emit_json(doc, out):
-    out.write(json.dumps(doc, indent=2, sort_keys=True))
-    out.write("\n")
+    parts = []
+    _write_json(doc, "\n", parts.append)
+    parts.append("\n")
+    out.write("".join(parts))
 
 
 def emit_csv(header, rows, out):
@@ -197,6 +251,8 @@ def cmd_inclexcl(args, out, stdin):
         data = json.load(stdin)
     except json.JSONDecodeError as exc:
         raise UsageError(f"stdin is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError("stdin JSON is nested too deeply") from exc
     if (not isinstance(data, list)
             or not all(isinstance(s, list) for s in data)):
         raise UsageError("input must be a JSON list of integer lists")
@@ -205,9 +261,9 @@ def cmd_inclexcl(args, out, stdin):
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     table = inclexcl.modified_cardinalities(system)
-    keys = sorted(table, key=lambda i: (len(i), sorted(i)))
-    rows = [(",".join(str(x) for x in sorted(i)), table[i][0], table[i][1])
-            for i in keys]
+    # the table is already in (size, lexicographic) order
+    rows = [(",".join(map(str, sorted(i))), plain, mod)
+            for i, (plain, mod) in table.items()]
     if args.format == "csv":
         emit_csv(("index_set", "cardinality", "modified_cardinality"),
                  ((f'"{ix}"', plain, mod) for ix, plain, mod in rows), out)

@@ -62,10 +62,7 @@ class SetSystem:
         return len(self.sets)
 
     def union(self):
-        out = set()
-        for s in self.sets:
-            out |= s
-        return frozenset(out)
+        return frozenset().union(*self.sets)
 
 
 def nonempty_index_sets(k):
@@ -110,9 +107,12 @@ def modified_cardinalities(system):
             if not mask & bit:
                 plain[mask] += plain[mask | bit]
     table = {}
-    for index_set in nonempty_index_sets(system.k):
-        mask = sum(1 << i for i in index_set)
-        table[index_set] = (plain[mask], modified[mask])
+    bits = [1 << i for i in range(system.k)]
+    for r in range(1, system.k + 1):
+        for combo, combo_bits in zip(combinations(range(system.k), r),
+                                     combinations(bits, r)):
+            mask = sum(combo_bits)
+            table[frozenset(combo)] = (plain[mask], modified[mask])
     return table
 
 

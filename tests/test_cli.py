@@ -2,11 +2,14 @@
 
 import io
 import json
+import random
 from fractions import Fraction
+
+import pytest
 
 from nodepoly import cli, nodal
 from nodepoly.cli import (MAX_PARTITION_EXPONENT, MAX_SERIES_ORDER,
-                          fmt_rational, parse_rational, run)
+                          emit_json, fmt_rational, run)
 from nodepoly.inclexcl import SetSystem
 
 from test_inclexcl import backward_induction_oracle
@@ -25,7 +28,7 @@ def payload_of(text):
 def test_rational_round_trip():
     for value in (Fraction(1, 12), Fraction(-345), Fraction(0),
                   Fraction(176256), Fraction(-7, 24)):
-        assert parse_rational(fmt_rational(value)) == value
+        assert Fraction(fmt_rational(value)) == value
     assert fmt_rational(Fraction(24)) == "24"
     assert fmt_rational(Fraction(1, 2)) == "1/2"
 
@@ -273,6 +276,14 @@ def test_inclexcl_rejects_booleans():
         assert "nonnegative integers" in err
 
 
+def test_inclexcl_rejects_deep_nesting():
+    depth = 100000
+    code, out, err = invoke(["inclexcl"],
+                            stdin_text="[" * depth + "]" * depth)
+    assert (code, out) == (2, "")
+    assert err == "nodepoly: error: stdin JSON is nested too deeply\n"
+
+
 def test_inclexcl_golden_output_k8():
     # Expected bytes built from the backward-induction oracle, in the
     # documented layout: rows by (size, sorted indices), JSON with
@@ -332,3 +343,82 @@ def test_output_is_deterministic():
         first = invoke(argv)
         second = invoke(argv)
         assert first == second
+
+
+# -- the JSON emitter against json.dumps as the oracle -------------------------
+
+def oracle(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def emitted(doc):
+    out = io.StringIO()
+    emit_json(doc, out)
+    return out.getvalue()
+
+
+def test_every_command_document_matches_json_dumps(monkeypatch):
+    rng = random.Random(7)
+    sets = [[x for x in range(60) if rng.random() < 0.5] for _ in range(5)]
+    commands = [
+        (["node-polys", "--max-delta", "5"], ""),
+        (["count", "--surface", "K3:8", "--delta", "5"], ""),
+        (["yau-zaslow", "--max-delta", "5"], ""),
+        (["blowup-check", "--surface", "P2:3"], ""),
+        (["rr-solve"], ""),
+        (["factorize", "--max-delta", "5"], ""),
+        (["series", "--name", "G2", "--order", "5"], ""),
+        (["series", "--name", "PARTITION_POWER(24)", "--order", "0"], ""),
+        (["inclexcl"], json.dumps(sets)),
+        (["inclexcl"], "[[], [0]]"),
+    ]
+    docs = []
+
+    def recording_emit_json(doc, out):
+        docs.append(doc)
+        emit_json(doc, out)
+
+    monkeypatch.setattr(cli, "emit_json", recording_emit_json)
+    for argv, stdin_text in commands:
+        code, out, err = invoke(argv, stdin_text)
+        assert (code, err) == (0, "")
+        assert out == oracle(docs[-1])
+    assert len(docs) == len(commands)
+
+
+def random_text(rng):
+    alphabet = 'az09 "\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2202\U0001d11e'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+
+
+def random_value(rng, depth):
+    kind = rng.randrange(8 if depth < 4 else 6)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.randrange(-10**6, 10**6)
+    if kind == 2:
+        return rng.choice((1, -1)) * rng.randrange(10**40)
+    if kind == 3:
+        return rng.choice((True, False))
+    if kind == 4:
+        return None
+    if kind == 5:
+        return rng.choice(({}, []))
+    if kind == 6:
+        return [random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return {random_text(rng): random_value(rng, depth + 1)
+            for _ in range(rng.randrange(5))}
+
+
+def test_random_documents_match_json_dumps():
+    rng = random.Random(20041)
+    for _ in range(400):
+        doc = random_value(rng, 0)
+        assert emitted(doc) == oracle(doc)
+
+
+def test_emitter_rejects_other_types():
+    for doc in (1.5, {"x": [0.25]}, {1: "a"}):
+        with pytest.raises(TypeError):
+            emitted(doc)
