@@ -73,9 +73,6 @@ class ChernPoly:
 
     __hash__ = None
 
-    def is_zero(self):
-        return not self.terms
-
     def total_degree(self):
         """Largest total degree of a monomial; the zero polynomial has -1."""
         if not self.terms:

@@ -14,8 +14,10 @@ strings ASCII-escaped (non-ASCII and control characters as \\uXXXX), and
 ``json.dumps(doc, indent=2, sort_keys=True)`` prints.
 
 Exit codes: 0 success (and exact equality for the comparison commands),
-1 mathematical mismatch or failed internal check, 2 usage error (including
-a division by zero the input asked for).  Errors are one line on stderr.
+1 mathematical mismatch or failed internal check, 2 the input was rejected:
+a ValueError from the library (the delta cap in ``nodal``, a malformed
+surface or set system) or from the CLI's own bounds, or a division by zero
+the input asked for.  Errors are one line on stderr.
 """
 
 import argparse
@@ -38,11 +40,8 @@ MAX_SERIES_ORDER = 500
 MAX_PARTITION_EXPONENT = 1000
 
 MODULAR_SERIES = {"G2": g2_series, "DG2": dg2_series, "D2G2": d2g2_series,
-                  "DELTA": delta_series}
-
-
-class UsageError(Exception):
-    pass
+                  "DELTA": delta_series, "B1": nodal.b1_series,
+                  "B2": nodal.b2_series}
 
 
 # -- serialization -----------------------------------------------------------
@@ -135,24 +134,9 @@ def document(command, parameters, order, fmt, payload):
             "format": fmt, "payload": payload}
 
 
-def _check_delta(value, what="delta"):
-    if value < 0 or value > MAX_DELTA:
-        raise UsageError(
-            f"{what} {value} is out of range: the B1/B2 series data stop at "
-            f"q^{MAX_DELTA}, so at most {what} {MAX_DELTA} is computable")
-
-
-def _parse_surface_arg(spec):
-    try:
-        return parse_surface(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 def cmd_node_polys(args, out):
-    _check_delta(args.max_delta, "max-delta")
     table = nodal.node_polynomials(args.max_delta)
     payload = {str(d): fmt_poly(table[d]) for d in range(args.max_delta + 1)}
     emit_json(document("node-polys", {"max_delta": args.max_delta},
@@ -161,8 +145,7 @@ def cmd_node_polys(args, out):
 
 
 def cmd_count(args, out):
-    _check_delta(args.delta)
-    surface = _parse_surface_arg(args.surface)
+    surface = parse_surface(args.surface)
     result = nodal.count_nodal(surface, args.delta)
     payload = {
         "surface": fmt_surface(surface),
@@ -178,7 +161,6 @@ def cmd_count(args, out):
 
 
 def cmd_yau_zaslow(args, out):
-    _check_delta(args.max_delta, "max-delta")
     report = nodal.yau_zaslow_check(args.max_delta)
     rows = [(r.delta, fmt_rational(r.node_value), fmt_rational(r.partition_value),
              r.equal) for r in report.rows]
@@ -198,8 +180,7 @@ def cmd_yau_zaslow(args, out):
 
 
 def cmd_blowup_check(args, out):
-    _check_delta(args.order, "order")
-    surface = _parse_surface_arg(args.surface)
+    surface = parse_surface(args.surface)
     check = nodal.blowup_identity_check(surface, args.order)
     payload = {
         "surface": fmt_surface(surface),
@@ -228,7 +209,6 @@ def cmd_rr_solve(args, out):
 
 
 def cmd_factorize(args, out):
-    _check_delta(args.max_delta, "max-delta")
     table = nodal.node_polynomials(args.max_delta)
     form = nodal.factorize_generating_function(args.max_delta)
     reassembled = form.generating_function()
@@ -250,16 +230,13 @@ def cmd_inclexcl(args, out, stdin):
     try:
         data = json.load(stdin)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"stdin is not valid JSON: {exc}") from exc
+        raise ValueError(f"stdin is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise UsageError("stdin JSON is nested too deeply") from exc
+        raise ValueError("stdin JSON is nested too deeply") from exc
     if (not isinstance(data, list)
             or not all(isinstance(s, list) for s in data)):
-        raise UsageError("input must be a JSON list of integer lists")
-    try:
-        system = inclexcl.SetSystem(data)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError("input must be a JSON list of integer lists")
+    system = inclexcl.SetSystem(data)
     table = inclexcl.modified_cardinalities(system)
     # the table is already in (size, lexicographic) order
     rows = [(",".join(map(str, sorted(i))), plain, mod)
@@ -283,7 +260,7 @@ def cmd_inclexcl(args, out, stdin):
 
 
 def _modular_series(name, order):
-    """The q-expansion called ``name`` (G2, DG2, D2G2, DELTA or
+    """The q-expansion called ``name`` (G2, DG2, D2G2, DELTA, B1, B2 or
     PARTITION_POWER(e), any case) to q^order."""
     key = name.upper()
     built = max(order, 1)  # DELTA needs order >= 1
@@ -296,28 +273,19 @@ def _modular_series(name, order):
         except ValueError:
             e = 0
         if not 1 <= e <= MAX_PARTITION_EXPONENT:
-            raise UsageError(
+            raise ValueError(
                 f"PARTITION_POWER exponent {arg!r} is out of range: it must "
                 f"be an integer in 1..{MAX_PARTITION_EXPONENT}")
         return partition_power_series(e, built).truncate(order)
-    raise UsageError(f"unknown series name {name!r}")
+    raise ValueError(f"unknown series name {name!r}")
 
 
 def cmd_series(args, out):
     if not 0 <= args.order <= MAX_SERIES_ORDER:
-        raise UsageError(
+        raise ValueError(
             f"order {args.order} is out of range: series are emitted to "
             f"orders 0..{MAX_SERIES_ORDER}")
-    name = args.name.upper()
-    if name in ("B1", "B2"):
-        if args.order > MAX_DELTA:
-            raise UsageError(
-                f"{name} is known only to q^{MAX_DELTA}: requesting order "
-                f"{args.order} exceeds the available data")
-        series = nodal.b1_series(args.order) if name == "B1" \
-            else nodal.b2_series(args.order)
-    else:
-        series = _modular_series(args.name, args.order)
+    series = _modular_series(args.name, args.order)
     if args.format == "csv":
         emit_csv(("k", "coefficient"),
                  ((k, fmt_rational(c)) for k, c in enumerate(series)), out)
@@ -402,9 +370,6 @@ def run(argv=None, out=None, err=None, stdin=None):
         if args.command == "inclexcl":
             return cmd_inclexcl(args, out, stdin)
         return HANDLERS[args.command](args, out)
-    except UsageError as exc:
-        err.write(f"nodepoly: error: {exc}\n")
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         err.write(f"nodepoly: error: {exc}\n")
         return 2

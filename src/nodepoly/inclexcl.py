@@ -23,7 +23,7 @@ as a second route to the same union count.
 Index sets are 0-based throughout, matching the input list positions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 MAX_SETS = 10
@@ -38,7 +38,6 @@ class SetSystem:
     the element 1.
     """
     sets: tuple
-    max_sets: int = field(default=MAX_SETS, compare=False)
 
     def __post_init__(self):
         sets = []
@@ -51,9 +50,9 @@ class SetSystem:
             sets.append(frozenset(s))
         if not sets:
             raise ValueError("a set system needs at least one set")
-        if len(sets) > self.max_sets:
+        if len(sets) > MAX_SETS:
             raise ValueError(
-                f"{len(sets)} sets exceed the bound {self.max_sets}: the "
+                f"{len(sets)} sets exceed the bound {MAX_SETS}: the "
                 f"lattice has 2^k - 1 index sets")
         object.__setattr__(self, "sets", tuple(sets))
 

@@ -42,12 +42,11 @@ RANGE_UNKNOWN = "range unknown"
 
 
 def _check_order(order):
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order > MAX_DELTA:
+    """The one check of the delta cap: every entry point calls it first."""
+    if not 0 <= order <= MAX_DELTA:
         raise ValueError(
-            f"order {order} exceeds {MAX_DELTA}: the B1/B2 series data "
-            f"stop at q^{MAX_DELTA}")
+            f"delta {order} is out of range 0..{MAX_DELTA}: the B1/B2 series "
+            f"data stop at q^{MAX_DELTA}")
 
 
 def b1_series(order=MAX_DELTA):
@@ -216,14 +215,9 @@ class NodalCount:
     validity: str
 
 
-def count_nodal(surface, delta, table=None):
+def count_nodal(surface, delta):
     """T_delta evaluated at the surface, with its validity flag."""
-    if delta < 0 or delta > MAX_DELTA:
-        raise ValueError(f"delta must be between 0 and {MAX_DELTA}: the "
-                         f"B1/B2 series data stop at q^{MAX_DELTA}")
-    if table is None or table.max_delta < delta:
-        table = node_polynomials(delta)
-    value = table.evaluate(surface, delta)
+    value = node_polynomials(delta).evaluate(surface, delta)
     return NodalCount(surface, delta, value, validity_range(surface, delta))
 
 
@@ -301,9 +295,10 @@ class FactorizedForm:
 
     def generating_function(self):
         """Reassemble F(t) with polynomial coefficients from the four logs."""
-        total = (chernpoly.K2 * self.log_a1 + chernpoly.C2 * self.log_a2
-                 + chernpoly.L2 * self.log_a3 + chernpoly.LK * self.log_a4)
-        return total.exp()
+        return _exp_linear(((chernpoly.K2, self.log_a1),
+                            (chernpoly.C2, self.log_a2),
+                            (chernpoly.L2, self.log_a3),
+                            (chernpoly.LK, self.log_a4)))
 
 
 def factorize_generating_function(max_delta=MAX_DELTA):

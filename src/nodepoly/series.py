@@ -206,9 +206,6 @@ class PSeries:
     def map_coefficients(self, fn):
         return PSeries([fn(c) for c in self.coeffs])
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

@@ -13,6 +13,7 @@ from nodepoly.cli import (MAX_PARTITION_EXPONENT, MAX_SERIES_ORDER,
 from nodepoly.inclexcl import SetSystem
 
 from test_inclexcl import backward_induction_oracle
+from test_nodal import cap_message
 
 
 def invoke(argv, stdin_text=""):
@@ -80,6 +81,26 @@ def test_series_b1_data_limit():
     assert code == 2
     assert out == ""
     assert "q^5" in err
+
+
+@pytest.mark.parametrize("delta", [-1, nodal.MAX_DELTA + 1])
+@pytest.mark.parametrize("argv", [
+    ["node-polys", "--max-delta"],
+    ["count", "--surface", "P2:3", "--delta"],
+    ["yau-zaslow", "--max-delta"],
+    ["blowup-check", "--surface", "P2:3", "--order"],
+    ["factorize", "--max-delta"],
+], ids=lambda argv: argv[0])
+def test_delta_cap_error_is_the_library_message(argv, delta):
+    assert invoke(argv + [str(delta)]) == (2, "", f"nodepoly: error: "
+                                           f"{cap_message(delta)}\n")
+
+
+@pytest.mark.parametrize("name", ["B1", "B2", "b1"])
+def test_series_b_data_cap_is_the_library_message(name):
+    delta = nodal.MAX_DELTA + 1
+    assert invoke(["series", "--name", name, "--order", str(delta)]) == \
+        (2, "", f"nodepoly: error: {cap_message(delta)}\n")
 
 
 def test_series_order_is_bounded():

@@ -180,4 +180,3 @@ def test_validation():
     for sets in ([[True, 2], [1]], [[1, True]], [[False]]):
         with pytest.raises(ValueError):
             SetSystem(sets)
-    assert SetSystem([{1}] * 11, max_sets=12).k == 11

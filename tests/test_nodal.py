@@ -9,9 +9,9 @@ from nodepoly import chernpoly
 from nodepoly.chern import K3, P2, SurfaceClass, T4
 from nodepoly.chernpoly import ChernPoly
 from nodepoly.modular import dg2_series
-from nodepoly.nodal import (IN_RANGE, OUT_OF_RANGE, RANGE_UNKNOWN, b1_series,
-                            b2_series, blowup_identity_check, chi_L_poly,
-                            chi_O_poly, closed_form_series,
+from nodepoly.nodal import (IN_RANGE, MAX_DELTA, OUT_OF_RANGE, RANGE_UNKNOWN,
+                            b1_series, b2_series, blowup_identity_check,
+                            chi_L_poly, chi_O_poly, closed_form_series,
                             closed_form_symbolic, count_nodal,
                             dg2_normalized, discriminant_factor,
                             factorize_generating_function, node_polynomials,
@@ -57,6 +57,31 @@ def test_b_series_data_limit():
         b1_series(6)
     with pytest.raises(ValueError):
         b2_series(7)
+
+
+def cap_message(delta):
+    return (f"delta {delta} is out of range 0..{MAX_DELTA}: the B1/B2 series "
+            f"data stop at q^{MAX_DELTA}")
+
+
+CAPPED_ENTRY_POINTS = {
+    "b1_series": b1_series,
+    "b2_series": b2_series,
+    "closed_form_series": lambda d: closed_form_series(P2(3), d),
+    "node_polynomials": node_polynomials,
+    "count_nodal": lambda d: count_nodal(P2(3), d),
+    "yau_zaslow_check": yau_zaslow_check,
+    "blowup_identity_check": lambda d: blowup_identity_check(P2(3), d),
+    "factorize_generating_function": factorize_generating_function,
+}
+
+
+@pytest.mark.parametrize("delta", [-1, MAX_DELTA + 1])
+@pytest.mark.parametrize("name", sorted(CAPPED_ENTRY_POINTS))
+def test_delta_cap_has_one_message(name, delta):
+    with pytest.raises(ValueError) as info:
+        CAPPED_ENTRY_POINTS[name](delta)
+    assert str(info.value) == cap_message(delta)
 
 
 def test_b_series_log_homomorphism():
@@ -166,12 +191,6 @@ def test_count_nodal_values_and_flags():
         count_nodal(P2(3), 6)
 
 
-def test_count_nodal_reuses_table():
-    table = node_polynomials(5)
-    assert count_nodal(P2(9), 2, table=table).value == \
-        count_nodal(P2(9), 2).value
-
-
 def test_validity_range_rule():
     assert validity_range(P2(4), 1) == IN_RANGE
     assert validity_range(P2(3), 1) == IN_RANGE
@@ -201,10 +220,10 @@ def test_in_range_p2_counts_are_nonnegative():
     in_range = 0
     for d in range(13):
         for delta in range(6):
-            result = count_nodal(P2(d), delta, table=table)
-            if result.validity == IN_RANGE:
+            if validity_range(P2(d), delta) == IN_RANGE:
                 in_range += 1
-                assert result.value >= 0, (d, delta, result.value)
+                value = table.evaluate(P2(d), delta)
+                assert value >= 0, (d, delta, value)
     assert in_range == sum(min(d, 5) + 1 for d in range(13))
 
 
