@@ -82,9 +82,6 @@ class ChernPoly:
     def constant_part(self):
         return self.terms.get(_ZERO_EXP, Fraction(0))
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def is_homogeneous_linear(self):
         """True when every monomial is a single variable to the first power."""
         return all(sum(e) == 1 for e in self.terms)
@@ -144,18 +141,6 @@ class ChernPoly:
         if c == 0:
             raise ZeroDivisionError("division of ChernPoly by zero")
         return ChernPoly({e: v / c for e, v in self.terms.items()})
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("ChernPoly powers must be nonnegative integers")
-        result = ChernPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def reciprocal(self):
         """Inverse of a nonzero constant polynomial (needed by PSeries)."""

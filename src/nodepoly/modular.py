@@ -79,10 +79,10 @@ def delta_series(order):
 
 
 def partition_power_series(e, order):
-    """prod_{k>=1} (1 - q^k)^(-e); e = 1 generates the partition numbers."""
+    """prod_{k>=1} (1 - q^k)^(-e) for an int e >= 1 (partition numbers at e = 1)."""
+    if not isinstance(e, int):
+        raise TypeError(f"exponent must be an int, not {type(e).__name__}")
     if e < 1:
         raise ValueError("exponent must be a positive integer")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return euler_product(order).inverse() ** e
+    return euler_product(order) ** -e
 

@@ -17,6 +17,8 @@ clear denominators once, run their O(N^2) recurrences in Python ints and
 build one Fraction per output coefficient; other coefficient rings take the
 generic loops.  log (the integral of D(s)/s) and reversion (Lagrange
 inversion, N products) are written once over those kernels, for every ring.
+Powers s**e, for an int or Fraction e, are one integer Miller recurrence
+and need Fraction coefficients.
 """
 
 from fractions import Fraction
@@ -125,6 +127,34 @@ def _exp_fractions(a):
         if n:
             den *= n * dc
         out.append(Fraction(x, den))
+    return out
+
+
+def _power_fractions(a, e):
+    """a^e for an all-Fraction run with a_0 != 0 and e = p/r, in integers.
+
+    Miller's recurrence m*a_0*b_m = sum_k ((e+1)k - m) a_k b_(m-k), with
+    a = A/d and b_m = a_0^p * B_m / (A_0 r^2)^m, becomes B_0 = 1 and
+    m*B_m = sum_k ((p+r)k - r*m) A_k A_0^(k-1) r^(2k-1) B_(m-k), exact as
+    f^(p/r) is in Z[1/r][[q]] for f in 1 + qZ[[q]].  Zero A_k are skipped.
+    """
+    p, r = e.numerator, e.denominator
+    d = lcm(*(c.denominator for c in a))
+    num = [c.numerator * (d // c.denominator) for c in a]
+    step = num[0] * r * r
+    terms, scale = [], r
+    for k in range(1, len(num)):
+        if num[k]:
+            terms.append((k, (p + r) * k, num[k] * scale))
+        scale *= step
+    b = [1]
+    for m in range(1, len(num)):
+        b.append(sum((pk - r * m) * x * b[m - k] for k, pk, x in terms if k <= m) // m)
+    b0 = a[0] ** p
+    out, den = [], b0.denominator
+    for x in b:
+        out.append(Fraction(b0.numerator * x, den))
+        den *= step
     return out
 
 
@@ -273,28 +303,26 @@ class PSeries:
         return self.inverse() * _promote(other)
 
     def __pow__(self, e):
-        """Formal power.
+        """Formal power by one Miller recurrence, for an int or Fraction e.
 
-        Integer exponents use binary powering (negative ones go through the
-        inverse).  Fractional or polynomial exponents use exp(e*log) and
-        require constant term 1.
+        A non-integer e needs constant term 1.  For q^v*u with u_0 != 0 and
+        an integer e >= 1 the result is q^(v*e) * u^e; e = 0 gives one.
         """
-        if isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1):
-            n = int(e)
-            if n < 0:
-                return self.inverse() ** (-n)
-            result = PSeries.one(self.order)
-            base = self
-            while n:
-                if n & 1:
-                    result = result * base
-                n >>= 1
-                if n:
-                    base = base * base
-            return result.truncate(self.order)
-        if self.coeffs[0] != 1:
+        a = self.coeffs
+        if not isinstance(e, (int, Fraction)) or any(type(c) is not Fraction for c in a):
+            raise TypeError("powers need an int or Fraction exponent and Fraction coefficients")
+        e = Fraction(e)
+        if e == 0:
+            return PSeries.one(self.order)
+        if e.denominator != 1 and a[0] != 1:
             raise ValueError("non-integer exponent needs constant term 1")
-        return (e * self.log()).exp()
+        v = next((k for k, c in enumerate(a) if c), len(a))
+        if v and e < 0:
+            raise ValueError("constant term is not invertible (zero)")
+        shift = v * int(e)
+        if shift > self.order:
+            return PSeries.zero(self.order)
+        return PSeries(_power_fractions(a[v:v + self.order + 1 - shift], e)).shift_up(shift)
 
     # -- transcendental operations ----------------------------------------
 

@@ -5,15 +5,19 @@ polynomial oracle implemented here on plain coefficient lists, independent
 of the PSeries code paths.  The integer kernels that PSeries runs on
 all-Fraction series are checked against the Fraction-object recurrences
 they replaced (kept here as oracles) and against PSeries' own generic loops,
-which run when the coefficients are ChernPoly constants.
+which run when the coefficients are ChernPoly constants.  The Miller power
+kernel is checked against binary powering and exp(e*log), the routes it
+replaced.
 """
 
 from fractions import Fraction
+from math import comb
 import random
 
 import pytest
 
 from nodepoly.chernpoly import ChernPoly
+from nodepoly.modular import partition_power_series
 from nodepoly.series import PSeries
 
 F = Fraction
@@ -66,6 +70,25 @@ def log_oracle(s):
             acc = acc - F(k, n) * (out[k] * a[n - k])
         out.append(acc)
     return PSeries(out)
+
+
+def pow_oracle(s, e):
+    """s**e by binary powering for an integer e (through the inverse when
+    e < 0) and by exp(e*log s) otherwise."""
+    if F(e).denominator != 1:
+        assert s.coeffs[0] == 1
+        return (e * s.log()).exp()
+    n = int(e)
+    if n < 0:
+        s, n = s.inverse(), -n
+    result = PSeries.one(s.order)
+    while n:
+        if n & 1:
+            result = result * s
+        n >>= 1
+        if n:
+            s = s * s
+    return result
 
 
 def reversion_oracle(s):
@@ -328,12 +351,68 @@ def test_pow_half_integer_round_trip():
         PSeries([2, 1], order=3) ** F(1, 2)
 
 
-def test_pow_symbolic_exponent_binomial_series():
-    e = ChernPoly.variable(3)  # any of the four variables
-    got = PSeries([1, 1], order=2) ** e
-    assert got[0] == 1
-    assert got[1] == e
-    assert got[2] == e * (e - 1) / 2
+def test_pow_matches_oracle():
+    rng = random.Random(79)
+    for order in range(41):
+        for _ in range(3):  # integer e, nonzero constant of any size or sign
+            s = random_rational_series(rng, order)
+            while s.coeffs[0] == 0:
+                s = random_rational_series(rng, order)
+            e = rng.randint(-12, 12)
+            assert s ** e == pow_oracle(s, e)
+        s = PSeries((F(1),) + random_rational_series(rng, order).coeffs[1:])
+        e = F(rng.randint(-40, 40), rng.randint(2, 12))
+        assert s ** e == pow_oracle(s, e)
+    for c0 in (F(-1), F(3), F(-7, 2), F(5, 49)):
+        s = PSeries((c0,) + random_rational_series(rng, 20).coeffs[1:])
+        for e in (-5, -1, 1, 7):
+            assert s ** e == pow_oracle(s, e)
+
+
+def test_pow_zero_constant_term():
+    rng = random.Random(83)
+    for v in (1, 2, 3):
+        for order in (0, 1, 4, 9, 13):
+            if order < v:
+                continue
+            s = random_rational_series(rng, order, first=v)
+            while s.coeffs[v] == 0:
+                s = random_rational_series(rng, order, first=v)
+            for e in range(0, 6):  # v*e passes the order for the larger e
+                got = s ** e
+                assert got.order == order
+                assert got == pow_oracle(s, e)
+                if v * e > order:
+                    assert got == PSeries.zero(order)
+    assert PSeries.zero(5) ** 3 == PSeries.zero(5)
+    assert PSeries.zero(5) ** 0 == PSeries.one(5)
+
+
+def test_pow_large_exponent():
+    e = 10**6
+    got = PSeries([1, -1], order=30) ** -e
+    assert list(got.coeffs) == [comb(e + m - 1, m) for m in range(31)]
+    assert partition_power_series(e, 60) \
+        == pow_oracle(partition_power_series(1, 60), e)
+
+
+def test_pow_rejects_bad_exponents_and_bases():
+    with pytest.raises(ValueError):
+        PSeries([0, 1], order=3) ** -1
+    for base in (PSeries([1, 1], order=3), PSeries([2, 1], order=3)):
+        with pytest.raises(TypeError):
+            base ** 2.5
+    with pytest.raises(TypeError):
+        PSeries([ChernPoly.variable(0), 1], order=3) ** 2
+    with pytest.raises(TypeError):
+        partition_power_series(2.5, 5)
+    with pytest.raises(TypeError):
+        partition_power_series(F(3, 2), 5)
+
+
+def test_pow_rejects_polynomial_exponent():
+    with pytest.raises(TypeError):
+        PSeries([1, 1], order=2) ** ChernPoly.variable(3)
 
 
 def test_qderiv():
