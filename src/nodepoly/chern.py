@@ -11,29 +11,29 @@ integer).  The Riemann-Roch solver works in the anticanonical basis
 c1(M) = -c1(K), where chi(L) = A1*c1(M)^2 + A2*c2 + A3*c1(M).c1(L)
 + A4*c1(L)^2; the stored data convert via c1(M).c1(L) = -LK and
 c1(M)^2 = K2.
+
+The package's records (here, in ``nodal`` and in ``inclexcl``) are
+namedtuple subclasses, not dataclasses: importing ``dataclasses`` pulls in
+``inspect`` and ``ast`` and would cost a CLI run more than its computation.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
-    name: str
-    L2: int
-    LK: int
-    K2: int
-    c2: int
+class SurfaceClass(namedtuple("SurfaceClass", "name L2 LK K2 c2")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.K2 + self.c2) % 12 != 0:
+    def __new__(cls, name, L2, LK, K2, c2):
+        if (K2 + c2) % 12 != 0:
             raise ValueError(
-                f"{self.name}: K2 + c2 = {self.K2 + self.c2} is not divisible "
+                f"{name}: K2 + c2 = {K2 + c2} is not divisible "
                 "by 12 (Noether integrality fails)")
-        if (self.L2 - self.LK) % 2 != 0:
+        if (L2 - LK) % 2 != 0:
             raise ValueError(
-                f"{self.name}: L2 - LK = {self.L2 - self.LK} is odd "
+                f"{name}: L2 - LK = {L2 - LK} is odd "
                 "(chi(L) would not be an integer)")
+        return super().__new__(cls, name, L2, LK, K2, c2)
 
     def chi_O(self):
         """Holomorphic Euler characteristic of the structure sheaf."""
@@ -60,13 +60,9 @@ class SurfaceClass:
         return (self.L2, self.LK, self.K2, self.c2)
 
 
-@dataclass(frozen=True)
-class RRCoefficients:
+class RRCoefficients(namedtuple("RRCoefficients", "A1 A2 A3 A4")):
     """Coefficients of c1(M)^2, c2(M), c1(M).c1(L), c1(L)^2 in chi(L)."""
-    A1: Fraction
-    A2: Fraction
-    A3: Fraction
-    A4: Fraction
+    __slots__ = ()
 
     def chi(self, s):
         """Evaluate the solved linear form on a surface."""

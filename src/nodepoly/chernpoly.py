@@ -6,8 +6,8 @@ The variables, in fixed order, are
 
 with K the canonical class.  A :class:`ChernPoly` maps exponent 4-tuples to
 ``Fraction`` coefficients; zero coefficients are never stored, so equality
-is plain dict equality.  The class implements enough ring structure (and
-reciprocals of nonzero constants) to serve as a coefficient ring for
+is plain dict equality.  The class implements enough ring structure to
+serve as a coefficient ring for the sums, products and compositions of
 :class:`nodepoly.series.PSeries`.
 """
 
@@ -141,12 +141,6 @@ class ChernPoly:
         if c == 0:
             raise ZeroDivisionError("division of ChernPoly by zero")
         return ChernPoly({e: v / c for e, v in self.terms.items()})
-
-    def reciprocal(self):
-        """Inverse of a nonzero constant polynomial (needed by PSeries)."""
-        if set(self.terms) != {_ZERO_EXP}:
-            raise ValueError("only nonzero constants are invertible")
-        return ChernPoly.constant(1 / self.terms[_ZERO_EXP])
 
     # -- evaluation ----------------------------------------------------------
 

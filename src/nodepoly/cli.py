@@ -33,8 +33,8 @@ from .modular import (d2g2_series, delta_series, dg2_series, g2_series,
 from .nodal import MAX_DELTA
 
 # Both bounds limit input from outside the program, not the kernels.  On a
-# 2-vCPU host, DELTA or PARTITION_POWER(24) to q^500 builds in 0.02 s (the
-# whole CLI run 0.11-0.14 s) and to q^1000 in 0.04-0.06 s.
+# 2-vCPU host, DELTA or PARTITION_POWER(24) to q^500 builds in 0.01 s (the
+# whole CLI run 0.08-0.11 s) and to q^1000 in 0.04-0.05 s.
 MAX_SERIES_ORDER = 500
 # PARTITION_POWER(e) to q^500 takes 0.02 s at e = 1000 and at e = 10^6.
 MAX_PARTITION_EXPONENT = 1000

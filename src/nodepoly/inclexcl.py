@@ -23,38 +23,37 @@ as a second route to the same union count.
 Index sets are 0-based throughout, matching the input list positions.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 MAX_SETS = 10
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(namedtuple("SetSystem", "sets")):
     """A finite list of finite sets of nonnegative integers.
 
     Elements must be of type ``int`` exactly: ``bool`` (and so JSON
     ``true``/``false``) is rejected, since ``True`` would silently count as
     the element 1.
     """
-    sets: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        sets = []
-        for s in self.sets:
+    def __new__(cls, sets):
+        frozen = []
+        for s in sets:
             s = tuple(s)
             for x in s:
                 if type(x) is not int or x < 0:
                     raise ValueError(
                         "set elements must be nonnegative integers")
-            sets.append(frozenset(s))
-        if not sets:
+            frozen.append(frozenset(s))
+        if not frozen:
             raise ValueError("a set system needs at least one set")
-        if len(sets) > MAX_SETS:
+        if len(frozen) > MAX_SETS:
             raise ValueError(
-                f"{len(sets)} sets exceed the bound {MAX_SETS}: the "
+                f"{len(frozen)} sets exceed the bound {MAX_SETS}: the "
                 f"lattice has 2^k - 1 index sets")
-        object.__setattr__(self, "sets", tuple(sets))
+        return super().__new__(cls, tuple(frozen))
 
     @property
     def k(self):

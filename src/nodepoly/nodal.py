@@ -13,18 +13,21 @@ inputs, not of the algorithms.
 
 The logarithm of the closed form is linear in the four exponents, so
 log F(t) = sum_i e_i * (log base_i)(DG2^{-1}(t)) with e_i linear in
-(L2, LK, K2, c2).  The four log-series are plain Fraction series; the
-polynomial ring appears only in the one exp that turns their linear
-combination into F, whose t^delta coefficient is T_delta.  The same four
-series are the factorization of log F into per-Chern-number power series;
-the Yau-Zaslow count on K3 and the one-point blowup formula are checked too.
+(L2, LK, K2, c2).  The four log-series are plain Fraction series.  Counts
+are numeric: the exponents are evaluated at the surface and one Fraction
+series is exponentiated.  The polynomial ring appears only in the one
+integer exp, :func:`_exp_linear`, that turns the linear combination into F
+with polynomial coefficients, whose t^delta coefficient is T_delta.  The
+same four series are the factorization of log F into per-Chern-number power
+series; the Yau-Zaslow count on K3 and the one-point blowup formula are
+checked too.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from . import chernpoly
-from .chern import SurfaceClass
 from .chernpoly import ChernPoly
 from .modular import (d2g2_series, delta_series, dg2_series,
                       partition_power_series)
@@ -123,9 +126,83 @@ def _log_terms_in_t(order):
     return tuple((e, log.compose(inverse)) for e, log in terms)
 
 
+def _per_number(terms):
+    """sum e_i * log_i regrouped by Chern number.
+
+    Each exponent e_i must be linear in (L2, LK, K2, c2); the result is the
+    four Fraction coefficient lists l_v with
+    sum e_i * log_i = L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3.
+    """
+    order = min(log.order for _, log in terms)
+    rows = [[Fraction(0)] * (order + 1) for _ in range(4)]
+    for exponent, log in terms:
+        if not exponent.is_homogeneous_linear():
+            raise AssertionError(f"exponent {exponent} is not linear")
+        for row, c in zip(rows, exponent.linear_coefficients()):
+            if c:
+                for k in range(1, order + 1):
+                    row[k] += c * log[k]
+    return rows
+
+
 def _exp_linear(terms):
-    """exp(sum e_i * log_i): the only exp with polynomial coefficients."""
-    return sum(e * log for e, log in terms).exp()
+    """exp(sum e_i * log_i) in integers: the only exp with polynomial
+    coefficients.
+
+    With the sum regrouped as sum_v x_v * l_v(t) over the Chern numbers x_v,
+    k * l_(v,k) = C_(k,v) / dc for one integer dc, and the t^n coefficient
+    written B_n / (n! * dc^n), the recurrence of ``_exp_fractions`` holds
+    with integer polynomials B_n: B_0 = 1 and
+    B_n = sum_(k,v) x_v * C_(k,v) * dc^(k-1) * (n-1)!/(n-k)! * B_(n-k).
+    Each B_n maps packed exponents (base order + 1, so x_v is the shift
+    base^v) to ints; one Fraction is built per term at the end.
+    """
+    rows = [[k * c for k, c in enumerate(row)] for row in _per_number(terms)]
+    order = len(rows[0]) - 1
+    base = order + 1
+    dc = lcm(*(c.denominator for row in rows for c in row))
+    steps = [()]
+    p = 1
+    for k in range(1, order + 1):
+        steps.append([(base ** v, row[k].numerator * (dc // row[k].denominator) * p)
+                      for v, row in enumerate(rows) if row[k]])
+        p *= dc
+    b = [{0: 1}]
+    for n in range(1, order + 1):
+        acc = {}
+        falling = 1
+        for k in range(1, n + 1):
+            for shift, c in steps[k]:
+                w = c * falling
+                for mono, x in b[n - k].items():
+                    mono += shift
+                    acc[mono] = acc.get(mono, 0) + w * x
+            falling *= n - k
+        b.append(acc)
+    out = []
+    den = 1
+    for n, bn in enumerate(b):
+        if n:
+            den *= n * dc
+        poly = {}
+        for mono, x in bn.items():
+            exps = []
+            for _ in range(4):
+                mono, e = divmod(mono, base)
+                exps.append(e)
+            poly[tuple(exps)] = Fraction(x, den)
+        out.append(ChernPoly(poly))
+    return PSeries(out)
+
+
+def _numeric_series(terms, point):
+    """F(t) at one point (L2, LK, K2, c2) from the pairs of
+    :func:`_log_terms_in_t`: the exponents evaluated there, then one exp of a
+    Fraction series."""
+    f = sum(e.evaluate(*point) * log for e, log in terms).exp()
+    if f[0] != 1:
+        raise AssertionError("T_0 must be the constant 1")
+    return f
 
 
 def closed_form_symbolic(order=MAX_DELTA):
@@ -149,11 +226,28 @@ def specialize(series, surface):
     return series.map_coefficients(ev)
 
 
-@dataclass(frozen=True)
 class NodePolynomialTable:
     """T_0 .. T_max_delta keyed by the number of nodes."""
-    max_delta: int
-    entries: dict
+
+    __slots__ = ("max_delta", "entries")
+
+    def __init__(self, max_delta, entries):
+        object.__setattr__(self, "max_delta", max_delta)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NodePolynomialTable is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not NodePolynomialTable:
+            return NotImplemented
+        return (self.max_delta, self.entries) == (other.max_delta, other.entries)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"NodePolynomialTable(max_delta={self.max_delta!r}, "
+                f"entries={self.entries!r})")
 
     def __getitem__(self, delta):
         if delta not in self.entries:
@@ -175,8 +269,7 @@ def node_polynomials(max_delta=MAX_DELTA):
     """
     f = _exp_linear(_log_terms_in_t(max_delta))
     entries = {}
-    for delta, coeff in enumerate(f):
-        poly = ChernPoly.promote(coeff)
+    for delta, poly in enumerate(f):
         if poly.total_degree() > delta:
             raise AssertionError(
                 f"T_{delta} has total degree {poly.total_degree()} > {delta}")
@@ -207,36 +300,31 @@ def validity_range(surface, delta):
     return RANGE_UNKNOWN
 
 
-@dataclass(frozen=True)
-class NodalCount:
-    surface: SurfaceClass
-    delta: int
-    value: Fraction
-    validity: str
+NodalCount = namedtuple("NodalCount", "surface delta value validity")
 
 
 def count_nodal(surface, delta):
-    """T_delta evaluated at the surface, with its validity flag."""
-    value = node_polynomials(delta).evaluate(surface, delta)
-    return NodalCount(surface, delta, value, validity_range(surface, delta))
+    """T_delta evaluated at the surface, with its validity flag.
+
+    The t^delta coefficient of F at the surface, with no polynomial built.
+    """
+    f = _numeric_series(_log_terms_in_t(delta), surface.chern_tuple())
+    return NodalCount(surface, delta, f[delta], validity_range(surface, delta))
 
 
 # -- identity checks ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class YauZaslowRow:
-    delta: int
-    node_value: Fraction
-    partition_value: Fraction
+class YauZaslowRow(namedtuple("YauZaslowRow",
+                              "delta node_value partition_value")):
+    __slots__ = ()
 
     @property
     def equal(self):
         return self.node_value == self.partition_value
 
 
-@dataclass(frozen=True)
-class YauZaslowReport:
-    rows: tuple
+class YauZaslowReport(namedtuple("YauZaslowReport", "rows")):
+    __slots__ = ()
 
     @property
     def all_equal(self):
@@ -249,22 +337,17 @@ def yau_zaslow_check(max_delta=MAX_DELTA):
     For each delta, T_delta at (2*delta-2, 0, 0, 24) is compared with the
     q^delta coefficient of prod (1-q^k)^(-24).
     """
-    _check_order(max_delta)
-    table = node_polynomials(max_delta)
+    terms = _log_terms_in_t(max_delta)
     partition24 = partition_power_series(24, max_delta)
     rows = []
     for delta in range(max_delta + 1):
-        lhs = table[delta].evaluate(2 * delta - 2, 0, 0, 24)
+        lhs = _numeric_series(terms, (2 * delta - 2, 0, 0, 24))[delta]
         rows.append(YauZaslowRow(delta, lhs, partition24[delta]))
     return YauZaslowReport(tuple(rows))
 
 
-@dataclass(frozen=True)
-class BlowupCheck:
-    surface: SurfaceClass
-    order: int
-    lhs: PSeries
-    rhs: PSeries
+class BlowupCheck(namedtuple("BlowupCheck", "surface order lhs rhs")):
+    __slots__ = ()
 
     @property
     def holds(self):
@@ -283,15 +366,11 @@ def blowup_identity_check(surface, order=MAX_DELTA):
     return BlowupCheck(surface, order, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class FactorizedForm:
+class FactorizedForm(namedtuple("FactorizedForm",
+                                "max_delta log_a1 log_a2 log_a3 log_a4")):
     """log F split into one scalar series per Chern number:
     F(t) = A1(t)^K2 * A2(t)^c2 * A3(t)^L2 * A4(t)^LK."""
-    max_delta: int
-    log_a1: PSeries
-    log_a2: PSeries
-    log_a3: PSeries
-    log_a4: PSeries
+    __slots__ = ()
 
     def generating_function(self):
         """Reassemble F(t) with polynomial coefficients from the four logs."""
@@ -308,10 +387,5 @@ def factorize_generating_function(max_delta=MAX_DELTA):
     (L2, LK, K2, c2), so the series of one Chern number is the sum of the
     l_i weighted by that number's coefficient in e_i.
     """
-    terms = _log_terms_in_t(max_delta)
-    per_number = [PSeries.zero(max_delta)] * 4
-    for exponent, log in terms:
-        for i, c in enumerate(exponent.linear_coefficients()):
-            per_number[i] = per_number[i] + c * log
-    l2, lk, k2, c2 = per_number
+    l2, lk, k2, c2 = map(PSeries, _per_number(_log_terms_in_t(max_delta)))
     return FactorizedForm(max_delta, k2, c2, l2, lk)

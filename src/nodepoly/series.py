@@ -5,20 +5,21 @@ represents a power series known exactly modulo ``q^(N+1)``.  The truncation
 order travels with the value: binary operations on series of different
 orders truncate to the smaller order, so precision loss is always explicit.
 
-Coefficients may live in any commutative ring containing the rationals that
-supports ``+``, ``-``, ``*``, division by nonzero integers and comparison
+Sums, products and composition accept coefficients in any commutative ring
+containing the rationals that supports ``+``, ``-``, ``*`` and comparison
 with the scalars 0 and 1.  ``fractions.Fraction`` and
 :class:`nodepoly.chernpoly.ChernPoly` both qualify; the two can be mixed
 freely inside one series.  Plain ``int`` coefficients are promoted to
 ``Fraction`` on construction so division never silently produces floats.
 
-When every coefficient is a ``Fraction``, the product, the inverse and exp
-clear denominators once, run their O(N^2) recurrences in Python ints and
-build one Fraction per output coefficient; other coefficient rings take the
-generic loops.  log (the integral of D(s)/s) and reversion (Lagrange
-inversion, N products) are written once over those kernels, for every ring.
-Powers s**e, for an int or Fraction e, are one integer Miller recurrence
-and need Fraction coefficients.
+When every coefficient is a ``Fraction``, the product clears denominators
+once, runs its O(N^2) recurrence in Python ints and builds one Fraction per
+output coefficient; other coefficient rings take a generic loop.  The
+inverse, exp and powers s**e (for an int or Fraction e, one Miller
+recurrence) are integer kernels only, and need Fraction coefficients, as do
+log (the integral of D(s)/s) and reversion (Lagrange inversion, N
+products), which are written over them.  Any other coefficient raises
+TypeError there.
 """
 
 from fractions import Fraction
@@ -34,16 +35,17 @@ def _promote(c):
     return c
 
 
+def _require_fractions(coeffs, what):
+    if any(type(c) is not Fraction for c in coeffs):
+        raise TypeError(f"{what} needs Fraction coefficients")
+
+
 def _reciprocal(c):
-    """Multiplicative inverse of a coefficient, or ValueError."""
-    if isinstance(c, Fraction):
-        if c == 0:
-            raise ValueError("constant term is not invertible (zero)")
-        return 1 / c
-    try:
-        return c.reciprocal()
-    except (AttributeError, ZeroDivisionError) as exc:
-        raise ValueError(f"constant term {c!r} is not invertible") from exc
+    """Multiplicative inverse of a Fraction, or ValueError at zero."""
+    _require_fractions((c,), "division")
+    if c == 0:
+        raise ValueError("constant term is not invertible (zero)")
+    return 1 / c
 
 
 def _convolve_fractions(a, b, n):
@@ -281,18 +283,11 @@ class PSeries:
         return PSeries([o * c for c in self.coeffs])
 
     def inverse(self):
-        """Multiplicative inverse; requires an invertible constant term."""
-        r0 = _reciprocal(self.coeffs[0])
+        """Multiplicative inverse; requires a nonzero constant term."""
         a = self.coeffs
-        if all(type(c) is Fraction for c in a):
-            return PSeries(_invert_fractions(a))
-        out = [r0]
-        for k in range(1, self.order + 1):
-            acc = a[1] * out[k - 1]
-            for j in range(2, k + 1):
-                acc = acc + a[j] * out[k - j]
-            out.append(-r0 * acc)
-        return PSeries(out)
+        _require_fractions(a, "inverse")
+        _reciprocal(a[0])  # ValueError when it is zero
+        return PSeries(_invert_fractions(a))
 
     def __truediv__(self, other):
         if isinstance(other, PSeries):
@@ -330,8 +325,7 @@ class PSeries:
         """Formal logarithm; requires constant term 1.
 
         log s is the integral of D(s)/s with D = q*d/dq, so coefficient k
-        of D(s) * s^-1 divided by k; the inverse and the product take the
-        integer paths when the coefficients are Fractions.
+        of D(s) * s^-1 divided by k, through the integer inverse and product.
         """
         if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
@@ -341,17 +335,10 @@ class PSeries:
     def exp(self):
         """Formal exponential; requires constant term 0."""
         a = self.coeffs
+        _require_fractions(a, "exp")
         if a[0] != 0:
             raise ValueError("exp needs constant term 0")
-        if all(type(c) is Fraction for c in a):
-            return PSeries(_exp_fractions(a))
-        out = [Fraction(1)]
-        for n in range(1, self.order + 1):
-            acc = a[n] * out[0]
-            for k in range(1, n):
-                acc = acc + Fraction(k, n) * (a[k] * out[n - k])
-            out.append(acc)
-        return PSeries(out)
+        return PSeries(_exp_fractions(a))
 
     # -- composition and reversion ----------------------------------------
 

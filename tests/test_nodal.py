@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from nodepoly import chernpoly
-from nodepoly.chern import K3, P2, SurfaceClass, T4
+from nodepoly.chern import K3, P2, SurfaceClass, T4, parse_surface
 from nodepoly.chernpoly import ChernPoly
 from nodepoly.modular import dg2_series
 from nodepoly.nodal import (IN_RANGE, MAX_DELTA, OUT_OF_RANGE, RANGE_UNKNOWN,
+                            _exp_linear, _log_terms, _log_terms_in_t,
                             b1_series, b2_series, blowup_identity_check,
                             chi_L_poly, chi_O_poly, closed_form_series,
                             closed_form_symbolic, count_nodal,
@@ -17,6 +18,7 @@ from nodepoly.nodal import (IN_RANGE, MAX_DELTA, OUT_OF_RANGE, RANGE_UNKNOWN,
                             factorize_generating_function, node_polynomials,
                             specialize, validity_range, yau_zaslow_check)
 from nodepoly.series import PSeries
+from test_series import exp_oracle, log_oracle, random_rational_series
 
 
 def random_surface(rng, span=6):
@@ -305,7 +307,7 @@ def test_factorization_reassembles_exactly():
 
 
 def test_factorization_log_is_homogeneous_linear():
-    logf = node_polynomials(5).generating_series().log()
+    logf = log_oracle(node_polynomials(5).generating_series())
     for n in range(1, 6):
         poly = ChernPoly.promote(logf[n])
         assert poly.is_homogeneous_linear()
@@ -313,6 +315,8 @@ def test_factorization_log_is_homogeneous_linear():
 
 
 # -- the log-linear core against the symbolic exp/compose/log route ----------
+# The symbolic exps and logs run in test_series' coefficient-ring oracles:
+# PSeries.exp and PSeries.log take Fraction coefficients only.
 
 def product_of_exps_oracle(order):
     """The closed form as a product of four symbolic exps, one per base."""
@@ -321,8 +325,13 @@ def product_of_exps_oracle(order):
                            (chernpoly.K2, b1_series(order)),
                            (chernpoly.LK, b2_series(order)),
                            (-chi_O_poly() / 2, discriminant_factor(order))):
-        h = h * (exponent * base.log()).exp()
+        h = h * exp_oracle(exponent * base.log())
     return h
+
+
+def linear_exp_oracle(terms):
+    """exp(sum e_i * log_i) by the coefficient-ring recurrence."""
+    return exp_oracle(sum(e * log for e, log in terms))
 
 
 def test_closed_form_symbolic_matches_product_of_exps():
@@ -339,7 +348,7 @@ def test_node_polynomials_match_symbolic_compose():
 
 def test_factorization_matches_symbolic_log():
     for n in range(6):
-        logf = node_polynomials(n).generating_series().log()
+        logf = log_oracle(node_polynomials(n).generating_series())
         per_number = [[Fraction(0)] for _ in range(4)]
         for k in range(1, n + 1):
             coefficients = ChernPoly.promote(logf[k]).linear_coefficients()
@@ -350,3 +359,71 @@ def test_factorization_matches_symbolic_log():
         assert form.max_delta == n
         assert (form.log_a1, form.log_a2, form.log_a3, form.log_a4) == \
             (k2, c2, l2, lk)
+
+
+def test_integer_exp_matches_oracle_on_package_terms():
+    for n in range(6):
+        assert node_polynomials(n).generating_series() == \
+            linear_exp_oracle(_log_terms_in_t(n))
+        assert closed_form_symbolic(n) == linear_exp_oracle(_log_terms(n))
+        form = factorize_generating_function(n)
+        assert form.generating_function() == linear_exp_oracle(
+            ((chernpoly.K2, form.log_a1), (chernpoly.C2, form.log_a2),
+             (chernpoly.L2, form.log_a3), (chernpoly.LK, form.log_a4)))
+
+
+def random_linear_exponent(rng, max_den=50):
+    """A linear form in (L2, LK, K2, c2) with random rational coefficients,
+    some of them zero."""
+    e = ChernPoly()
+    for v in range(4):
+        if rng.random() < 0.75:
+            c = Fraction(rng.randint(-max_den, max_den), rng.randint(1, max_den))
+            e = e + c * ChernPoly.variable(v)
+    return e
+
+
+def test_integer_exp_matches_oracle_on_random_terms():
+    rng = random.Random(83)
+    for order in range(13):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            log = random_rational_series(rng, order, first=1)
+            # zero-pad: keep the first few coefficients only
+            cut = rng.randint(0, order + 1)
+            log = PSeries(log.coeffs[:cut], order=order)
+            terms.append((random_linear_exponent(rng), log))
+        assert _exp_linear(terms) == linear_exp_oracle(terms), order
+    # all-zero logs and all-zero exponents
+    zero = PSeries.zero(4)
+    assert _exp_linear([(chernpoly.L2, zero)]) == PSeries.one(4)
+    assert _exp_linear([(ChernPoly(), random_rational_series(rng, 4, first=1))]) \
+        == PSeries.one(4)
+
+
+# -- the numeric count route against the table ---------------------------------
+
+def numeric_route_surfaces():
+    catalog = [P2(d) for d in range(13)] \
+        + [K3(2 * h - 2) for h in range(1, 13)] \
+        + [T4(2 * n) for n in range(1, 13)] \
+        + [parse_surface("9,-9,9,3")]
+    return catalog + [s.blowup() for s in catalog]
+
+
+def test_count_nodal_matches_table():
+    table = node_polynomials(5)
+    for s in numeric_route_surfaces():
+        for delta in range(6):
+            assert count_nodal(s, delta).value == table.evaluate(s, delta), \
+                (s.name, delta)
+
+
+def test_yau_zaslow_rows_match_table():
+    table = node_polynomials(5)
+    for n in range(6):
+        rows = yau_zaslow_check(n).rows
+        assert [row.delta for row in rows] == list(range(n + 1))
+        for row in rows:
+            delta = row.delta
+            assert row.node_value == table.evaluate(K3(2 * delta - 2), delta)

@@ -1,0 +1,148 @@
+"""The result records: immutable values that cost nothing to import.
+
+The records are namedtuple subclasses, apart from NodePolynomialTable (its
+``[]`` takes delta), which is a slotted class.  Each has named fields, a
+``Name(field=value, ...)`` repr, equality by value, a hash when every field
+hashes, and no way to assign a field; importing the CLI loads no module
+beyond what argparse, fractions and json load already.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from nodepoly.chern import K3, P2, RRCoefficients, SurfaceClass
+from nodepoly.inclexcl import SetSystem
+from nodepoly.nodal import (BlowupCheck, FactorizedForm, NodalCount,
+                            NodePolynomialTable, YauZaslowReport,
+                            YauZaslowRow, blowup_identity_check, count_nodal,
+                            factorize_generating_function, node_polynomials,
+                            yau_zaslow_check)
+from nodepoly.series import PSeries
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+IMPORT_PROBE = """
+import sys
+import argparse, fractions, json
+before = set(sys.modules)
+import nodepoly.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+print(" ".join(m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize")
+               if m in sys.modules))
+"""
+
+
+def test_cli_import_loads_no_extra_module():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, env=env, check=True)
+    added, heavy = proc.stdout.split("\n")[:2]
+    assert heavy == ""
+    assert all(m == "nodepoly" or m.startswith("nodepoly.")
+               for m in added.split()), added
+
+
+S = SurfaceClass("P2:3", 9, -9, 9, 3)
+ONE = PSeries([1])
+ZERO = PSeries([0])
+
+# (record, an equal record built separately, a different record, repr text)
+RECORDS = [
+    (P2(3), S, P2(4),
+     "SurfaceClass(name='P2:3', L2=9, LK=-9, K2=9, c2=3)"),
+    (RRCoefficients(Fraction(1, 12), Fraction(1, 12), Fraction(1, 2),
+                    Fraction(1, 2)),
+     RRCoefficients(Fraction(1, 12), Fraction(1, 12), Fraction(1, 2),
+                    Fraction(1, 2)),
+     RRCoefficients(0, 0, 0, 0),
+     "RRCoefficients(A1=Fraction(1, 12), A2=Fraction(1, 12), "
+     "A3=Fraction(1, 2), A4=Fraction(1, 2))"),
+    (SetSystem([[2, 1], [3]]), SetSystem([{1, 2}, (3,)]), SetSystem([[3]]),
+     "SetSystem(sets=(frozenset({1, 2}), frozenset({3})))"),
+    (node_polynomials(0), node_polynomials(0),
+     NodePolynomialTable(1, node_polynomials(1).entries),
+     "NodePolynomialTable(max_delta=0, entries={0: ChernPoly({(0, 0, 0, 0): "
+     "Fraction(1, 1)})})"),
+    (count_nodal(P2(3), 1), NodalCount(S, 1, Fraction(12), "in range"),
+     count_nodal(P2(3), 0),
+     "NodalCount(surface=SurfaceClass(name='P2:3', L2=9, LK=-9, K2=9, c2=3), "
+     "delta=1, value=Fraction(12, 1), validity='in range')"),
+    (YauZaslowRow(1, Fraction(24), Fraction(24)),
+     yau_zaslow_check(1).rows[1], YauZaslowRow(1, Fraction(24), Fraction(0)),
+     "YauZaslowRow(delta=1, node_value=Fraction(24, 1), "
+     "partition_value=Fraction(24, 1))"),
+    (yau_zaslow_check(1),
+     YauZaslowReport((YauZaslowRow(0, Fraction(1), Fraction(1)),
+                      YauZaslowRow(1, Fraction(24), Fraction(24)))),
+     yau_zaslow_check(0),
+     "YauZaslowReport(rows=(YauZaslowRow(delta=0, node_value=Fraction(1, 1), "
+     "partition_value=Fraction(1, 1)), YauZaslowRow(delta=1, "
+     "node_value=Fraction(24, 1), partition_value=Fraction(24, 1))))"),
+    (blowup_identity_check(K3(0), 0), BlowupCheck(K3(0), 0, ONE, ONE),
+     blowup_identity_check(K3(2), 0),
+     "BlowupCheck(surface=SurfaceClass(name='K3:0', L2=0, LK=0, K2=0, c2=24), "
+     "order=0, lhs=PSeries([Fraction(1, 1)]), rhs=PSeries([Fraction(1, 1)]))"),
+    (factorize_generating_function(0),
+     FactorizedForm(0, ZERO, ZERO, ZERO, ZERO),
+     factorize_generating_function(1),
+     "FactorizedForm(max_delta=0, log_a1=PSeries([Fraction(0, 1)]), "
+     "log_a2=PSeries([Fraction(0, 1)]), log_a3=PSeries([Fraction(0, 1)]), "
+     "log_a4=PSeries([Fraction(0, 1)]))"),
+]
+# these hold a dict or PSeries, so they have no hash
+UNHASHABLE = (NodePolynomialTable, BlowupCheck, FactorizedForm)
+IDS = [type(r[0]).__name__ for r in RECORDS]
+
+
+@pytest.mark.parametrize("record, twin, other, text", RECORDS, ids=IDS)
+def test_record_repr_and_equality(record, twin, other, text):
+    assert repr(record) == text
+    assert record == twin and not record != twin
+    assert record != other and not record == other
+
+
+@pytest.mark.parametrize("record, twin, other, text", RECORDS, ids=IDS)
+def test_record_hashing(record, twin, other, text):
+    if isinstance(record, UNHASHABLE):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+        assert len({record, twin, other}) == 2
+
+
+@pytest.mark.parametrize("record, twin, other, text", RECORDS, ids=IDS)
+def test_record_immutability(record, twin, other, text):
+    field = text[text.index("(") + 1:text.index("=")]
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) is value
+
+
+def test_record_field_access():
+    s = P2(3)
+    assert (s.name, s.L2, s.LK, s.K2, s.c2) == ("P2:3", 9, -9, 9, 3)
+    assert SurfaceClass(name="x", L2=1, LK=1, K2=0, c2=0).L2 == 1
+    count = count_nodal(K3(8), 5)
+    assert (count.surface, count.delta, count.value, count.validity) == \
+        (K3(8), 5, 176256, "in range")
+    table = node_polynomials(2)
+    assert table.max_delta == 2 and sorted(table.entries) == [0, 1, 2]
+    assert table[1] == table.entries[1]
+    report = yau_zaslow_check(2)
+    assert report.all_equal and report.rows[2].equal
+    assert report.rows[2].node_value == report.rows[2].partition_value == 324
+    check = blowup_identity_check(P2(3), 2)
+    assert check.holds and check.surface == P2(3) and check.order == 2
+    form = factorize_generating_function(2)
+    assert form.max_delta == 2 and form.log_a3[1] == 3
+    assert SetSystem([[1], [1, 2]]).k == 2
+    assert RRCoefficients(1, 0, 0, 0).chi(P2(3)) == 9

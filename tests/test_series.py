@@ -3,11 +3,11 @@
 The composition and inversion tests are checked against a brute-force
 polynomial oracle implemented here on plain coefficient lists, independent
 of the PSeries code paths.  The integer kernels that PSeries runs on
-all-Fraction series are checked against the Fraction-object recurrences
-they replaced (kept here as oracles) and against PSeries' own generic loops,
-which run when the coefficients are ChernPoly constants.  The Miller power
-kernel is checked against binary powering and exp(e*log), the routes it
-replaced.
+all-Fraction series are checked against the coefficient-ring recurrences
+they replaced, kept here as oracles; the exp, inverse and log oracles run
+over any coefficient ring, so they also serve as the polynomial-coefficient
+routes in the node-polynomial tests.  The Miller power kernel is checked
+against binary powering and exp(e*log), the routes it replaced.
 """
 
 from fractions import Fraction
@@ -59,8 +59,35 @@ def random_rational_series(rng, order, first=0, max_den=50):
 
 # -- oracles for the integer kernels -----------------------------------------
 
+def inverse_oracle(s):
+    """1/s by the recurrence b_k = -(1/a_0) * sum_(j=1..k) a_j*b_(k-j)."""
+    a = s.coeffs
+    r0 = 1 / a[0]
+    out = [r0]
+    for k in range(1, s.order + 1):
+        acc = a[1] * out[k - 1]
+        for j in range(2, k + 1):
+            acc = acc + a[j] * out[k - j]
+        out.append(-r0 * acc)
+    return PSeries(out)
+
+
+def exp_oracle(s):
+    """exp s by the recurrence n*b_n = sum k*a_k*b_(n-k), over any ring."""
+    a = s.coeffs
+    assert a[0] == 0
+    out = [F(1)]
+    for n in range(1, s.order + 1):
+        acc = a[n] * out[0]
+        for k in range(1, n):
+            acc = acc + F(k, n) * (a[k] * out[n - k])
+        out.append(acc)
+    return PSeries(out)
+
+
 def log_oracle(s):
-    """log s by the Fraction-object recurrence n*l_n = n*a_n - sum k*l_k*a_(n-k)."""
+    """log s by the recurrence n*l_n = n*a_n - sum k*l_k*a_(n-k), over any
+    ring."""
     a = s.coeffs
     assert a[0] == 1
     out = [F(0)]
@@ -105,14 +132,6 @@ def reversion_oracle(s):
     return PSeries(g)
 
 
-def via_generic_loop(method, s):
-    """Run a PSeries method on the ChernPoly-constant copy of s, which takes
-    the generic coefficient loop, and read the constants back."""
-    wrapped = PSeries([ChernPoly.constant(c) for c in s.coeffs])
-    return PSeries([ChernPoly.promote(c).constant_part()
-                    for c in getattr(wrapped, method)().coeffs])
-
-
 def test_inverse_matches_generic_loop():
     rng = random.Random(61)
     for order in range(41):
@@ -120,22 +139,22 @@ def test_inverse_matches_generic_loop():
         while s.coeffs[0] == 0:
             s = random_rational_series(rng, order)
         got = s.inverse()
-        assert got == via_generic_loop("inverse", s)
+        assert got == inverse_oracle(s)
         assert s * got == PSeries.one(order)
     # non-unit and negative constant terms, integer and rational
     for c0 in (F(-1), F(3), F(-7, 2), F(5, 49)):
         s = PSeries((c0,) + random_rational_series(rng, 20).coeffs[1:])
-        assert s.inverse() == via_generic_loop("inverse", s)
+        assert s.inverse() == inverse_oracle(s)
 
 
 def test_exp_matches_generic_loop():
     rng = random.Random(67)
     for order in range(41):
         s = random_rational_series(rng, order, first=1)
-        assert s.exp() == via_generic_loop("exp", s)
+        assert s.exp() == exp_oracle(s)
     # integer k*a_k, the shape of every log-series exp'd in the package
     s = PSeries([0] + [F(rng.randint(-9, 9), k) for k in range(1, 31)])
-    assert s.exp() == via_generic_loop("exp", s)
+    assert s.exp() == exp_oracle(s)
 
 
 def test_log_matches_oracle():
@@ -164,9 +183,23 @@ def test_kernels_at_orders_zero_and_one():
     assert PSeries([1]).log() == PSeries([0])
     assert PSeries([1, F(-3, 4)]).log() == PSeries([0, F(-3, 4)])
     assert PSeries([0, F(-4, 9)]).reversion() == PSeries([0, F(-9, 4)])
-    for method in ("inverse", "exp"):
-        s = PSeries([F(1) if method == "inverse" else F(0)])
-        assert getattr(s, method)() == via_generic_loop(method, s)
+    assert PSeries([F(1)]).inverse() == inverse_oracle(PSeries([F(1)]))
+    assert PSeries([F(0)]).exp() == exp_oracle(PSeries([F(0)]))
+
+
+def test_kernels_reject_polynomial_coefficients():
+    # the integer kernels have no generic-ring fallback; log and reversion
+    # run through the inverse
+    one = ChernPoly.constant(1)
+    x = ChernPoly.variable(0)
+    for method, s in (("inverse", PSeries([one, x], order=3)),
+                      ("exp", PSeries([0, x], order=3)),
+                      ("log", PSeries([one, x], order=3)),
+                      ("reversion", PSeries([0, one, x], order=3))):
+        with pytest.raises(TypeError):
+            getattr(s, method)()
+    with pytest.raises(TypeError):
+        PSeries([1, 1], order=3) / x
 
 
 # -- construction and truncation ---------------------------------------------
