@@ -19,7 +19,7 @@ from .nodal import (MAX_DELTA, BlowupCheck, FactorizedForm, NodalCount,
                     b2_series, blowup_identity_check, closed_form_series,
                     closed_form_symbolic, count_nodal,
                     factorize_generating_function, node_polynomials,
-                    specialize, yau_zaslow_check)
+                    yau_zaslow_check)
 from .series import PSeries
 
 __version__ = "0.1.0"
@@ -34,6 +34,6 @@ __all__ = [
     "factorize_generating_function", "g2_series", "intersection_table",
     "modified_cardinalities", "node_polynomials", "parse_surface",
     "partition_power_series", "rr_example_pairs", "sigma1",
-    "solve_rr_coefficients", "specialize", "union_via_alternating",
+    "solve_rr_coefficients", "union_via_alternating",
     "union_via_modified", "yau_zaslow_check",
 ]

@@ -6,9 +6,15 @@ The variables, in fixed order, are
 
 with K the canonical class.  A :class:`ChernPoly` maps exponent 4-tuples to
 ``Fraction`` coefficients; zero coefficients are never stored, so equality
-is plain dict equality.  The class implements enough ring structure to
-serve as a coefficient ring for the sums, products and compositions of
-:class:`nodepoly.series.PSeries`.
+is plain dict equality.
+
+ChernPoly is the output ring: the node polynomials T_delta and the
+coefficients of the symbolic closed form are ChernPolys, built once at the
+end of ``nodal._exp_linear``.  It is not an exponent type: the exponents of
+the closed form are the Fraction matrix ``nodal.EXPONENTS``.  The class
+implements enough ring structure to serve as a coefficient ring for the
+sums, products and compositions of :class:`nodepoly.series.PSeries`, which
+is how the tests' polynomial-coefficient oracles use it.
 """
 
 from fractions import Fraction
@@ -79,22 +85,6 @@ class ChernPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_part(self):
-        return self.terms.get(_ZERO_EXP, Fraction(0))
-
-    def is_homogeneous_linear(self):
-        """True when every monomial is a single variable to the first power."""
-        return all(sum(e) == 1 for e in self.terms)
-
-    def linear_coefficients(self):
-        """The 4-tuple of coefficients of (L2, LK, K2, c2)."""
-        out = []
-        for i in range(NVARS):
-            exps = [0] * NVARS
-            exps[i] = 1
-            out.append(self.terms.get(tuple(exps), Fraction(0)))
-        return tuple(out)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -135,12 +125,6 @@ class ChernPoly:
         return ChernPoly(terms)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        c = _as_fraction(scalar)
-        if c == 0:
-            raise ZeroDivisionError("division of ChernPoly by zero")
-        return ChernPoly({e: v / c for e, v in self.terms.items()})
 
     # -- evaluation ----------------------------------------------------------
 

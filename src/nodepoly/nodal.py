@@ -11,14 +11,16 @@ where B1, B2 are the Severi-degree power series known to order q^5.  That
 data limit caps everything here at delta <= 5: the cap is a property of the
 inputs, not of the algorithms.
 
-The logarithm of the closed form is linear in the four exponents, so
-log F(t) = sum_i e_i * (log base_i)(DG2^{-1}(t)) with e_i linear in
-(L2, LK, K2, c2).  The four log-series are plain Fraction series.  Counts
-are numeric: the exponents are evaluated at the surface and one Fraction
+The four exponents are linear in (L2, LK, K2, c2) and are stated once, as
+the rows of the Fraction matrix :data:`EXPONENTS`.  So log F is linear in
+the Chern numbers: log F = L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3, where each
+l_v is a plain Fraction series, the log-series of the bases weighted by
+column v of the matrix, with q = DG2^{-1}(t) substituted.  Counts are
+numeric: the Chern tuple is dotted with the four series and one Fraction
 series is exponentiated.  The polynomial ring appears only in the one
-integer exp, :func:`_exp_linear`, that turns the linear combination into F
-with polynomial coefficients, whose t^delta coefficient is T_delta.  The
-same four series are the factorization of log F into per-Chern-number power
+integer exp, :func:`_exp_linear`, that turns the four series into F with
+polynomial coefficients, whose t^delta coefficient is T_delta.  The same
+four series are the factorization of log F into per-Chern-number power
 series; the Yau-Zaslow count on K3 and the one-point blowup formula are
 checked too.
 """
@@ -27,7 +29,6 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from . import chernpoly
 from .chernpoly import ChernPoly
 from .modular import (d2g2_series, delta_series, dg2_series,
                       partition_power_series)
@@ -38,6 +39,16 @@ MAX_DELTA = 5
 # Goettsche, alg-geom/9711012; B1 = 1 - q - 5q^2 + 39q^3 - 345q^4 + 2961q^5.
 B1_COEFFS = (1, -1, -5, 39, -345, 2961)
 B2_COEFFS = (1, 5, 2, 35, -140, 986)
+
+# The closed form is prod_i base_i^(e_i) over the bases DG2/q, B1, B2 and
+# Delta*D2G2/q^2, with e_i = EXPONENTS[i] . (L2, LK, K2, c2): chi(L), K2, LK
+# and -chi(O)/2, where chi(O) = (K2 + c2)/12 and chi(L) = chi(O) + (L2-LK)/2.
+EXPONENTS = tuple(tuple(map(Fraction, row)) for row in (
+    ("1/2", "-1/2", "1/12", "1/12"),
+    (0, 0, 1, 0),
+    (0, 1, 0, 0),
+    (0, 0, "-1/24", "-1/24"),
+))
 
 IN_RANGE = "in range"
 OUT_OF_RANGE = "outside guaranteed range"
@@ -62,16 +73,6 @@ def b2_series(order=MAX_DELTA):
     return PSeries(B2_COEFFS[: order + 1])
 
 
-def chi_L_poly():
-    """chi(L) as a linear polynomial in the four Chern numbers."""
-    return (chernpoly.K2 + chernpoly.C2) / 12 + (chernpoly.L2 - chernpoly.LK) / 2
-
-
-def chi_O_poly():
-    """chi(O) = (K2 + c2)/12 as a linear polynomial."""
-    return (chernpoly.K2 + chernpoly.C2) / 12
-
-
 def dg2_normalized(order):
     """DG2(q)/q, constant term 1."""
     return dg2_series(order + 1).shift_down(1)
@@ -85,71 +86,60 @@ def discriminant_factor(order):
     return (delta_series(n) * d2g2_series(n)).shift_down(2)
 
 
+def _bases(order):
+    """The four bases of the closed form, in the row order of EXPONENTS."""
+    _check_order(order)
+    return (dg2_normalized(order), b1_series(order), b2_series(order),
+            discriminant_factor(order))
+
+
 def closed_form_series(surface, order=MAX_DELTA):
     """The closed-form generating series evaluated on one surface.
 
     All four base series have constant term 1, so integer, negative and
     half-integer exponents are all exact.
     """
-    _check_order(order)
-    chi_o_half = -Fraction(surface.K2 + surface.c2, 24)
-    h = dg2_normalized(order) ** surface.chi_L()
-    h = h * b1_series(order) ** surface.K2
-    h = h * b2_series(order) ** surface.LK
-    h = h * discriminant_factor(order) ** chi_o_half
-    return h
+    point = surface.chern_tuple()
+    dg2, b1, b2, disc = (base ** sum(e * x for e, x in zip(row, point))
+                         for row, base in zip(EXPONENTS, _bases(order)))
+    return dg2 * b1 * b2 * disc
 
 
-def _log_terms(order):
-    """log of the closed form as four (exponent, log-series) pairs.
+def _regroup(logs):
+    """Regroup sum_i e_i * log_i by Chern number: the row l_v weights the
+    four base log-series by column v of EXPONENTS, so that
+    sum_i e_i * log_i = L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3."""
+    return tuple(
+        PSeries([sum(row[v] * log[k] for row, log in zip(EXPONENTS, logs)
+                     if row[v])
+                 for k in range(len(logs[0]))])
+        for v in range(4))
 
-    The exponents are linear polynomials in (L2, LK, K2, c2); the
-    log-series are Fraction series in q with constant term 0.
+
+def _log_rows(order):
+    """log of the closed form as four Fraction series in q, one per Chern
+    number (see :func:`_regroup`)."""
+    return _regroup([base.log() for base in _bases(order)])
+
+
+def _log_rows_in_t(order):
+    """The rows of :func:`_log_rows` with q = DG2^{-1}(t) substituted.
+
+    Substitution is linear, so the base log-series are composed first and
+    regrouped after.  Truncated at t^0 the inverse of DG2 is the zero
+    series, and reversion needs order >= 1, so order 0 substitutes zero
+    directly.
     """
-    _check_order(order)
-    return (
-        (chi_L_poly(), dg2_normalized(order).log()),
-        (chernpoly.K2, b1_series(order).log()),
-        (chernpoly.LK, b2_series(order).log()),
-        (-chi_O_poly() / 2, discriminant_factor(order).log()),
-    )
-
-
-def _log_terms_in_t(order):
-    """The pairs of :func:`_log_terms` with q = DG2^{-1}(t) substituted.
-
-    Truncated at t^0 the inverse of DG2 is the zero series, and reversion
-    needs order >= 1, so order 0 substitutes zero directly.
-    """
-    terms = _log_terms(order)
+    logs = [base.log() for base in _bases(order)]
     inverse = dg2_series(order).reversion() if order else PSeries.zero(0)
-    return tuple((e, log.compose(inverse)) for e, log in terms)
+    return _regroup([log.compose(inverse) for log in logs])
 
 
-def _per_number(terms):
-    """sum e_i * log_i regrouped by Chern number.
+def _exp_linear(rows):
+    """exp(L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3) in integers, for four Fraction
+    series l_v: the only exp with polynomial coefficients.
 
-    Each exponent e_i must be linear in (L2, LK, K2, c2); the result is the
-    four Fraction coefficient lists l_v with
-    sum e_i * log_i = L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3.
-    """
-    order = min(log.order for _, log in terms)
-    rows = [[Fraction(0)] * (order + 1) for _ in range(4)]
-    for exponent, log in terms:
-        if not exponent.is_homogeneous_linear():
-            raise AssertionError(f"exponent {exponent} is not linear")
-        for row, c in zip(rows, exponent.linear_coefficients()):
-            if c:
-                for k in range(1, order + 1):
-                    row[k] += c * log[k]
-    return rows
-
-
-def _exp_linear(terms):
-    """exp(sum e_i * log_i) in integers: the only exp with polynomial
-    coefficients.
-
-    With the sum regrouped as sum_v x_v * l_v(t) over the Chern numbers x_v,
+    With the sum written sum_v x_v * l_v(t) over the Chern numbers x_v,
     k * l_(v,k) = C_(k,v) / dc for one integer dc, and the t^n coefficient
     written B_n / (n! * dc^n), the recurrence of ``_exp_fractions`` holds
     with integer polynomials B_n: B_0 = 1 and
@@ -157,8 +147,8 @@ def _exp_linear(terms):
     Each B_n maps packed exponents (base order + 1, so x_v is the shift
     base^v) to ints; one Fraction is built per term at the end.
     """
-    rows = [[k * c for k, c in enumerate(row)] for row in _per_number(terms)]
-    order = len(rows[0]) - 1
+    order = min(map(len, rows)) - 1
+    rows = [[k * c for k, c in enumerate(row)] for row in rows]
     base = order + 1
     dc = lcm(*(c.denominator for row in rows for c in row))
     steps = [()]
@@ -195,11 +185,11 @@ def _exp_linear(terms):
     return PSeries(out)
 
 
-def _numeric_series(terms, point):
-    """F(t) at one point (L2, LK, K2, c2) from the pairs of
-    :func:`_log_terms_in_t`: the exponents evaluated there, then one exp of a
-    Fraction series."""
-    f = sum(e.evaluate(*point) * log for e, log in terms).exp()
+def _numeric_series(rows, point):
+    """F(t) at one point (L2, LK, K2, c2) from the rows of
+    :func:`_log_rows_in_t`: the point dotted with the rows, then one exp of
+    a Fraction series."""
+    f = sum(x * row for x, row in zip(point, rows)).exp()
     if f[0] != 1:
         raise AssertionError("T_0 must be the constant 1")
     return f
@@ -208,22 +198,10 @@ def _numeric_series(terms, point):
 def closed_form_symbolic(order=MAX_DELTA):
     """The closed form with coefficients polynomial in (L2, LK, K2, c2).
 
-    One exp of sum e_i * log base_i; specializing the result at any surface
-    reproduces :func:`closed_form_series` exactly.
+    One exp of the rows of :func:`_log_rows`; evaluating its coefficients at
+    any surface reproduces :func:`closed_form_series` exactly.
     """
-    return _exp_linear(_log_terms(order))
-
-
-def specialize(series, surface):
-    """Evaluate every polynomial coefficient of a series at a surface."""
-    l2, lk, k2, c2 = surface.chern_tuple()
-
-    def ev(c):
-        if isinstance(c, ChernPoly):
-            return c.evaluate(l2, lk, k2, c2)
-        return c
-
-    return series.map_coefficients(ev)
+    return _exp_linear(_log_rows(order))
 
 
 class NodePolynomialTable:
@@ -264,10 +242,10 @@ class NodePolynomialTable:
 def node_polynomials(max_delta=MAX_DELTA):
     """The universal node polynomials from the log-linear form of F.
 
-    F(t) = exp(sum e_i * (log base_i)(DG2^{-1}(t))); the coefficient of
-    t^delta is T_delta.
+    F(t) = exp(L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3) with the rows l_v of
+    :func:`_log_rows_in_t`; the coefficient of t^delta is T_delta.
     """
-    f = _exp_linear(_log_terms_in_t(max_delta))
+    f = _exp_linear(_log_rows_in_t(max_delta))
     entries = {}
     for delta, poly in enumerate(f):
         if poly.total_degree() > delta:
@@ -308,7 +286,7 @@ def count_nodal(surface, delta):
 
     The t^delta coefficient of F at the surface, with no polynomial built.
     """
-    f = _numeric_series(_log_terms_in_t(delta), surface.chern_tuple())
+    f = _numeric_series(_log_rows_in_t(delta), surface.chern_tuple())
     return NodalCount(surface, delta, f[delta], validity_range(surface, delta))
 
 
@@ -337,11 +315,11 @@ def yau_zaslow_check(max_delta=MAX_DELTA):
     For each delta, T_delta at (2*delta-2, 0, 0, 24) is compared with the
     q^delta coefficient of prod (1-q^k)^(-24).
     """
-    terms = _log_terms_in_t(max_delta)
+    log_rows = _log_rows_in_t(max_delta)
     partition24 = partition_power_series(24, max_delta)
     rows = []
     for delta in range(max_delta + 1):
-        lhs = _numeric_series(terms, (2 * delta - 2, 0, 0, 24))[delta]
+        lhs = _numeric_series(log_rows, (2 * delta - 2, 0, 0, 24))[delta]
         rows.append(YauZaslowRow(delta, lhs, partition24[delta]))
     return YauZaslowReport(tuple(rows))
 
@@ -374,18 +352,12 @@ class FactorizedForm(namedtuple("FactorizedForm",
 
     def generating_function(self):
         """Reassemble F(t) with polynomial coefficients from the four logs."""
-        return _exp_linear(((chernpoly.K2, self.log_a1),
-                            (chernpoly.C2, self.log_a2),
-                            (chernpoly.L2, self.log_a3),
-                            (chernpoly.LK, self.log_a4)))
+        return _exp_linear((self.log_a3, self.log_a4, self.log_a1,
+                            self.log_a2))
 
 
 def factorize_generating_function(max_delta=MAX_DELTA):
-    """Split log F(t) into the four per-Chern-number series.
-
-    log F = sum e_i * l_i(t) with each exponent e_i linear in
-    (L2, LK, K2, c2), so the series of one Chern number is the sum of the
-    l_i weighted by that number's coefficient in e_i.
-    """
-    l2, lk, k2, c2 = map(PSeries, _per_number(_log_terms_in_t(max_delta)))
+    """Split log F(t) into the four per-Chern-number series: these are the
+    rows of :func:`_log_rows_in_t`."""
+    l2, lk, k2, c2 = _log_rows_in_t(max_delta)
     return FactorizedForm(max_delta, k2, c2, l2, lk)

@@ -222,6 +222,8 @@ class PSeries:
     def __eq__(self, other):
         if isinstance(other, PSeries):
             return self.coeffs == other.coeffs
+        if isinstance(other, float):
+            return NotImplemented  # never a coefficient, so never equal
         # scalar comparison: constant series of matching value
         o = _promote(other)
         return self.coeffs[0] == o and all(c == 0 for c in self.coeffs[1:])
@@ -234,9 +236,6 @@ class PSeries:
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} series to {order}")
         return PSeries(self.coeffs[: order + 1])
-
-    def map_coefficients(self, fn):
-        return PSeries([fn(c) for c in self.coeffs])
 
     # -- ring operations ---------------------------------------------------
 

@@ -6,17 +6,18 @@ from fractions import Fraction
 import pytest
 
 from nodepoly import chernpoly
-from nodepoly.chern import K3, P2, SurfaceClass, T4, parse_surface
+from nodepoly.chern import (K3, P2, SurfaceClass, T4, parse_surface,
+                            rr_example_pairs, solve_rr_coefficients)
 from nodepoly.chernpoly import ChernPoly
 from nodepoly.modular import dg2_series
-from nodepoly.nodal import (IN_RANGE, MAX_DELTA, OUT_OF_RANGE, RANGE_UNKNOWN,
-                            _exp_linear, _log_terms, _log_terms_in_t,
-                            b1_series, b2_series, blowup_identity_check,
-                            chi_L_poly, chi_O_poly, closed_form_series,
+from nodepoly.nodal import (EXPONENTS, IN_RANGE, MAX_DELTA, OUT_OF_RANGE,
+                            RANGE_UNKNOWN, _exp_linear, _log_rows,
+                            _log_rows_in_t, b1_series, b2_series,
+                            blowup_identity_check, closed_form_series,
                             closed_form_symbolic, count_nodal,
                             dg2_normalized, discriminant_factor,
                             factorize_generating_function, node_polynomials,
-                            specialize, validity_range, yau_zaslow_check)
+                            validity_range, yau_zaslow_check)
 from nodepoly.series import PSeries
 from test_series import exp_oracle, log_oracle, random_rational_series
 
@@ -27,6 +28,22 @@ def random_surface(rng, span=6):
     lk = rng.randint(-span, span)
     l2 = lk + 2 * rng.randint(-span, span)
     return SurfaceClass(f"rand({l2},{lk},{k2},{c2})", l2, lk, k2, c2)
+
+
+# chi(L) and -chi(O)/2 as polynomials, stated here apart from nodal.EXPONENTS
+# so that a wrong matrix entry fails the oracles below.
+CHI_L = (Fraction(1, 2) * (chernpoly.L2 - chernpoly.LK)
+         + Fraction(1, 12) * (chernpoly.K2 + chernpoly.C2))
+MINUS_HALF_CHI_O = Fraction(-1, 24) * (chernpoly.K2 + chernpoly.C2)
+
+
+def linear_coefficients(poly):
+    """The (L2, LK, K2, c2) coefficients of a homogeneous linear
+    polynomial; fails on any other."""
+    terms = ChernPoly.promote(poly).terms
+    assert all(sum(e) == 1 for e in terms), poly
+    units = [tuple(int(i == v) for i in range(4)) for v in range(4)]
+    return tuple(terms.get(u, 0) for u in units)
 
 
 def t1_hand_oracle():
@@ -41,8 +58,38 @@ def t1_hand_oracle():
     assert b1_series(1)[1] == -1
     assert b2_series(1)[1] == 5
     assert discriminant_factor(1)[1] == -12
-    return (6 * chi_L_poly() + (-1) * chernpoly.K2 + 5 * chernpoly.LK
-            + (-chi_O_poly() / 2) * (-12))
+    return (6 * CHI_L + (-1) * chernpoly.K2 + 5 * chernpoly.LK
+            + MINUS_HALF_CHI_O * (-12))
+
+
+# -- the exponent matrix against Riemann-Roch ---------------------------------
+
+def exponent_surfaces():
+    rng = random.Random(53)
+    return ([s for s, _ in rr_example_pairs()]
+            + [P2(d) for d in range(13)]
+            + [K3(2 * h - 2) for h in range(1, 13)]
+            + [T4(2 * n) for n in range(1, 13)]
+            + [random_surface(rng) for _ in range(50)])
+
+
+def dot(row, point):
+    return sum(e * x for e, x in zip(row, point))
+
+
+def test_exponents_match_riemann_roch():
+    dg2_row, b1_row, b2_row, delta_row = EXPONENTS
+    assert all(type(e) is Fraction for row in EXPONENTS for e in row)
+    assert b1_row == (0, 0, 1, 0)  # K2
+    assert b2_row == (0, 1, 0, 0)  # LK
+    for s in exponent_surfaces():
+        point = s.chern_tuple()
+        assert dot(dg2_row, point) == s.chi_L(), s.name
+        assert dot(delta_row, point) == -s.chi_O() / 2, s.name
+    # the solved anticanonical-basis coefficients in the (L2, LK, K2, c2)
+    # basis: c1(M).c1(L) = -LK and c1(M)^2 = K2
+    a = solve_rr_coefficients(rr_example_pairs())
+    assert (a.A4, -a.A3, a.A1, a.A2) == dg2_row
 
 
 # -- B series ------------------------------------------------------------------
@@ -136,7 +183,8 @@ def test_symbolic_specializes_to_numeric():
     rng = random.Random(29)
     surfaces = [K3(0), P2(3), T4(2)] + [random_surface(rng) for _ in range(5)]
     for s in surfaces:
-        assert specialize(h, s) == closed_form_series(s, 5)
+        values = PSeries([c.evaluate(*s.chern_tuple()) for c in h])
+        assert values == closed_form_series(s, 5)
 
 
 # -- node polynomials ----------------------------------------------------------------
@@ -309,9 +357,7 @@ def test_factorization_reassembles_exactly():
 def test_factorization_log_is_homogeneous_linear():
     logf = log_oracle(node_polynomials(5).generating_series())
     for n in range(1, 6):
-        poly = ChernPoly.promote(logf[n])
-        assert poly.is_homogeneous_linear()
-        assert poly.constant_part() == 0
+        linear_coefficients(logf[n])
 
 
 # -- the log-linear core against the symbolic exp/compose/log route ----------
@@ -321,17 +367,19 @@ def test_factorization_log_is_homogeneous_linear():
 def product_of_exps_oracle(order):
     """The closed form as a product of four symbolic exps, one per base."""
     h = PSeries.one(order)
-    for exponent, base in ((chi_L_poly(), dg2_normalized(order)),
+    for exponent, base in ((CHI_L, dg2_normalized(order)),
                            (chernpoly.K2, b1_series(order)),
                            (chernpoly.LK, b2_series(order)),
-                           (-chi_O_poly() / 2, discriminant_factor(order))):
+                           (MINUS_HALF_CHI_O, discriminant_factor(order))):
         h = h * exp_oracle(exponent * base.log())
     return h
 
 
-def linear_exp_oracle(terms):
-    """exp(sum e_i * log_i) by the coefficient-ring recurrence."""
-    return exp_oracle(sum(e * log for e, log in terms))
+def linear_exp_oracle(rows):
+    """exp(L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3) by the coefficient-ring
+    recurrence."""
+    return exp_oracle(sum(ChernPoly.variable(v) * row
+                          for v, row in enumerate(rows)))
 
 
 def test_closed_form_symbolic_matches_product_of_exps():
@@ -351,7 +399,7 @@ def test_factorization_matches_symbolic_log():
         logf = log_oracle(node_polynomials(n).generating_series())
         per_number = [[Fraction(0)] for _ in range(4)]
         for k in range(1, n + 1):
-            coefficients = ChernPoly.promote(logf[k]).linear_coefficients()
+            coefficients = linear_coefficients(logf[k])
             for series, c in zip(per_number, coefficients):
                 series.append(c)
         l2, lk, k2, c2 = (PSeries(s) for s in per_number)
@@ -364,41 +412,31 @@ def test_factorization_matches_symbolic_log():
 def test_integer_exp_matches_oracle_on_package_terms():
     for n in range(6):
         assert node_polynomials(n).generating_series() == \
-            linear_exp_oracle(_log_terms_in_t(n))
-        assert closed_form_symbolic(n) == linear_exp_oracle(_log_terms(n))
+            linear_exp_oracle(_log_rows_in_t(n))
+        assert closed_form_symbolic(n) == linear_exp_oracle(_log_rows(n))
         form = factorize_generating_function(n)
         assert form.generating_function() == linear_exp_oracle(
-            ((chernpoly.K2, form.log_a1), (chernpoly.C2, form.log_a2),
-             (chernpoly.L2, form.log_a3), (chernpoly.LK, form.log_a4)))
+            (form.log_a3, form.log_a4, form.log_a1, form.log_a2))
 
 
-def random_linear_exponent(rng, max_den=50):
-    """A linear form in (L2, LK, K2, c2) with random rational coefficients,
-    some of them zero."""
-    e = ChernPoly()
-    for v in range(4):
-        if rng.random() < 0.75:
-            c = Fraction(rng.randint(-max_den, max_den), rng.randint(1, max_den))
-            e = e + c * ChernPoly.variable(v)
-    return e
+def random_row(rng, order, max_den=50):
+    """A random rational multiple of a random log-series, zero-padded past a
+    random cut; a quarter of the rows are zero."""
+    if rng.random() < 0.25:
+        return PSeries.zero(order)
+    log = random_rational_series(rng, order, first=1)
+    cut = rng.randint(0, order + 1)
+    c = Fraction(rng.randint(-max_den, max_den), rng.randint(1, max_den))
+    return c * PSeries(log.coeffs[:cut], order=order)
 
 
 def test_integer_exp_matches_oracle_on_random_terms():
     rng = random.Random(83)
     for order in range(13):
-        terms = []
-        for _ in range(rng.randint(1, 4)):
-            log = random_rational_series(rng, order, first=1)
-            # zero-pad: keep the first few coefficients only
-            cut = rng.randint(0, order + 1)
-            log = PSeries(log.coeffs[:cut], order=order)
-            terms.append((random_linear_exponent(rng), log))
-        assert _exp_linear(terms) == linear_exp_oracle(terms), order
-    # all-zero logs and all-zero exponents
-    zero = PSeries.zero(4)
-    assert _exp_linear([(chernpoly.L2, zero)]) == PSeries.one(4)
-    assert _exp_linear([(ChernPoly(), random_rational_series(rng, 4, first=1))]) \
-        == PSeries.one(4)
+        rows = [random_row(rng, order) for _ in range(4)]
+        assert _exp_linear(rows) == linear_exp_oracle(rows), order
+    # all-zero rows
+    assert _exp_linear([PSeries.zero(4)] * 4) == PSeries.one(4)
 
 
 # -- the numeric count route against the table ---------------------------------

@@ -215,6 +215,19 @@ def test_order_and_padding():
         PSeries([1.5])
 
 
+def test_equality_with_a_float_is_false():
+    # a float is never a coefficient, so no series equals one; comparing
+    # must not raise the TypeError that constructing with a float does
+    s = PSeries([1, 2])
+    assert not s == 1.0
+    assert s != 1.0
+    assert PSeries([1]) != 1.0
+    assert s in [1.5, s]
+    assert PSeries([1]) == 1 and PSeries([1]) == F(1)
+    with pytest.raises(TypeError):
+        PSeries([1.0])
+
+
 def test_add_truncates_to_min_order():
     a = PSeries([1, 2], order=3)
     b = PSeries([0, 0, 1], order=2)
