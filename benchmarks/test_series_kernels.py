@@ -1,0 +1,49 @@
+"""Layer timings for the Fraction kernels of :mod:`nodepoly.series`.
+
+Each kernel runs at fixed orders on the two bases whose logs and powers the
+closed form takes, DG2/q and Delta*D2G2/q^2: mul (s*s), inverse, log, exp
+(of log s) and s**(-5/4) at N = 48 and 96, and the reversion of DG2 at
+M = 16 and 28.  Inputs are built outside the timed call.  This directory is
+outside the tier-1 test paths; run it with pytest-benchmark installed:
+
+    python -m pytest benchmarks                                # timings
+    python -m pytest benchmarks --benchmark-disable -q         # one pass each
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from nodepoly.modular import d2g2_series, delta_series, dg2_series
+
+ORDERS = (48, 96)
+REVERSION_ORDERS = (16, 28)
+BASES = {
+    "DG2/q": lambda n: dg2_series(n + 1).shift_down(1),
+    "Delta*D2G2/q^2": lambda n: (delta_series(n + 2) * d2g2_series(n + 2)).shift_down(2),
+}
+KERNELS = {
+    "mul": lambda s: s * s,
+    "inverse": lambda s: s.inverse(),
+    "log": lambda s: s.log(),
+    "exp": lambda s: s.exp(),
+    "pow": lambda s: s ** Fraction(-5, 4),
+}
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel(benchmark, kernel, base, n):
+    s = BASES[base](n)
+    if kernel == "exp":
+        s = s.log()
+    benchmark.group = f"{kernel} N={n}"
+    assert benchmark(KERNELS[kernel], s).order == n
+
+
+@pytest.mark.parametrize("m", REVERSION_ORDERS)
+def test_reversion(benchmark, m):
+    s = dg2_series(m)
+    benchmark.group = f"reversion M={m}"
+    assert benchmark(s.reversion).order == m

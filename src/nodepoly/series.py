@@ -15,11 +15,11 @@ freely inside one series.  Plain ``int`` coefficients are promoted to
 When every coefficient is a ``Fraction``, the product clears denominators
 once, runs its O(N^2) recurrence in Python ints and builds one Fraction per
 output coefficient; other coefficient rings take a generic loop.  The
-inverse, exp and powers s**e (for an int or Fraction e, one Miller
-recurrence) are integer kernels only, and need Fraction coefficients, as do
-log (the integral of D(s)/s) and reversion (Lagrange inversion, N
-products), which are written over them.  Any other coefficient raises
-TypeError there.
+inverse, log, exp, powers s**e (for an int or Fraction e, one Miller
+recurrence) and reversion (Lagrange inversion, with each power by Miller's
+recurrence) work the same way, so all six Fraction kernels run in
+integers.  Those five have no generic loop: they need Fraction
+coefficients, and any other coefficient raises TypeError there.
 """
 
 from fractions import Fraction
@@ -48,6 +48,22 @@ def _reciprocal(c):
     return 1 / c
 
 
+def _integer_run(a):
+    """Clear an all-Fraction run to integers: (d, [a_k * d]) with d the
+    least common denominator, so that a = A/d."""
+    d = lcm(*(c.denominator for c in a))
+    return d, [c.numerator * (d // c.denominator) for c in a]
+
+
+def _scale_up(num, base):
+    """The run num_k * base^(k-1) for k >= 1, with 0 in place of num_0."""
+    out, p = [0], 1
+    for x in num[1:]:
+        out.append(x * p)
+        p *= base
+    return out
+
+
 def _convolve_fractions(a, b, n):
     """Cauchy product of all-Fraction coefficient runs.
 
@@ -56,10 +72,8 @@ def _convolve_fractions(a, b, n):
     coefficient, so this is exact and several times faster than convolving
     Fraction objects directly.
     """
-    da = lcm(*(c.denominator for c in a))
-    db = lcm(*(c.denominator for c in b))
-    na = [c.numerator * (da // c.denominator) for c in a]
-    nb = [c.numerator * (db // c.denominator) for c in b]
+    da, na = _integer_run(a)
+    db, nb = _integer_run(b)
     out = [0] * (n + 1)
     for i in range(n + 1):
         x = na[i]
@@ -78,14 +92,9 @@ def _invert_fractions(a):
     With a = A/d for integers A_j, 1/a = d * sum O_k q^k / A_0^(k+1) where
     O_0 = 1 and O_k = -sum_{j=1..k} A_j * A_0^(j-1) * O_(k-j).
     """
-    d = lcm(*(c.denominator for c in a))
-    num = [c.numerator * (d // c.denominator) for c in a]
+    d, num = _integer_run(a)
     a0 = num[0]
-    scaled = [0] * len(num)
-    p = 1
-    for j in range(1, len(num)):
-        scaled[j] = num[j] * p
-        p *= a0
+    scaled = _scale_up(num, a0)
     o = [1]
     for k in range(1, len(num)):
         acc = 0
@@ -102,6 +111,26 @@ def _invert_fractions(a):
     return out
 
 
+def _log_fractions(a):
+    """Logarithm of an all-Fraction run with a_0 = 1, in integers.
+
+    With a = A/d (so A_0 = d) and S_k = A_k * d^(k-1), the recurrence
+    n*l_n = n*a_n - sum_k k*l_k*a_(n-k) becomes l_n = L_n / (n * d^n) with
+    L_n = n*S_n - sum_(k=1..n-1) L_k * S_(n-k).
+    """
+    d, num = _integer_run(a)
+    scaled = _scale_up(num, d)
+    kl = [0]  # L_k = k * l_k * d^k
+    out = [Fraction(0)]
+    den = 1
+    for n in range(1, len(num)):
+        x = n * scaled[n] - sum(kl[k] * scaled[n - k] for k in range(1, n))
+        kl.append(x)
+        den *= d
+        out.append(Fraction(x, n * den))
+    return out
+
+
 def _exp_fractions(a):
     """Exponential of an all-Fraction run with a_0 = 0, in integers.
 
@@ -109,14 +138,8 @@ def _exp_fractions(a):
     B_0 = 1 and B_n = sum_k C_k * dc^(k-1) * B_(n-k) * (n-1)!/(n-k)!.
     The falling factorial is applied by Horner's rule over n-k.
     """
-    ka = [k * c for k, c in enumerate(a)]
-    dc = lcm(*(c.denominator for c in ka))
-    scaled = [0] * len(a)
-    p = 1
-    for k in range(1, len(a)):
-        c = ka[k]
-        scaled[k] = c.numerator * (dc // c.denominator) * p
-        p *= dc
+    dc, num = _integer_run([k * c for k, c in enumerate(a)])
+    scaled = _scale_up(num, dc)
     b = [1]
     for n in range(1, len(a)):
         acc = 0
@@ -132,31 +155,58 @@ def _exp_fractions(a):
     return out
 
 
-def _power_fractions(a, e):
-    """a^e for an all-Fraction run with a_0 != 0 and e = p/r, in integers.
+def _miller(num, p, r, n):
+    """B_0 .. B_(n-1) of Miller's recurrence for (A/A_0)^(p/r), in integers.
 
-    Miller's recurrence m*a_0*b_m = sum_k ((e+1)k - m) a_k b_(m-k), with
-    a = A/d and b_m = a_0^p * B_m / (A_0 r^2)^m, becomes B_0 = 1 and
+    Miller's recurrence m*a_0*b_m = sum_k ((e+1)k - m) a_k b_(m-k) for
+    b = a^e, with integers A_k, e = p/r and b_m = b_0 * B_m / (A_0 r^2)^m,
+    becomes B_0 = 1 and
     m*B_m = sum_k ((p+r)k - r*m) A_k A_0^(k-1) r^(2k-1) B_(m-k), exact as
     f^(p/r) is in Z[1/r][[q]] for f in 1 + qZ[[q]].  Zero A_k are skipped.
+    Returns the B_m and the step A_0 r^2.
     """
-    p, r = e.numerator, e.denominator
-    d = lcm(*(c.denominator for c in a))
-    num = [c.numerator * (d // c.denominator) for c in a]
     step = num[0] * r * r
     terms, scale = [], r
-    for k in range(1, len(num)):
+    for k in range(1, n):
         if num[k]:
             terms.append((k, (p + r) * k, num[k] * scale))
         scale *= step
-    b = [1]
-    for m in range(1, len(num)):
-        b.append(sum((pk - r * m) * x * b[m - k] for k, pk, x in terms if k <= m) // m)
+    b, i = [1], 0
+    for m in range(1, n):
+        if i < len(terms) and terms[i][0] == m:
+            i += 1  # terms is sorted by k: sum over those with k <= m
+        b.append(sum((pk - r * m) * x * b[m - k] for k, pk, x in terms[:i]) // m)
+    return b, step
+
+
+def _power_fractions(a, e):
+    """a^e for an all-Fraction run with a_0 != 0 and e = p/r, in integers:
+    b_m = a_0^p * B_m / (A_0 r^2)^m with the B_m of :func:`_miller`."""
+    p = e.numerator
+    b, step = _miller(_integer_run(a)[1], p, e.denominator, len(a))
     b0 = a[0] ** p
     out, den = [], b0.denominator
     for x in b:
         out.append(Fraction(b0.numerator * x, den))
         den *= step
+    return out
+
+
+def _reversion_fractions(a):
+    """Compositional inverse of an all-Fraction run with a_0 = 0 != a_1.
+
+    Lagrange inversion: g_m = [q^(m-1)] (s/q)^(-m) / m.  With s/q = A/d,
+    (s/q)^(-m) = (d/A_0)^m * sum B_j q^j / A_0^j for the B_j of
+    :func:`_miller` at exponent -m, so g_m = d^m B_(m-1) / (m A_0^(2m-1)).
+    """
+    d, num = _integer_run(a[1:])
+    out = [Fraction(0)]
+    top, bottom = 1, num[0]
+    for m in range(1, len(a)):
+        b, step = _miller(num, -m, 1, m)
+        top *= d
+        out.append(Fraction(top * b[-1], m * bottom))
+        bottom *= step * step
     return out
 
 
@@ -323,13 +373,14 @@ class PSeries:
     def log(self):
         """Formal logarithm; requires constant term 1.
 
-        log s is the integral of D(s)/s with D = q*d/dq, so coefficient k
-        of D(s) * s^-1 divided by k, through the integer inverse and product.
+        One integer recurrence, n*l_n = n*s_n - sum k*l_k*s_(n-k) with the
+        denominators cleared once (so log s integrates D(s)/s).
         """
-        if self.coeffs[0] != 1:
+        a = self.coeffs
+        _require_fractions(a, "log")
+        if a[0] != 1:
             raise ValueError("log needs constant term 1")
-        d = (self.qderiv() * self.inverse()).coeffs
-        return PSeries([Fraction(0)] + [d[k] / k for k in range(1, len(d))])
+        return PSeries(_log_fractions(a))
 
     def exp(self):
         """Formal exponential; requires constant term 0."""
@@ -356,21 +407,18 @@ class PSeries:
         """Compositional inverse: the series g with self(g) = g(self) = q.
 
         Requires constant term 0 and an invertible linear coefficient.
-        Lagrange inversion: with h = (self/q)^-1, the q^m coefficient of g
-        is [q^(m-1)] h^m / m, so N coefficients cost N series products.
+        Lagrange inversion: the q^m coefficient of g is [q^(m-1)] of
+        (self/q)^-m, over m, and each power is one integer Miller
+        recurrence carried only to q^(m-1).
         """
         if self.order < 1:
             raise ValueError("reversion needs order >= 1")
         a = self.coeffs
+        _require_fractions(a, "reversion")
         if a[0] != 0:
             raise ValueError("reversion needs constant term 0")
-        h = PSeries(a[1:]).inverse()
-        power = h
-        g = [Fraction(0), h.coeffs[0]]
-        for m in range(2, self.order + 1):
-            power = power * h
-            g.append(power.coeffs[m - 1] / m)
-        return PSeries(g)
+        _reciprocal(a[1])  # ValueError when it is zero
+        return PSeries(_reversion_fractions(a))
 
     # -- q-calculus --------------------------------------------------------
 

@@ -7,7 +7,10 @@ all-Fraction series are checked against the coefficient-ring recurrences
 they replaced, kept here as oracles; the exp, inverse and log oracles run
 over any coefficient ring, so they also serve as the polynomial-coefficient
 routes in the node-polynomial tests.  The Miller power kernel is checked
-against binary powering and exp(e*log), the routes it replaced.
+against binary powering and exp(e*log), the routes it replaced.  At the
+orders the benchmark runs, log and reversion are checked by identities that
+use none of their kernels' formulas: D(log s) * s = D(s), exp(log s) = s and
+composition both ways with the reverted series.
 """
 
 from fractions import Fraction
@@ -17,7 +20,8 @@ import random
 import pytest
 
 from nodepoly.chernpoly import ChernPoly
-from nodepoly.modular import partition_power_series
+from nodepoly.modular import (d2g2_series, delta_series, dg2_series,
+                               partition_power_series)
 from nodepoly.series import PSeries
 
 F = Fraction
@@ -174,6 +178,26 @@ def test_reversion_matches_oracle():
         assert s.reversion() == reversion_oracle(s)
 
 
+def test_reversion_of_dg2_at_order_28():
+    s = dg2_series(28)
+    rev = s.reversion()
+    q = PSeries.identity(28)
+    assert s.compose(rev) == q
+    assert rev.compose(s) == q
+
+
+@pytest.mark.parametrize("base", ["DG2/q", "Delta*D2G2/q^2"])
+def test_log_at_order_96(base):
+    if base == "DG2/q":
+        s = dg2_series(97).shift_down(1)
+    else:
+        s = (delta_series(98) * d2g2_series(98)).shift_down(2)
+    assert s.order == 96 and s[0] == 1
+    log = s.log()
+    assert log.qderiv() * s == s.qderiv()
+    assert log.exp() == s
+
+
 def test_kernels_at_orders_zero_and_one():
     assert PSeries([F(-2, 3)]).inverse() == PSeries([F(-3, 2)])
     assert PSeries([F(-2, 3), F(5, 7)]).inverse() \
@@ -188,8 +212,7 @@ def test_kernels_at_orders_zero_and_one():
 
 
 def test_kernels_reject_polynomial_coefficients():
-    # the integer kernels have no generic-ring fallback; log and reversion
-    # run through the inverse
+    # the integer kernels have no generic-ring fallback
     one = ChernPoly.constant(1)
     x = ChernPoly.variable(0)
     for method, s in (("inverse", PSeries([one, x], order=3)),
