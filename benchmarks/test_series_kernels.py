@@ -2,9 +2,11 @@
 
 Each kernel runs at fixed orders on the two bases whose logs and powers the
 closed form takes, DG2/q and Delta*D2G2/q^2: mul (s*s), inverse, log, exp
-(of log s) and s**(-5/4) at N = 48 and 96, and the reversion of DG2 at
-M = 16 and 28.  Inputs are built outside the timed call.  This directory is
-outside the tier-1 test paths; run it with pytest-benchmark installed:
+(of log s) and s**(-5/4) at N = 48 and 96; the reversion of DG2 and the
+composition of log(DG2/q) with that reversion (the substitution q =
+DG2^{-1}(t) of the node polynomials) at M = 16 and 28.  Inputs are built
+outside the timed call.  This directory is outside the tier-1 test paths;
+run it with pytest-benchmark installed:
 
     python -m pytest benchmarks                                # timings
     python -m pytest benchmarks --benchmark-disable -q         # one pass each
@@ -47,3 +49,11 @@ def test_reversion(benchmark, m):
     s = dg2_series(m)
     benchmark.group = f"reversion M={m}"
     assert benchmark(s.reversion).order == m
+
+
+@pytest.mark.parametrize("m", REVERSION_ORDERS)
+def test_compose(benchmark, m):
+    outer = BASES["DG2/q"](m).log()
+    inner = dg2_series(m).reversion()
+    benchmark.group = f"compose M={m}"
+    assert benchmark(outer.compose, inner).order == m

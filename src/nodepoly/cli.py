@@ -249,7 +249,7 @@ def cmd_inclexcl(args, out, stdin):
             "table": [{"index_set": ix, "cardinality": plain,
                        "modified_cardinality": mod}
                       for ix, plain, mod in rows],
-            "union_size": len(system.union()),
+            "union_size": len(system.signatures),
             "union_via_modified": inclexcl.union_via_modified(system, table),
             "union_via_alternating": inclexcl.union_via_alternating(system,
                                                                     table),

@@ -4,10 +4,11 @@ Given finite sets A_0 .. A_{k-1}, the modified cardinality of an
 intersection over an index set I counts the elements lying in no strictly
 finer intersection.  That is exactly the number of union elements whose
 membership signature -- the set of indices of the sets containing them --
-is I.  So one pass over the elements builds a histogram of signatures
-(bitmasks, bit i for A_i), which is the modified table; a superset-sum
-(zeta) transform over the 2^k masks, k * 2^k additions, turns it into the
-plain intersection sizes:
+is I.  A :class:`SetSystem` is stored as that signature map (element ->
+bitmask, bit i for A_i), built in the same pass over the input that checks
+each element, so the union is its key set.  The histogram of the masks is
+the modified table; a superset-sum (zeta) transform over the 2^k masks,
+k * 2^k additions, turns it into the plain intersection sizes:
 
     |inter_I| = sum of modified(J) over all J containing I
 
@@ -29,38 +30,70 @@ from itertools import combinations
 MAX_SETS = 10
 
 
-class SetSystem(namedtuple("SetSystem", "sets")):
-    """A finite list of finite sets of nonnegative integers.
+class _Signatures(dict):
+    """A read-only element -> mask map, hashable over its items."""
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __repr__(self):
+        return repr(dict(sorted(self.items())))
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("the signature map is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+class SetSystem(namedtuple("SetSystem", "k signatures")):
+    """A finite list of k finite sets of nonnegative integers, held as its
+    membership signatures: each union element maps to the bitmask of the
+    sets containing it (bit i for the i-th set).
+
+    Two systems are equal exactly when k and the signatures are, so element
+    order and duplicates inside a set do not matter but the order of the
+    sets does.  ``sets`` and ``union()`` rebuild the frozensets.
 
     Elements must be of type ``int`` exactly: ``bool`` (and so JSON
     ``true``/``false``) is rejected, since ``True`` would silently count as
-    the element 1.
+    the element 1.  Every element is checked before the bound on k, and no
+    mask grows past ``MAX_SETS`` bits.
     """
     __slots__ = ()
 
     def __new__(cls, sets):
-        frozen = []
+        signatures = {}
+        get = signatures.get
+        k = 0
         for s in sets:
-            s = tuple(s)
+            bit = 1 << k if k < MAX_SETS else 0  # past the bound: checks only
             for x in s:
                 if type(x) is not int or x < 0:
                     raise ValueError(
                         "set elements must be nonnegative integers")
-            frozen.append(frozenset(s))
-        if not frozen:
+                signatures[x] = get(x, 0) | bit
+            k += 1
+        if not k:
             raise ValueError("a set system needs at least one set")
-        if len(frozen) > MAX_SETS:
+        if k > MAX_SETS:
             raise ValueError(
-                f"{len(frozen)} sets exceed the bound {MAX_SETS}: the "
+                f"{k} sets exceed the bound {MAX_SETS}: the "
                 f"lattice has 2^k - 1 index sets")
-        return super().__new__(cls, tuple(frozen))
+        return super().__new__(cls, k, _Signatures(signatures))
+
+    def __getnewargs__(self):
+        return (self.sets,)
 
     @property
-    def k(self):
-        return len(self.sets)
+    def sets(self):
+        return tuple(frozenset(x for x, mask in self.signatures.items()
+                               if mask >> i & 1)
+                     for i in range(self.k))
 
     def union(self):
-        return frozenset().union(*self.sets)
+        return frozenset(self.signatures)
 
 
 def nonempty_index_sets(k):
@@ -72,12 +105,13 @@ def nonempty_index_sets(k):
 
 def intersection_table(system):
     """Exact intersections over every nonempty index set."""
+    sets = system.sets
     table = {}
     for index_set in nonempty_index_sets(system.k):
         it = iter(index_set)
-        acc = set(system.sets[next(it)])
+        acc = set(sets[next(it)])
         for i in it:
-            acc &= system.sets[i]
+            acc &= sets[i]
         table[index_set] = frozenset(acc)
     return table
 
@@ -86,17 +120,13 @@ def modified_cardinalities(system):
     """Map from index set I to (plain, modified) cardinality.
 
     modified(I) counts the union elements whose membership signature is
-    exactly I; plain(I) = |inter_I| is the sum of modified(J) over J >= I.
+    exactly I, a histogram of ``system.signatures``; plain(I) = |inter_I|
+    is the sum of modified(J) over J >= I.
     Keys come in ``nonempty_index_sets`` order.
     """
-    signature = {}
-    for i, s in enumerate(system.sets):
-        bit = 1 << i
-        for x in s:
-            signature[x] = signature.get(x, 0) | bit
     size = 1 << system.k
     modified = [0] * size
-    for mask in signature.values():
+    for mask in system.signatures.values():
         modified[mask] += 1
     plain = modified[:]
     for i in range(system.k):

@@ -12,14 +12,15 @@ with the scalars 0 and 1.  ``fractions.Fraction`` and
 freely inside one series.  Plain ``int`` coefficients are promoted to
 ``Fraction`` on construction so division never silently produces floats.
 
-When every coefficient is a ``Fraction``, the product clears denominators
-once, runs its O(N^2) recurrence in Python ints and builds one Fraction per
-output coefficient; other coefficient rings take a generic loop.  The
-inverse, log, exp, powers s**e (for an int or Fraction e, one Miller
-recurrence) and reversion (Lagrange inversion, with each power by Miller's
-recurrence) work the same way, so all six Fraction kernels run in
-integers.  Those five have no generic loop: they need Fraction
-coefficients, and any other coefficient raises TypeError there.
+When every coefficient is a ``Fraction``, the product and the composition
+clear denominators once, run their recurrences (a convolution, Horner's
+rule) in Python ints and build one Fraction per output coefficient; other
+coefficient rings take a generic loop.  The inverse, log, exp, powers s**e
+(for an int or Fraction e, one Miller recurrence) and reversion (Lagrange
+inversion, with each power by Miller's recurrence) work the same way, so
+all seven Fraction kernels run in integers.  Those five have no generic
+loop: they need Fraction coefficients, and any other coefficient raises
+TypeError there.
 """
 
 from fractions import Fraction
@@ -190,6 +191,26 @@ def _power_fractions(a, e):
         out.append(Fraction(b0.numerator * x, den))
         den *= step
     return out
+
+
+def _compose_fractions(c, g):
+    """c(g) for all-Fraction runs of one length with g_0 = 0, in integers.
+
+    With c = C/dc and g = G/dg, Horner's rule scaled by dg^(n-k) reads
+    R_n = C_n and R_k = R_(k+1) * G + C_k * dg^(n-k), so c(g) = R_0 /
+    (dc * dg^n).  As G_0 = 0, R_k is needed only to q^(n-k).
+    """
+    n = len(c) - 1
+    dc, num = _integer_run(c)
+    dg, inner = _integer_run(g)
+    r = [num[n]]
+    p = 1
+    for k in range(n - 1, -1, -1):
+        p *= dg
+        r = [num[k] * p] + [sum(r[i] * inner[t - i] for i in range(t))
+                            for t in range(1, n - k + 1)]
+    den = dc * p
+    return [Fraction(x, den) for x in r]
 
 
 def _reversion_fractions(a):
@@ -397,10 +418,14 @@ class PSeries:
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        result = PSeries.constant(self.coeffs[n], n)
+        c, g = self.coeffs[:n + 1], inner.coeffs[:n + 1]
+        if all(type(x) is Fraction for x in c) \
+                and all(type(x) is Fraction for x in g):
+            return PSeries(_compose_fractions(c, g))
+        g = PSeries(g)
+        result = PSeries.constant(c[n], n)
         for k in range(n - 1, -1, -1):
-            result = result * g + self.coeffs[k]
+            result = result * g + c[k]
         return result
 
     def reversion(self):

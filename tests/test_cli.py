@@ -297,6 +297,47 @@ def test_inclexcl_rejects_booleans():
         assert "nonnegative integers" in err
 
 
+ELEMENT_ERROR = "nodepoly: error: set elements must be nonnegative integers\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    ("[[[1]]]", ELEMENT_ERROR),
+    ("[[1, 2.0]]", ELEMENT_ERROR),
+    ("[[1e3]]", ELEMENT_ERROR),
+    ('[["a"]]', ELEMENT_ERROR),
+    ("[[null]]", ELEMENT_ERROR),
+    ("[[1], [2, -3]]", ELEMENT_ERROR),
+    ("[[true]]", ELEMENT_ERROR),
+    ("[[0, 1, false]]", ELEMENT_ERROR),
+    ("[[1], [2], [3, true, 4]]", ELEMENT_ERROR),
+    (json.dumps([[1]] * 10 + [[True]]), ELEMENT_ERROR),
+    (json.dumps([[True]] + [[1]] * 10), ELEMENT_ERROR),
+    (json.dumps([[1]] * 11), "nodepoly: error: 11 sets exceed the bound 10: "
+     "the lattice has 2^k - 1 index sets\n"),
+    (json.dumps([[i] for i in range(10_000)]), "nodepoly: error: 10000 sets "
+     "exceed the bound 10: the lattice has 2^k - 1 index sets\n"),
+    ("[]", "nodepoly: error: a set system needs at least one set\n"),
+    ("[[1], 2]", "nodepoly: error: input must be a JSON list of integer "
+     "lists\n"),
+])
+def test_inclexcl_rejects_bad_input(text, err):
+    for fmt in ("json", "csv"):
+        assert invoke(["inclexcl", "--format", fmt], stdin_text=text) == \
+            (2, "", err)
+
+
+def test_inclexcl_accepts_big_and_empty_sets():
+    code, out, _ = invoke(["inclexcl", "--format", "csv"],
+                          stdin_text=json.dumps([[10**30, 10**30]]))
+    assert (code, out.splitlines()[1:]) == (0, ['"0",1,1'])
+    code, out, _ = invoke(["inclexcl"], stdin_text="[[]]")
+    assert code == 0
+    payload = payload_of(out)
+    assert payload["table"] == [{"index_set": "0", "cardinality": 0,
+                                 "modified_cardinality": 0}]
+    assert payload["union_size"] == 0
+
+
 def test_inclexcl_rejects_deep_nesting():
     depth = 100000
     code, out, err = invoke(["inclexcl"],

@@ -7,6 +7,7 @@ sets down.  The histogram kernel must agree with both.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -168,15 +169,36 @@ def test_index_set_enumeration():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        SetSystem([])
-    with pytest.raises(ValueError):
-        SetSystem([{1}] * 11)
-    with pytest.raises(ValueError):
-        SetSystem([{-1}])
-    with pytest.raises(ValueError):
-        SetSystem([{0.5}])
+    # every element is checked before the bound on the number of sets
+    element = "^set elements must be nonnegative integers$"
+    for sets in ([{-1}], [{0.5}], [[[1]]], [["1"]], [[None]], [[2, -1]],
+                 [[1]] * 10 + [[True]], [[1]] * 20 + [[-5]]):
+        with pytest.raises(ValueError, match=element):
+            SetSystem(sets)
     # bool is an int subclass: True would otherwise count as the element 1
     for sets in ([[True, 2], [1]], [[1, True]], [[False]]):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=element):
             SetSystem(sets)
+    with pytest.raises(ValueError, match="^a set system needs at least one "
+                       "set$"):
+        SetSystem([])
+    with pytest.raises(ValueError, match="^11 sets exceed the bound 10: "):
+        SetSystem([{1}] * 11)
+    assert SetSystem([[10**30]]).signatures == {10**30: 1}
+    assert SetSystem([[]]).k == 1 and SetSystem([[]]).union() == frozenset()
+
+
+def test_too_many_sets_rejected_with_narrow_masks():
+    # Masks stop at MAX_SETS bits, so each set past the bound costs only its
+    # element checks.  A mask with a bit per set would be n bits wide (12.5
+    # kB at n = 10**5) and make the rejection quadratic in n.
+    for n in (10_000, 100_000):
+        sets = [[0]] * n
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{n} sets exceed"):
+                SetSystem(sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, peak

@@ -7,7 +7,10 @@ hashes, and no way to assign a field; importing the CLI loads no module
 beyond what argparse, fractions and json load already.
 """
 
+import copy
 import os
+import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -63,7 +66,7 @@ RECORDS = [
      "RRCoefficients(A1=Fraction(1, 12), A2=Fraction(1, 12), "
      "A3=Fraction(1, 2), A4=Fraction(1, 2))"),
     (SetSystem([[2, 1], [3]]), SetSystem([{1, 2}, (3,)]), SetSystem([[3]]),
-     "SetSystem(sets=(frozenset({1, 2}), frozenset({3})))"),
+     "SetSystem(k=2, signatures={1: 1, 2: 1, 3: 2})"),
     (node_polynomials(0), node_polynomials(0),
      NodePolynomialTable(1, node_polynomials(1).entries),
      "NodePolynomialTable(max_delta=0, entries={0: ChernPoly({(0, 0, 0, 0): "
@@ -125,6 +128,42 @@ def test_record_immutability(record, twin, other, text):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert getattr(record, field) is value
+
+
+def test_set_system_equality_is_by_signature():
+    system = SetSystem([[2, 1, 2], [3, 1]])
+    twin = SetSystem([(1, 2), [1, 3, 3, 1]])  # element order, duplicates
+    assert system == twin and hash(system) == hash(twin)
+    assert system != SetSystem([[3, 1], [2, 1]])  # the sets swapped
+    assert SetSystem([[]]) != SetSystem([[], []])
+    assert SetSystem([[], [1]]) != SetSystem([[1], []])
+
+
+def test_set_system_sets_round_trip():
+    rng = random.Random(3)
+    for k in range(1, 6):
+        sets = [[rng.randrange(12) for _ in range(rng.randrange(6))]
+                for _ in range(k)]
+        system = SetSystem(sets)
+        assert system.sets == tuple(frozenset(s) for s in sets)
+        assert system.union() == frozenset().union(*system.sets)
+        assert pickle.loads(pickle.dumps(system)) == system
+        assert copy.deepcopy(system) == system
+
+
+def test_set_system_signatures_are_read_only():
+    signatures = SetSystem([[1], [1, 2]]).signatures
+    assert signatures == {1: 3, 2: 2}
+    for mutate in (lambda m: m.__setitem__(3, 1), lambda m: m.pop(1),
+                   lambda m: m.update({3: 1}), lambda m: m.clear(),
+                   lambda m: m.setdefault(3, 1), lambda m: m.popitem()):
+        with pytest.raises(TypeError):
+            mutate(signatures)
+    with pytest.raises(TypeError):
+        del signatures[1]
+    with pytest.raises(TypeError):
+        signatures |= {3: 1}
+    assert signatures == {1: 3, 2: 2}
 
 
 def test_record_field_access():

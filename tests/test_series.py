@@ -324,6 +324,19 @@ def test_compose_random_against_brute_force():
             list(outer.coeffs), list(inner.coeffs), 8)
 
 
+def test_compose_rational_against_brute_force():
+    # the integer Horner kernel clears each side to one denominator
+    rng = random.Random(8)
+    for n, m in ((0, 4), (4, 0), (6, 9), (9, 6), (10, 10)):
+        outer = random_rational_series(rng, n, max_den=12)
+        inner = random_rational_series(rng, m, first=1, max_den=12)
+        got = outer.compose(inner)
+        k = min(n, m)
+        assert got.order == k
+        assert list(got.coeffs) == poly_compose(
+            list(outer.coeffs), list(inner.coeffs), k)
+
+
 def test_compose_rejects_nonzero_inner_constant():
     with pytest.raises(ValueError):
         PSeries([1, 1], order=3).compose(PSeries([1, 1], order=3))
