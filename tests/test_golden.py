@@ -1,15 +1,16 @@
 """Golden CLI output: stdout and exit code, byte for byte.
 
-``golden/cli_stdout.json`` holds one record per command line.  It was
-written by running this file as a script (``PYTHONPATH=src python
-tests/test_golden.py``) on a tree whose output was the reference, so the
-suite itself checks that a refactor leaves every byte of these commands as
-it was.  ``count`` is left out: its values are pinned against the table in
-``test_nodal``.
+``golden/cli_stdout.json`` holds one record per command line, with the
+text fed to stdin for the ``inclexcl`` lines.  It was written by running
+this file as a script (``PYTHONPATH=src python tests/test_golden.py``) on a
+tree whose output was the reference, so the suite itself checks that a
+refactor leaves every byte of these commands as it was.  ``count`` is left
+out: its values are pinned against the table in ``test_nodal``.
 """
 
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,22 @@ from nodepoly.cli import run
 
 FIXTURE = Path(__file__).parent / "golden" / "cli_stdout.json"
 
-CASES = (
+
+def seeded_sets(k, universe, seed):
+    rng = random.Random(seed)
+    return [[x for x in range(universe) if rng.random() < 0.5]
+            for _ in range(k)]
+
+
+# set systems fed to `inclexcl` on stdin, by name
+STDINS = {
+    "one-empty-set": "[[]]",
+    "empty-and-zero": "[[], [0]]",
+    "three-identical": "[[0, 5, 9], [9, 0, 5], [5, 9, 0]]",
+    "seeded-k10": json.dumps(seeded_sets(10, 200, seed=10)),
+}
+
+CASES = [pytest.param(argv, None, id=" ".join(argv)) for argv in (
     [["node-polys", "--max-delta", d] for d in ("0", "5")]
     + [["factorize", "--max-delta", d] for d in ("0", "5")]
     + [["yau-zaslow", "--max-delta", d] + fmt
@@ -26,26 +42,31 @@ CASES = (
     + [["blowup-check", "--surface", s, "--order", "5"]
        for s in ("P2:3", "K3:4", "9,-9,9,3")]
     + [["rr-solve"]]
-)
+)] + [pytest.param(["inclexcl", "--format", fmt], text,
+                   id=f"inclexcl --format {fmt} < {name}")
+      for name, text in STDINS.items() for fmt in ("json", "csv")]
 
 
-def record(argv):
+def record(argv, stdin=None):
     out, err = io.StringIO(), io.StringIO()
-    code = run(list(argv), out=out, err=err, stdin=io.StringIO(""))
-    return {"argv": list(argv), "exit_code": code, "stdout": out.getvalue()}
+    code = run(list(argv), out=out, err=err, stdin=io.StringIO(stdin or ""))
+    rec = {"argv": list(argv), "exit_code": code, "stdout": out.getvalue()}
+    if stdin is not None:
+        rec["stdin"] = stdin
+    return rec
 
 
 def golden():
-    return {tuple(r["argv"]): r for r in
+    return {(tuple(r["argv"]), r.get("stdin")): r for r in
             json.loads(FIXTURE.read_text(encoding="utf-8"))}
 
 
-@pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_cli_output_is_golden(argv):
-    assert record(argv) == golden()[tuple(argv)]
+@pytest.mark.parametrize("argv, stdin", CASES)
+def test_cli_output_is_golden(argv, stdin):
+    assert record(argv, stdin) == golden()[tuple(argv), stdin]
 
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps([record(a) for a in CASES], indent=1) + "\n",
-                       encoding="utf-8")
+    FIXTURE.write_text(json.dumps([record(*c.values) for c in CASES],
+                                  indent=1) + "\n", encoding="utf-8")
