@@ -5,16 +5,22 @@ records its membership signature -- followed by ``modified_cardinalities``,
 on seeded inputs of the two regimes of the ``inclexcl`` command: k = 6 sets
 over 20000 elements (element-bound) and k = 10 over 2000 (lattice-bound),
 each element joining each set with probability 1/2.  The lists are built
-outside the timed call.  Run it with pytest-benchmark installed:
+outside the timed call.  A second case times the whole command on the same
+inputs: ``cli.run(["inclexcl"])`` from the JSON text on stdin to the JSON
+document on stdout, parsing, counting and writing included.  Run it with
+pytest-benchmark installed:
 
     python -m pytest benchmarks/test_inclexcl.py                  # timings
     python -m pytest benchmarks --benchmark-disable -q            # one pass
 """
 
+import io
+import json
 import random
 
 import pytest
 
+from nodepoly.cli import run
 from nodepoly.inclexcl import SetSystem, modified_cardinalities
 
 SHAPES = {"k=6/20000": (6, 20000), "k=10/2000": (10, 2000)}
@@ -39,3 +45,20 @@ def test_build_and_count(benchmark, shape):
     assert len(table) == 2 ** k - 1
     assert sum(mod for _, mod in table.values()) == \
         len(set().union(*sets))
+
+
+def run_inclexcl(text):
+    out = io.StringIO()
+    code = run(["inclexcl"], out=out, stdin=io.StringIO(text))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_cli_inclexcl_json(benchmark, shape):
+    k, universe = SHAPES[shape]
+    sets = seeded_sets(k, universe)
+    benchmark.group = f"inclexcl {shape}"
+    code, out = benchmark(run_inclexcl, json.dumps(sets))
+    payload = json.loads(out)["payload"]
+    assert code == 0 and len(payload["table"]) == 2 ** k - 1
+    assert payload["union_size"] == len(set().union(*sets))

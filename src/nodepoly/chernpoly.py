@@ -48,6 +48,10 @@ class ChernPoly:
     def __setattr__(self, name, value):
         raise AttributeError("ChernPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle through the constructor, not __setattr__
+        return (type(self), (self.terms,))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -11,7 +11,12 @@ The JSON layout is fixed: object keys sorted, two-space indent, a comma
 ending each line but an object's or array's last, ": " after each key,
 strings ASCII-escaped (non-ASCII and control characters as \\uXXXX), and
 "{}" / "[]" for empty containers -- byte for byte what
-``json.dumps(doc, indent=2, sort_keys=True)`` prints.
+``json.dumps(doc, indent=2, sort_keys=True)`` prints.  The rows of the
+``inclexcl`` table, up to 1023 of them, are the one exception to the
+generic emitter: each is filled into a fixed row template laid out at its
+depth, held by the tests to the same ``json.dumps`` contract.
+
+The argument parser is built on the first ``run`` of a process and reused.
 
 Exit codes: 0 success (and exact equality for the comparison commands),
 1 mathematical mismatch or failed internal check, 2 the input was rejected:
@@ -24,6 +29,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
 from . import inclexcl, nodal
@@ -67,6 +73,12 @@ def fmt_surface(s):
     return {"name": s.name, "L2": s.L2, "LK": s.LK, "K2": s.K2, "c2": s.c2}
 
 
+class _Verbatim(str):
+    """JSON text already rendered at the depth it sits; ``_write_json``
+    writes it as it stands."""
+    __slots__ = ()
+
+
 def _write_json(value, newline, write):
     """Pass the JSON text of ``value`` (dict with str keys, list, str, int,
     bool or None) to ``write`` in pieces; ``newline`` is a line break plus
@@ -79,6 +91,8 @@ def _write_json(value, newline, write):
     kind = type(value)
     if kind is str:
         write(encode_basestring_ascii(value))
+    elif kind is _Verbatim:
+        write(value)
     elif kind is int:
         write(int.__repr__(value))
     elif kind is dict:
@@ -226,6 +240,20 @@ def cmd_factorize(args, out):
     return 0 if ok else 1
 
 
+# One table row as _write_json lays it out at document["payload"]["table"],
+# three levels down; the keys are in sorted order.
+_ROW = ('{\n        "cardinality": %d,\n        "index_set": "%s",'
+        '\n        "modified_cardinality": %d\n      }')
+
+
+def _inclexcl_rows(labels, counts):
+    """The JSON text of the table rows, a nonempty list of objects whose
+    labels need no escaping."""
+    rows = [_ROW % (plain, ix, mod)
+            for ix, (plain, mod) in zip(labels, counts)]
+    return _Verbatim("[\n      " + ",\n      ".join(rows) + "\n    ]")
+
+
 def cmd_inclexcl(args, out, stdin):
     try:
         data = json.load(stdin)
@@ -238,17 +266,18 @@ def cmd_inclexcl(args, out, stdin):
         raise ValueError("input must be a JSON list of integer lists")
     system = inclexcl.SetSystem(data)
     table = inclexcl.modified_cardinalities(system)
-    # the table is already in (size, lexicographic) order
-    rows = [(",".join(map(str, sorted(i))), plain, mod)
-            for i, (plain, mod) in table.items()]
+    # the table is in nonempty_index_sets order, which is the order of the
+    # combinations of the index names by size
+    names = [str(i) for i in range(system.k)]
+    labels = [",".join(combo) for r in range(1, system.k + 1)
+              for combo in combinations(names, r)]
     if args.format == "csv":
         emit_csv(("index_set", "cardinality", "modified_cardinality"),
-                 ((f'"{ix}"', plain, mod) for ix, plain, mod in rows), out)
+                 ((f'"{ix}"', plain, mod)
+                  for ix, (plain, mod) in zip(labels, table.values())), out)
     else:
         payload = {
-            "table": [{"index_set": ix, "cardinality": plain,
-                       "modified_cardinality": mod}
-                      for ix, plain, mod in rows],
+            "table": _inclexcl_rows(labels, table.values()),
             "union_size": len(system.signatures),
             "union_via_modified": inclexcl.union_via_modified(system, table),
             "union_via_alternating": inclexcl.union_via_alternating(system,
@@ -345,6 +374,9 @@ def build_parser():
     return parser
 
 
+# built on the first run; parse_args keeps no state on the parser
+_parser = None
+
 HANDLERS = {
     "node-polys": cmd_node_polys,
     "count": cmd_count,
@@ -361,9 +393,11 @@ def run(argv=None, out=None, err=None, stdin=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     stdin = stdin if stdin is not None else sys.stdin
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

@@ -216,6 +216,10 @@ class NodePolynomialTable:
     def __setattr__(self, name, value):
         raise AttributeError("NodePolynomialTable is immutable")
 
+    def __reduce__(self):
+        # copy and pickle through the constructor, not __setattr__
+        return (type(self), (self.max_delta, self.entries))
+
     def __eq__(self, other):
         if type(other) is not NodePolynomialTable:
             return NotImplemented

@@ -252,6 +252,10 @@ class PSeries:
     def __setattr__(self, name, value):
         raise AttributeError("PSeries is immutable")
 
+    def __reduce__(self):
+        # copy and pickle through the constructor, not __setattr__
+        return (type(self), (self.coeffs,))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

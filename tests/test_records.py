@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from nodepoly.chern import K3, P2, RRCoefficients, SurfaceClass
+from nodepoly.chernpoly import ChernPoly
 from nodepoly.inclexcl import SetSystem
 from nodepoly.nodal import (BlowupCheck, FactorizedForm, NodalCount,
                             NodePolynomialTable, YauZaslowReport,
@@ -128,6 +129,22 @@ def test_record_immutability(record, twin, other, text):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert getattr(record, field) is value
+
+
+@pytest.mark.parametrize("record, twin, other, text", RECORDS, ids=IDS)
+def test_record_copy_and_pickle_round_trip(record, twin, other, text):
+    for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(copied) is type(record)
+        assert copied == record and repr(copied) == text
+
+
+def test_series_and_polynomials_copy_and_pickle():
+    for value in (PSeries([1, 2]), ChernPoly.variable(0),
+                  node_polynomials(2).generating_series()):
+        for copied in (copy.deepcopy(value), copy.copy(value),
+                       pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value)
+            assert copied == value and repr(copied) == repr(value)
 
 
 def test_set_system_equality_is_by_signature():
