@@ -81,8 +81,8 @@ class _Verbatim(str):
 
 def _write_json(value, newline, write):
     """Pass the JSON text of ``value`` (dict with str keys, list, str, int,
-    bool or None) to ``write`` in pieces; ``newline`` is a line break plus
-    the indent of the level ``value`` sits at.
+    bool, None or ``_Verbatim`` text) to ``write`` in pieces; ``newline`` is
+    a line break plus the indent of the level ``value`` sits at.
 
     ``json.dumps(indent=2)`` runs the pure-Python encoder (CPython's C
     encoder serves only ``indent=None``); this one covers just the types
