@@ -5,10 +5,11 @@ records its membership signature -- followed by ``modified_cardinalities``,
 on seeded inputs of the two regimes of the ``inclexcl`` command: k = 6 sets
 over 20000 elements (element-bound) and k = 10 over 2000 (lattice-bound),
 each element joining each set with probability 1/2.  The lists are built
-outside the timed call.  A second case times the whole command on the same
-inputs: ``cli.run(["inclexcl"])`` from the JSON text on stdin to the JSON
-document on stdout, parsing, counting and writing included.  Run it with
-pytest-benchmark installed:
+outside the timed call.  A lattice-only case times ``modified_cardinalities``
+alone on a prebuilt ``SetSystem``.  A last case times the whole command on
+the same inputs: ``cli.run(["inclexcl"])`` from the JSON text on stdin to
+the JSON document on stdout, parsing, counting and writing included.  Run it
+with pytest-benchmark installed:
 
     python -m pytest benchmarks/test_inclexcl.py                  # timings
     python -m pytest benchmarks --benchmark-disable -q            # one pass
@@ -41,10 +42,20 @@ def test_build_and_count(benchmark, shape):
     k, universe = SHAPES[shape]
     sets = seeded_sets(k, universe)
     benchmark.group = f"inclexcl {shape}"
-    table = benchmark(build_and_count, sets)
-    assert len(table) == 2 ** k - 1
-    assert sum(mod for _, mod in table.values()) == \
-        len(set().union(*sets))
+    plain, modified = benchmark(build_and_count, sets)
+    assert len(plain) == len(modified) == 2 ** k - 1
+    assert sum(modified) == len(set().union(*sets))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_lattice_only(benchmark, shape):
+    k, universe = SHAPES[shape]
+    sets = seeded_sets(k, universe)
+    system = SetSystem(sets)
+    benchmark.group = f"inclexcl {shape}"
+    plain, modified = benchmark(modified_cardinalities, system)
+    assert plain[:k] == [len(set(s)) for s in sets]
+    assert sum(modified) == len(set().union(*sets))
 
 
 def run_inclexcl(text):

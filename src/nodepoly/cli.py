@@ -241,17 +241,10 @@ def cmd_factorize(args, out):
 
 
 # One table row as _write_json lays it out at document["payload"]["table"],
-# three levels down; the keys are in sorted order.
+# three levels down; the keys are in sorted order and the labels need no
+# escaping.
 _ROW = ('{\n        "cardinality": %d,\n        "index_set": "%s",'
         '\n        "modified_cardinality": %d\n      }')
-
-
-def _inclexcl_rows(labels, counts):
-    """The JSON text of the table rows, a nonempty list of objects whose
-    labels need no escaping."""
-    rows = [_ROW % (plain, ix, mod)
-            for ix, (plain, mod) in zip(labels, counts)]
-    return _Verbatim("[\n      " + ",\n      ".join(rows) + "\n    ]")
 
 
 def cmd_inclexcl(args, out, stdin):
@@ -265,19 +258,20 @@ def cmd_inclexcl(args, out, stdin):
             or not all(isinstance(s, list) for s in data)):
         raise ValueError("input must be a JSON list of integer lists")
     system = inclexcl.SetSystem(data)
-    table = inclexcl.modified_cardinalities(system)
-    # the table is in nonempty_index_sets order, which is the order of the
+    plain, modified = table = inclexcl.modified_cardinalities(system)
+    # the lists are in nonempty_index_sets order, which is the order of the
     # combinations of the index names by size
     names = [str(i) for i in range(system.k)]
-    labels = [",".join(combo) for r in range(1, system.k + 1)
-              for combo in combinations(names, r)]
+    labels = [ix for r in range(1, system.k + 1)
+              for ix in map(",".join, combinations(names, r))]
     if args.format == "csv":
         emit_csv(("index_set", "cardinality", "modified_cardinality"),
-                 ((f'"{ix}"', plain, mod)
-                  for ix, (plain, mod) in zip(labels, table.values())), out)
+                 zip(map('"%s"'.__mod__, labels), plain, modified), out)
     else:
+        rows = map(_ROW.__mod__, zip(plain, labels, modified))
         payload = {
-            "table": _inclexcl_rows(labels, table.values()),
+            "table": _Verbatim("[\n      " + ",\n      ".join(rows)
+                               + "\n    ]"),
             "union_size": len(system.signatures),
             "union_via_modified": inclexcl.union_via_modified(system, table),
             "union_via_alternating": inclexcl.union_via_alternating(system,

@@ -7,8 +7,8 @@ membership signature -- the set of indices of the sets containing them --
 is I.  A :class:`SetSystem` is stored as that signature map (element ->
 bitmask, bit i for A_i), built in the same pass over the input that checks
 each element, so the union is its key set.  The histogram of the masks is
-the modified table; a superset-sum (zeta) transform over the 2^k masks,
-k * 2^k additions, turns it into the plain intersection sizes:
+the modified table; a superset-sum (zeta) transform over the 2^k masks
+turns it into the plain intersection sizes:
 
     |inter_I| = sum of modified(J) over all J containing I
 
@@ -18,14 +18,16 @@ is the same identity solved the other way round; it costs O(4^k) and is
 kept in the tests as the reference implementation.
 
 The modified values decompose the union additively, with no alternating
-signs; the classical alternating inclusion-exclusion sum is kept alongside
-as a second route to the same union count.
+signs; the classical alternating inclusion-exclusion sum, one signed block
+sum per index-set size, is kept as a second route to the union count.
 
 Index sets are 0-based throughout, matching the input list positions.
 """
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
+from operator import add
 
 MAX_SETS = 10
 
@@ -117,31 +119,32 @@ def intersection_table(system):
 
 
 def modified_cardinalities(system):
-    """Map from index set I to (plain, modified) cardinality.
+    """The lists ``(plain, modified)`` over the nonempty index sets, in
+    ``nonempty_index_sets(system.k)`` order.
 
     modified(I) counts the union elements whose membership signature is
     exactly I, a histogram of ``system.signatures``; plain(I) = |inter_I|
     is the sum of modified(J) over J >= I.
-    Keys come in ``nonempty_index_sets`` order.
     """
     size = 1 << system.k
     modified = [0] * size
     for mask in system.signatures.values():
         modified[mask] += 1
+    # superset sums, a bit b at a time: b stride-2b slices while b * 2b <=
+    # size, else size / 2b contiguous runs of b masks, whichever is fewer
     plain = modified[:]
     for i in range(system.k):
-        bit = 1 << i
-        for mask in range(size):
-            if not mask & bit:
-                plain[mask] += plain[mask | bit]
-    table = {}
+        b, step = 1 << i, 2 << i
+        if b * step <= size:
+            for j in range(b):
+                plain[j::step] = map(add, plain[j::step], plain[j + b::step])
+        else:
+            for s in range(b, size, step):
+                plain[s - b:s] = map(add, plain[s - b:s], plain[s:s + b])
     bits = [1 << i for i in range(system.k)]
-    for r in range(1, system.k + 1):
-        for combo, combo_bits in zip(combinations(range(system.k), r),
-                                     combinations(bits, r)):
-            mask = sum(combo_bits)
-            table[frozenset(combo)] = (plain[mask], modified[mask])
-    return table
+    masks = [mask for r in range(1, system.k + 1)
+             for mask in map(sum, combinations(bits, r))]
+    return [plain[m] for m in masks], [modified[m] for m in masks]
 
 
 def union_via_modified(system, table=None):
@@ -151,14 +154,18 @@ def union_via_modified(system, table=None):
     """
     if table is None:
         table = modified_cardinalities(system)
-    return sum(mod for _, mod in table.values())
+    return sum(table[1])
 
 
 def union_via_alternating(system, table=None):
     """Union size by the classical alternating inclusion-exclusion sum.
 
+    The plain values of the index sets of size r are one block of C(k, r),
+    whose sum enters with sign (-1)^(r+1).
     ``table`` is a ``modified_cardinalities(system)`` result to reuse.
     """
     if table is None:
         table = modified_cardinalities(system)
-    return sum((-1) ** (len(i) + 1) * plain for i, (plain, _) in table.items())
+    plain = iter(table[0])
+    return sum((-1) ** (r + 1) * sum(islice(plain, comb(system.k, r)))
+               for r in range(1, system.k + 1))

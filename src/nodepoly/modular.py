@@ -13,6 +13,7 @@ through ``qderiv`` so the identity dg2 = D(g2) stays a two-route check.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .series import PSeries
 
@@ -57,14 +58,15 @@ def d2g2_series(order):
 
 
 def euler_product(order):
-    """prod_{k>=1} (1 - q^k) truncated at the given order."""
+    """prod_{k>=1} (1 - q^k) truncated at the given order: 1 plus (-1)^j at
+    q^(j(3j - 1)/2) and q^(j(3j + 1)/2) for j >= 1 (pentagonal theorem)."""
     if order < 0:
         raise ValueError("order must be >= 0")
     out = [1] + [0] * order
-    for k in range(1, order + 1):
-        # multiply by (1 - q^k) in place, top coefficient first
-        for i in range(order, k - 1, -1):
-            out[i] -= out[i - k]
+    for j in range(1, isqrt(order) + 1):  # j(3j - 1)/2 >= j^2
+        for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if e <= order:
+                out[e] = (-1) ** j
     return PSeries(out)
 
 

@@ -13,7 +13,8 @@ from nodepoly.chern import (K3, P2, SurfaceClass, T4, rr_example_pairs,
                             solve_rr_coefficients)
 from nodepoly.chernpoly import ChernPoly
 from nodepoly.inclexcl import (SetSystem, modified_cardinalities,
-                               union_via_alternating, union_via_modified)
+                               nonempty_index_sets, union_via_alternating,
+                               union_via_modified)
 from nodepoly.modular import dg2_series
 from nodepoly.nodal import (b1_series, b2_series, blowup_identity_check,
                             closed_form_symbolic,
@@ -140,7 +141,8 @@ def test_criterion_7_inclusion_exclusion():
         k = rng.randint(1, 5)
         system = SetSystem([
             [x for x in range(12) if rng.random() < 0.4] for _ in range(k)])
-        table = modified_cardinalities(system)
+        plain, modified = modified_cardinalities(system)
+        table = dict(zip(nonempty_index_sets(k), zip(plain, modified)))
         signature = {}
         for x in system.union():
             sig = frozenset(i for i, s in enumerate(system.sets) if x in s)

@@ -3,7 +3,8 @@
 The signature oracle partitions the union by the exact index set of
 containing sets, one frozenset per element.  The backward-induction oracle
 builds every intersection and settles the lattice from the largest index
-sets down.  The histogram kernel must agree with both.
+sets down.  The histogram kernel must agree with both; its (plain, modified)
+lists are keyed by ``nonempty_index_sets`` to compare.
 """
 
 import random
@@ -14,6 +15,12 @@ import pytest
 from nodepoly.inclexcl import (SetSystem, intersection_table,
                                modified_cardinalities, nonempty_index_sets,
                                union_via_alternating, union_via_modified)
+
+
+def keyed(system):
+    """modified_cardinalities(system) as a map index set -> (plain, mod)."""
+    plain, modified = modified_cardinalities(system)
+    return dict(zip(nonempty_index_sets(system.k), zip(plain, modified)))
 
 
 def backward_induction_oracle(system):
@@ -58,7 +65,8 @@ def shaped_systems(rng, k):
 
 def test_two_set_example():
     system = SetSystem([{1, 2}, {2, 3}])
-    table = modified_cardinalities(system)
+    assert modified_cardinalities(system) == ([2, 2, 1], [1, 1, 1])
+    table = keyed(system)
     assert table[frozenset({0})] == (2, 1)
     assert table[frozenset({1})] == (2, 1)
     assert table[frozenset({0, 1})] == (1, 1)
@@ -78,7 +86,7 @@ def test_intersection_table():
 
 def test_identical_sets_concentrate_in_finest_intersection():
     system = SetSystem([{1, 2, 3}] * 4)
-    table = modified_cardinalities(system)
+    table = keyed(system)
     full = frozenset(range(4))
     for index_set, (plain, modified) in table.items():
         assert plain == 3
@@ -102,7 +110,7 @@ def test_full_index_modified_equals_plain():
     rng = random.Random(3)
     for _ in range(20):
         system = random_system(rng)
-        table = modified_cardinalities(system)
+        table = keyed(system)
         full = frozenset(range(system.k))
         plain, modified = table[full]
         assert plain == modified
@@ -112,7 +120,7 @@ def test_recursion_matches_signature_oracle():
     rng = random.Random(13)
     for _ in range(100):
         system = random_system(rng)
-        table = modified_cardinalities(system)
+        table = keyed(system)
         oracle = signature_oracle(system)
         for index_set, (_, modified) in table.items():
             assert modified == oracle.get(index_set, 0)
@@ -123,12 +131,54 @@ def test_kernel_matches_both_oracles_up_to_ten_sets():
     rng = random.Random(101)
     for k in range(1, 11):
         for system in shaped_systems(rng, k):
-            table = modified_cardinalities(system)
-            assert list(table) == list(nonempty_index_sets(k))
-            assert table == backward_induction_oracle(system)
+            plain, modified = modified_cardinalities(system)
+            assert len(plain) == len(modified) == 2 ** k - 1
+            table = dict(zip(nonempty_index_sets(k), zip(plain, modified)))
+            induction = backward_induction_oracle(system)
+            assert table == induction
             oracle = signature_oracle(system)
-            for index_set, (_, modified) in table.items():
-                assert modified == oracle.get(index_set, 0)
+            for index_set, (_, mod) in table.items():
+                assert mod == oracle.get(index_set, 0)
+            # the size-block alternating sum against the oracle's union
+            assert union_via_alternating(system) == \
+                sum(mod for _, mod in induction.values())
+
+
+def naive_superset_sums(values):
+    """The k * 2^k loop: values[m] += values[m | bit] for m without bit."""
+    values = values[:]
+    k = len(values).bit_length() - 1
+    for i in range(k):
+        bit = 1 << i
+        for mask in range(len(values)):
+            if not mask & bit:
+                values[mask] += values[mask | bit]
+    return values
+
+
+def test_slice_transform_matches_naive_loop():
+    # A seeded histogram over the 2^k masks, realised as a set system with
+    # counts[m] elements of signature m; the plain list must equal the naive
+    # superset sums read in nonempty_index_sets order.  Every k = 1..10
+    # runs the stride slices for the low bits and the contiguous runs for
+    # the high ones (k = 1 only the stride, k = 2 one of each).
+    rng = random.Random(71)
+    for k in range(1, 11):
+        counts = [0] + [rng.choice((0, 0, 1, 2, 5)) for _ in range(1, 2 ** k)]
+        sets = [[] for _ in range(k)]
+        x = 0
+        for mask, count in enumerate(counts):
+            for _ in range(count):
+                for i in range(k):
+                    if mask >> i & 1:
+                        sets[i].append(x)
+                x += 1
+        masks = [sum(1 << i for i in index_set)
+                 for index_set in nonempty_index_sets(k)]
+        expected = naive_superset_sums(counts)
+        plain, modified = modified_cardinalities(SetSystem(sets))
+        assert modified == [counts[m] for m in masks]
+        assert plain == [expected[m] for m in masks]
 
 
 def test_union_routes_reuse_a_table():
@@ -146,7 +196,7 @@ def test_lemma_identity_holds_for_every_index_set():
     rng = random.Random(29)
     for _ in range(50):
         system = random_system(rng)
-        table = modified_cardinalities(system)
+        table = keyed(system)
         for index_set, (plain, modified) in table.items():
             finer = sum(mod for j, (_, mod) in table.items()
                         if j > index_set)

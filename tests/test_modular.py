@@ -165,11 +165,26 @@ def pentagonal_series(order):
     return out
 
 
+def euler_product_loop(order):
+    """prod_{k=1..order} (1 - q^k) by multiplying each factor in place, top
+    coefficient first: O(order^2), independent of the pentagonal theorem."""
+    out = [1] + [0] * order
+    for k in range(1, order + 1):
+        for i in range(order, k - 1, -1):
+            out[i] -= out[i - k]
+    return out
+
+
 def test_euler_product_is_pentagonal():
     # Euler's pentagonal number theorem gives the sparse expansion
     assert list(euler_product(12).coeffs) == \
         [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
     assert list(euler_product(300).coeffs) == pentagonal_series(300)
+    # factors past q^n leave the coefficients up to q^n alone, so every
+    # truncation order 0..300 is a prefix of the one loop product
+    oracle = euler_product_loop(300)
+    for order in range(301):
+        assert list(euler_product(order).coeffs) == oracle[:order + 1]
     assert list(euler_product(0).coeffs) == [1]
     assert list(euler_product(1).coeffs) == [1, -1]
     with pytest.raises(ValueError):
