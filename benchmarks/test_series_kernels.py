@@ -2,11 +2,12 @@
 
 Each kernel runs at fixed orders on the two bases whose logs and powers the
 closed form takes, DG2/q and Delta*D2G2/q^2: mul (s*s), inverse, log, exp
-(of log s) and s**(-5/4) at N = 48 and 96; the reversion of DG2 and the
-composition of log(DG2/q) with that reversion (the substitution q =
-DG2^{-1}(t) of the node polynomials) at M = 16 and 28.  Inputs are built
-outside the timed call.  This directory is outside the tier-1 test paths;
-run it with pytest-benchmark installed:
+(of log s) and s**(-5/4) at N = 48, 64 and 96; the reversion of DG2 and
+the composition of log(DG2/q) with that reversion (the substitution q =
+DG2^{-1}(t) of the node polynomials) at M = 16, 20 and 28.  N = 64 and
+M = 20 are where the median op of the ``qseries-deep`` workload sits.
+Inputs are built outside the timed call.  This directory is outside the
+tier-1 test paths; run it with pytest-benchmark installed:
 
     python -m pytest benchmarks                                # timings
     python -m pytest benchmarks --benchmark-disable -q         # one pass each
@@ -18,8 +19,8 @@ import pytest
 
 from nodepoly.modular import d2g2_series, delta_series, dg2_series
 
-ORDERS = (48, 96)
-REVERSION_ORDERS = (16, 28)
+ORDERS = (48, 64, 96)
+REVERSION_ORDERS = (16, 20, 28)
 BASES = {
     "DG2/q": lambda n: dg2_series(n + 1).shift_down(1),
     "Delta*D2G2/q^2": lambda n: (delta_series(n + 2) * d2g2_series(n + 2)).shift_down(2),

@@ -17,6 +17,8 @@ from math import isqrt
 
 from .series import PSeries
 
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
 
 def sigma1(k):
     """Sum of the positive divisors of k."""
@@ -62,11 +64,11 @@ def euler_product(order):
     q^(j(3j - 1)/2) and q^(j(3j + 1)/2) for j >= 1 (pentagonal theorem)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = [1] + [0] * order
+    out = [_ONE] + [_ZERO] * order
     for j in range(1, isqrt(order) + 1):  # j(3j - 1)/2 >= j^2
         for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
             if e <= order:
-                out[e] = (-1) ** j
+                out[e] = _MINUS_ONE if j % 2 else _ONE
     return PSeries(out)
 
 

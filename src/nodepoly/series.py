@@ -20,11 +20,14 @@ coefficient rings take a generic loop.  The inverse, log, exp, powers s**e
 inversion, with each power by Miller's recurrence) work the same way, so
 all seven Fraction kernels run in integers.  Those five have no generic
 loop: they need Fraction coefficients, and any other coefficient raises
-TypeError there.
+TypeError there.  The integer kernels accumulate their inner sums in plain
+``for`` loops, not ``sum`` over a generator: at the orders the closed form
+needs (N <= 96) resuming a generator for each term costs about as much as
+the big-integer product it feeds.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def _promote(c):
@@ -52,8 +55,16 @@ def _reciprocal(c):
 def _integer_run(a):
     """Clear an all-Fraction run to integers: (d, [a_k * d]) with d the
     least common denominator, so that a = A/d."""
-    d = lcm(*(c.denominator for c in a))
-    return d, [c.numerator * (d // c.denominator) for c in a]
+    return _clear_pairs(list(map(Fraction.as_integer_ratio, a)))
+
+
+def _clear_pairs(pairs):
+    """:func:`_integer_run` for a run given as reduced (numerator,
+    denominator) pairs."""
+    d = lcm(*[q for _, q in pairs])
+    if d == 1:
+        return 1, [n for n, _ in pairs]
+    return d, [n * (d // q) for n, q in pairs]
 
 
 def _scale_up(num, base):
@@ -104,6 +115,8 @@ def _invert_fractions(a):
             if x:
                 acc += x * o[k - j]
         o.append(-acc)
+    if a0 == 1:
+        return [Fraction(d * x) for x in o]
     out = []
     p = a0
     for x in o:
@@ -125,7 +138,9 @@ def _log_fractions(a):
     out = [Fraction(0)]
     den = 1
     for n in range(1, len(num)):
-        x = n * scaled[n] - sum(kl[k] * scaled[n - k] for k in range(1, n))
+        x = n * scaled[n]
+        for k in range(1, n):
+            x -= kl[k] * scaled[n - k]
         kl.append(x)
         den *= d
         out.append(Fraction(x, n * den))
@@ -139,7 +154,12 @@ def _exp_fractions(a):
     B_0 = 1 and B_n = sum_k C_k * dc^(k-1) * B_(n-k) * (n-1)!/(n-k)!.
     The falling factorial is applied by Horner's rule over n-k.
     """
-    dc, num = _integer_run([k * c for k, c in enumerate(a)])
+    pairs = []
+    for k, c in enumerate(a):  # k*a_k in lowest terms, without Fractions
+        n, q = c.as_integer_ratio()
+        g = gcd(k, q)
+        pairs.append((k // g * n, q // g))
+    dc, num = _clear_pairs(pairs)
     scaled = _scale_up(num, dc)
     b = [1]
     for n in range(1, len(a)):
@@ -176,7 +196,10 @@ def _miller(num, p, r, n):
     for m in range(1, n):
         if i < len(terms) and terms[i][0] == m:
             i += 1  # terms is sorted by k: sum over those with k <= m
-        b.append(sum((pk - r * m) * x * b[m - k] for k, pk, x in terms[:i]) // m)
+        rm, acc = r * m, 0
+        for k, pk, x in terms[:i]:
+            acc += (pk - rm) * x * b[m - k]
+        b.append(acc // m)
     return b, step
 
 
@@ -185,10 +208,12 @@ def _power_fractions(a, e):
     b_m = a_0^p * B_m / (A_0 r^2)^m with the B_m of :func:`_miller`."""
     p = e.numerator
     b, step = _miller(_integer_run(a)[1], p, e.denominator, len(a))
-    b0 = a[0] ** p
-    out, den = [], b0.denominator
+    top, den = (a[0] ** p).as_integer_ratio()
+    if den == 1 and step == 1:
+        return [Fraction(top * x) for x in b]
+    out = []
     for x in b:
-        out.append(Fraction(b0.numerator * x, den))
+        out.append(Fraction(top * x, den))
         den *= step
     return out
 
@@ -237,7 +262,7 @@ class PSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, order=None):
-        cs = [_promote(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else _promote(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("truncation order must be >= 0")
@@ -475,6 +500,8 @@ class PSeries:
         """Exact multiplication by q^m; the order grows by m."""
         if m < 0:
             raise ValueError("shift must be >= 0")
+        if m == 0:
+            return self
         return PSeries((Fraction(0),) * m + self.coeffs)
 
     # -- display -----------------------------------------------------------

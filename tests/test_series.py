@@ -21,7 +21,7 @@ import pytest
 
 from nodepoly.chernpoly import ChernPoly
 from nodepoly.modular import (d2g2_series, delta_series, dg2_series,
-                               partition_power_series)
+                               euler_product, partition_power_series)
 from nodepoly.series import PSeries
 
 F = Fraction
@@ -47,6 +47,11 @@ def poly_compose(outer, inner, order):
             result[k] += c * power[k]
         power = poly_mul(power, inner, order)
     return result
+
+
+def assert_fractions(s):
+    """Every coefficient is a Fraction: an int would compare equal to one."""
+    assert all(type(c) is Fraction for c in s.coeffs)
 
 
 def random_series(rng, order, lo=-5, hi=5):
@@ -145,27 +150,40 @@ def test_inverse_matches_generic_loop():
         got = s.inverse()
         assert got == inverse_oracle(s)
         assert s * got == PSeries.one(order)
+        assert_fractions(got)
     # non-unit and negative constant terms, integer and rational
     for c0 in (F(-1), F(3), F(-7, 2), F(5, 49)):
         s = PSeries((c0,) + random_rational_series(rng, 20).coeffs[1:])
         assert s.inverse() == inverse_oracle(s)
+    # cleared constant term 1, so every output denominator is 1: a sparse
+    # integer base, and one whose constant term is 1/d for the common d
+    for s in (euler_product(48), PSeries([F(1, 6), F(1, 2), F(-2, 3), 5, 0])):
+        got = s.inverse()
+        assert got == inverse_oracle(s)
+        assert_fractions(got)
 
 
 def test_exp_matches_generic_loop():
     rng = random.Random(67)
     for order in range(41):
         s = random_rational_series(rng, order, first=1)
-        assert s.exp() == exp_oracle(s)
+        got = s.exp()
+        assert got == exp_oracle(s)
+        assert_fractions(got)
     # integer k*a_k, the shape of every log-series exp'd in the package
     s = PSeries([0] + [F(rng.randint(-9, 9), k) for k in range(1, 31)])
-    assert s.exp() == exp_oracle(s)
+    got = s.exp()
+    assert got == exp_oracle(s)
+    assert_fractions(got)
 
 
 def test_log_matches_oracle():
     rng = random.Random(71)
     for order in range(41):
         s = PSeries((F(1),) + random_rational_series(rng, order).coeffs[1:])
-        assert s.log() == log_oracle(s)
+        got = s.log()
+        assert got == log_oracle(s)
+        assert_fractions(got)
 
 
 def test_reversion_matches_oracle():
@@ -175,7 +193,9 @@ def test_reversion_matches_oracle():
         s = random_rational_series(rng, order, first=1)
         while s.coeffs[1] == 0:
             s = random_rational_series(rng, order, first=1)
-        assert s.reversion() == reversion_oracle(s)
+        got = s.reversion()
+        assert got == reversion_oracle(s)
+        assert_fractions(got)
 
 
 def test_reversion_of_dg2_at_order_28():
@@ -232,6 +252,10 @@ def test_order_and_padding():
     assert s.order == 3
     assert s.coeffs == (F(1), F(2), F(0), F(0))
     assert PSeries([1, 2, 3, 4], order=1).coeffs == (F(1), F(2))
+    for coeffs in ([1, 2], [F(1, 2), F(3)], [1, F(1, 2), 0, F(-4)]):
+        assert_fractions(PSeries(coeffs))
+        assert_fractions(PSeries(coeffs, order=5))
+        assert_fractions(PSeries(coeffs, order=0))
     with pytest.raises(ValueError):
         PSeries([])
     with pytest.raises(TypeError):
@@ -322,6 +346,7 @@ def test_compose_random_against_brute_force():
         got = outer.compose(inner)
         assert list(got.coeffs) == poly_compose(
             list(outer.coeffs), list(inner.coeffs), 8)
+        assert_fractions(got)
 
 
 def test_compose_rational_against_brute_force():
@@ -335,6 +360,7 @@ def test_compose_rational_against_brute_force():
         assert got.order == k
         assert list(got.coeffs) == poly_compose(
             list(outer.coeffs), list(inner.coeffs), k)
+        assert_fractions(got)
 
 
 def test_compose_rejects_nonzero_inner_constant():
@@ -441,14 +467,27 @@ def test_pow_matches_oracle():
             while s.coeffs[0] == 0:
                 s = random_rational_series(rng, order)
             e = rng.randint(-12, 12)
-            assert s ** e == pow_oracle(s, e)
+            got = s ** e
+            assert got == pow_oracle(s, e)
+            assert_fractions(got)
         s = PSeries((F(1),) + random_rational_series(rng, order).coeffs[1:])
         e = F(rng.randint(-40, 40), rng.randint(2, 12))
-        assert s ** e == pow_oracle(s, e)
+        got = s ** e
+        assert got == pow_oracle(s, e)
+        assert_fractions(got)
     for c0 in (F(-1), F(3), F(-7, 2), F(5, 49)):
         s = PSeries((c0,) + random_rational_series(rng, 20).coeffs[1:])
         for e in (-5, -1, 1, 7):
             assert s ** e == pow_oracle(s, e)
+    # integer e and cleared constant term 1, so every output denominator
+    # is 1: a sparse integer base (the partition powers and Delta), and a
+    # constant term 1/d for the common d under negative e
+    for s, exponents in ((euler_product(48), (-24, -8, -1, 1, 24, F(-5, 4))),
+                         (PSeries([F(1, 6), F(1, 2), F(-2, 3), 5, 0]), (-3, -1))):
+        for e in exponents:
+            got = s ** e
+            assert got == pow_oracle(s, e)
+            assert_fractions(got)
 
 
 def test_pow_zero_constant_term():
@@ -520,6 +559,7 @@ def test_ring_axioms_random():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+        assert_fractions(a * b)
 
 
 def test_ring_axioms_at_order_32():
@@ -536,6 +576,12 @@ def test_shift_up_down():
     dg2_like = PSeries([0, 1, 6, 12], order=3)
     assert dg2_like.shift_down(1) == PSeries([1, 6, 12])
     assert PSeries([1, 6, 12]).shift_up(1) == PSeries([0, 1, 6, 12])
+    s = PSeries([0, 0, 1, F(1, 2)])
+    assert s.shift_up(0) == s
+    assert s.shift_down(0) == s
+    for m in (0, 1, 2):
+        assert_fractions(s.shift_up(m))
+        assert_fractions(s.shift_down(m))
     with pytest.raises(ValueError):
         PSeries([1, 1], order=3).shift_down(1)
 
