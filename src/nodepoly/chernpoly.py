@@ -13,8 +13,8 @@ coefficients of the symbolic closed form are ChernPolys, built once at the
 end of ``nodal._exp_linear``.  It is not an exponent type: the exponents of
 the closed form are the Fraction matrix ``nodal.EXPONENTS``.  The class
 implements enough ring structure to serve as a coefficient ring for the
-sums, products and compositions of :class:`nodepoly.series.PSeries`, which
-is how the tests' polynomial-coefficient oracles use it.
+sums and products of :class:`nodepoly.series.PSeries`, which is how the
+tests' polynomial-coefficient oracles use it.
 """
 
 from fractions import Fraction

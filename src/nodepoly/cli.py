@@ -223,10 +223,8 @@ def cmd_rr_solve(args, out):
 
 
 def cmd_factorize(args, out):
-    table = nodal.node_polynomials(args.max_delta)
     form = nodal.factorize_generating_function(args.max_delta)
-    reassembled = form.generating_function()
-    ok = reassembled == table.generating_series()
+    ok = form.reassembles()
     payload = {
         "log_A1": fmt_series(form.log_a1),
         "log_A2": fmt_series(form.log_a2),

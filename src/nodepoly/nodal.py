@@ -20,15 +20,16 @@ numeric: the Chern tuple is dotted with the four series and one Fraction
 series is exponentiated.  The polynomial ring appears only in the one
 integer exp, :func:`_exp_linear`, that turns the four series into F with
 polynomial coefficients, whose t^delta coefficient is T_delta.  The same
-four series are the factorization of log F into per-Chern-number power
-series; the Yau-Zaslow count on K3 and the one-point blowup formula are
-checked too.
+four series are the factorization of log F per Chern number, checked by
+:meth:`FactorizedForm.reassembles`; the Yau-Zaslow count on K3 and the
+one-point blowup formula are checked too.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
+from .chern import K3, P2, T4
 from .chernpoly import ChernPoly
 from .modular import (d2g2_series, delta_series, dg2_series,
                       partition_power_series)
@@ -49,6 +50,9 @@ EXPONENTS = tuple(tuple(map(Fraction, row)) for row in (
     (0, 1, 0, 0),
     (0, 0, "-1/24", "-1/24"),
 ))
+
+# Four independent Chern tuples (L2, LK, K2, c2): FactorizedForm.reassembles
+CHECK_SURFACES = (P2(1), P2(2), K3(2), T4(2))
 
 IN_RANGE = "in range"
 OUT_OF_RANGE = "outside guaranteed range"
@@ -125,14 +129,12 @@ def _log_rows(order):
 def _log_rows_in_t(order):
     """The rows of :func:`_log_rows` with q = DG2^{-1}(t) substituted.
 
-    Substitution is linear, so the base log-series are composed first and
-    regrouped after.  Truncated at t^0 the inverse of DG2 is the zero
-    series, and reversion needs order >= 1, so order 0 substitutes zero
-    directly.
+    Truncated at t^0 the inverse of DG2 is the zero series, and reversion
+    needs order >= 1, so order 0 substitutes zero directly.
     """
-    logs = [base.log() for base in _bases(order)]
+    rows = _log_rows(order)
     inverse = dg2_series(order).reversion() if order else PSeries.zero(0)
-    return _regroup([log.compose(inverse) for log in logs])
+    return tuple(row.compose(inverse) for row in rows)
 
 
 def _exp_linear(rows):
@@ -341,7 +343,6 @@ def blowup_identity_check(surface, order=MAX_DELTA):
 
     This is the one-point blowup formula in denominator-free form.
     """
-    _check_order(order)
     lhs = (closed_form_series(surface.blowup(), order)
            * b1_series(order) * dg2_normalized(order))
     rhs = closed_form_series(surface, order) * b2_series(order)
@@ -354,10 +355,15 @@ class FactorizedForm(namedtuple("FactorizedForm",
     F(t) = A1(t)^K2 * A2(t)^c2 * A3(t)^L2 * A4(t)^LK."""
     __slots__ = ()
 
-    def generating_function(self):
-        """Reassemble F(t) with polynomial coefficients from the four logs."""
-        return _exp_linear((self.log_a3, self.log_a4, self.log_a1,
-                            self.log_a2))
+    def reassembles(self):
+        """Whether F from the four series, composed with t = DG2(q), equals
+        :func:`closed_form_series` (the ``**`` route) on each surface of
+        :data:`CHECK_SURFACES`; log F is linear, so that fixes all four."""
+        rows = (self.log_a3, self.log_a4, self.log_a1, self.log_a2)
+        dg2 = dg2_series(self.max_delta)
+        return all(_numeric_series(rows, s.chern_tuple()).compose(dg2)
+                   == closed_form_series(s, self.max_delta)
+                   for s in CHECK_SURFACES)
 
 
 def factorize_generating_function(max_delta=MAX_DELTA):

@@ -5,25 +5,22 @@ represents a power series known exactly modulo ``q^(N+1)``.  The truncation
 order travels with the value: binary operations on series of different
 orders truncate to the smaller order, so precision loss is always explicit.
 
-Sums, products and composition accept coefficients in any commutative ring
-containing the rationals that supports ``+``, ``-``, ``*`` and comparison
-with the scalars 0 and 1.  ``fractions.Fraction`` and
-:class:`nodepoly.chernpoly.ChernPoly` both qualify; the two can be mixed
-freely inside one series.  Plain ``int`` coefficients are promoted to
+Sums and products accept coefficients in any commutative ring containing
+the rationals that supports ``+``, ``-``, ``*`` and comparison with the
+scalars 0 and 1, such as :class:`nodepoly.chernpoly.ChernPoly`, mixed
+freely with ``Fraction``.  Plain ``int`` coefficients are promoted to
 ``Fraction`` on construction so division never silently produces floats.
 
-When every coefficient is a ``Fraction``, the product and the composition
-clear denominators once, run their recurrences (a convolution, Horner's
-rule) in Python ints and build one Fraction per output coefficient; other
-coefficient rings take a generic loop.  The inverse, log, exp, powers s**e
-(for an int or Fraction e, one Miller recurrence) and reversion (Lagrange
-inversion, with each power by Miller's recurrence) work the same way, so
-all seven Fraction kernels run in integers.  Those five have no generic
-loop: they need Fraction coefficients, and any other coefficient raises
-TypeError there.  The integer kernels accumulate their inner sums in plain
-``for`` loops, not ``sum`` over a generator: at the orders the closed form
-needs (N <= 96) resuming a generator for each term costs about as much as
-the big-integer product it feeds.
+On all-``Fraction`` series the seven kernels -- product, composition
+(Horner's rule), inverse, log, exp, powers s**e (for an int or Fraction e,
+one Miller recurrence) and reversion (Lagrange inversion, each power by
+Miller's recurrence) -- clear denominators once, run in Python ints and
+build one Fraction per output coefficient.  Only the product has a generic
+loop for other coefficient rings; the other six raise TypeError on them.
+The integer kernels accumulate their inner sums in plain ``for`` loops, not
+``sum`` over a generator: at the orders the closed form needs (N <= 96)
+resuming a generator for each term costs about as much as the big-integer
+product it feeds.
 """
 
 from fractions import Fraction
@@ -223,17 +220,22 @@ def _compose_fractions(c, g):
 
     With c = C/dc and g = G/dg, Horner's rule scaled by dg^(n-k) reads
     R_n = C_n and R_k = R_(k+1) * G + C_k * dg^(n-k), so c(g) = R_0 /
-    (dc * dg^n).  As G_0 = 0, R_k is needed only to q^(n-k).
+    (dc * dg^n).  As G_0 = 0, R_k is needed only to q^(n-k), and its q^t
+    coefficient reads R_(k+1) below q^t only: R is updated in place, top down.
     """
     n = len(c) - 1
     dc, num = _integer_run(c)
     dg, inner = _integer_run(g)
-    r = [num[n]]
+    r = [num[n]] + [0] * n
     p = 1
     for k in range(n - 1, -1, -1):
         p *= dg
-        r = [num[k] * p] + [sum(r[i] * inner[t - i] for i in range(t))
-                            for t in range(1, n - k + 1)]
+        for t in range(n - k, 0, -1):
+            acc = 0
+            for i in range(t):
+                acc += r[i] * inner[t - i]
+            r[t] = acc
+        r[0] = num[k] * p
     den = dc * p
     return [Fraction(x, den) for x in r]
 
@@ -444,18 +446,12 @@ class PSeries:
 
     def compose(self, inner):
         """Formal substitution self(inner); inner must kill the constant."""
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition needs inner constant term 0")
         n = min(self.order, inner.order)
         c, g = self.coeffs[:n + 1], inner.coeffs[:n + 1]
-        if all(type(x) is Fraction for x in c) \
-                and all(type(x) is Fraction for x in g):
-            return PSeries(_compose_fractions(c, g))
-        g = PSeries(g)
-        result = PSeries.constant(c[n], n)
-        for k in range(n - 1, -1, -1):
-            result = result * g + c[k]
-        return result
+        _require_fractions(c + g, "compose")
+        if g[0] != 0:
+            raise ValueError("composition needs inner constant term 0")
+        return PSeries(_compose_fractions(c, g))
 
     def reversion(self):
         """Compositional inverse: the series g with self(g) = g(self) = q.

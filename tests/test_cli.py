@@ -14,7 +14,7 @@ from nodepoly.cli import (MAX_PARTITION_EXPONENT, MAX_SERIES_ORDER,
 from nodepoly.inclexcl import SetSystem
 
 from test_inclexcl import backward_induction_oracle
-from test_nodal import cap_message
+from test_nodal import cap_message, swap_two_rows
 
 
 def invoke(argv, stdin_text=""):
@@ -253,14 +253,24 @@ def test_factorize_at_delta_zero():
     assert [payload[f"log_A{i}"] for i in range(1, 5)] == [["0"]] * 4
 
 
-def test_factorize_builds_node_polynomials_once(monkeypatch):
-    calls = []
-    build = nodal.node_polynomials
-    monkeypatch.setattr(nodal, "node_polynomials",
-                        lambda *a: calls.append(a) or build(*a))
+def test_factorize_builds_no_polynomial(monkeypatch):
+    calls = {"_exp_linear": [], "_log_rows_in_t": []}
+    for name, record in calls.items():
+        build = getattr(nodal, name)
+        monkeypatch.setattr(nodal, name, lambda *a, record=record,
+                            build=build: record.append(a) or build(*a))
     code, _, _ = invoke(["factorize", "--max-delta", "3"])
     assert code == 0
-    assert calls == [(3,)]
+    assert calls == {"_exp_linear": [], "_log_rows_in_t": [(3,)]}
+
+
+def test_factorize_exits_one_on_wrong_rows(monkeypatch):
+    regroup = nodal._regroup
+    monkeypatch.setattr(nodal, "_regroup",
+                        lambda logs: swap_two_rows(regroup(logs)))
+    code, out, _ = invoke(["factorize", "--max-delta", "5"])
+    assert code == 1
+    assert '"reassembly_exact": false' in out
 
 
 def test_inclexcl_from_stdin():

@@ -5,21 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from nodepoly import chernpoly
-from nodepoly.chern import (K3, P2, SurfaceClass, T4, parse_surface,
+from nodepoly import chernpoly, nodal
+from nodepoly.chern import (K3, P2, SurfaceClass, T4, _solve4, parse_surface,
                             rr_example_pairs, solve_rr_coefficients)
 from nodepoly.chernpoly import ChernPoly
 from nodepoly.modular import dg2_series
-from nodepoly.nodal import (EXPONENTS, IN_RANGE, MAX_DELTA, OUT_OF_RANGE,
-                            RANGE_UNKNOWN, _exp_linear, _log_rows,
-                            _log_rows_in_t, b1_series, b2_series,
+from nodepoly.nodal import (CHECK_SURFACES, EXPONENTS, IN_RANGE, MAX_DELTA,
+                            OUT_OF_RANGE, RANGE_UNKNOWN, _exp_linear,
+                            _log_rows, _log_rows_in_t, b1_series, b2_series,
                             blowup_identity_check, closed_form_series,
                             closed_form_symbolic, count_nodal,
                             dg2_normalized, discriminant_factor,
                             factorize_generating_function, node_polynomials,
                             validity_range, yau_zaslow_check)
 from nodepoly.series import PSeries
-from test_series import exp_oracle, log_oracle, random_rational_series
+from test_series import (exp_oracle, log_oracle, poly_compose,
+                         random_rational_series)
 
 
 def random_surface(rng, span=6):
@@ -201,9 +202,10 @@ def test_table_basics():
 
 
 def test_defining_substitution_round_trip():
-    table = node_polynomials(5)
-    f = table.generating_series()
-    assert f.compose(dg2_series(5)) == closed_form_symbolic(5)
+    # PSeries.compose takes Fraction coefficients only: compose as lists
+    f = node_polynomials(5).generating_series()
+    assert poly_compose(list(f), list(dg2_series(5)), 5) == \
+        list(closed_form_symbolic(5))
 
 
 def test_specialization_commutes_with_extraction():
@@ -350,8 +352,46 @@ def test_factorization_linear_parts():
 
 def test_factorization_reassembles_exactly():
     form = factorize_generating_function(5)
-    assert form.generating_function() == \
+    assert form.reassembles()
+    assert linear_exp_oracle((form.log_a3, form.log_a4, form.log_a1,
+                              form.log_a2)) == \
         node_polynomials(5).generating_series()
+
+
+def test_reassembly_surfaces_are_independent():
+    # four independent Chern tuples: the 4x4 system is nonsingular
+    assert [s.name for s in CHECK_SURFACES] == ["P2:1", "P2:2", "K3:2",
+                                                "T4:2"]
+    _solve4([s.chern_tuple() for s in CHECK_SURFACES], [1, 2, 3, 4])
+    # P2:M, K3:8, T4:6 and 9,-9,9,3 are not: P2:3 is the tuple 9,-9,9,3
+    singular = [P2(3), K3(8), T4(6), parse_surface("9,-9,9,3")]
+    with pytest.raises(ValueError):
+        _solve4([s.chern_tuple() for s in singular], [1, 2, 3, 4])
+
+
+def swap_two_rows(rows):
+    l2, lk, k2, c2 = rows
+    return lk, l2, k2, c2
+
+
+def _zero_c2_row(rows):
+    l2, lk, k2, c2 = rows
+    return l2, lk, k2, PSeries.zero(c2.order)
+
+
+def _bump_k2_top(rows):
+    l2, lk, k2, c2 = rows
+    return l2, lk, k2 + PSeries.one(k2.order).shift_up(k2.order), c2
+
+
+@pytest.mark.parametrize("mutate", [swap_two_rows, _zero_c2_row,
+                                    _bump_k2_top])
+def test_reassembly_catches_wrong_rows(monkeypatch, mutate):
+    # node_polynomials reads the same mutated rows, so only a comparison
+    # with the closed form sees these
+    regroup = nodal._regroup
+    monkeypatch.setattr(nodal, "_regroup", lambda logs: mutate(regroup(logs)))
+    assert not factorize_generating_function(5).reassembles()
 
 
 def test_factorization_log_is_homogeneous_linear():
@@ -390,8 +430,9 @@ def test_closed_form_symbolic_matches_product_of_exps():
 def test_node_polynomials_match_symbolic_compose():
     assert node_polynomials(0).generating_series() == PSeries.one(0)
     for n in range(1, 6):
-        composed = closed_form_symbolic(n).compose(dg2_series(n).reversion())
-        assert node_polynomials(n).generating_series() == composed
+        composed = poly_compose(list(closed_form_symbolic(n)),
+                                list(dg2_series(n).reversion()), n)
+        assert list(node_polynomials(n).generating_series()) == composed
 
 
 def test_factorization_matches_symbolic_log():
@@ -415,7 +456,8 @@ def test_integer_exp_matches_oracle_on_package_terms():
             linear_exp_oracle(_log_rows_in_t(n))
         assert closed_form_symbolic(n) == linear_exp_oracle(_log_rows(n))
         form = factorize_generating_function(n)
-        assert form.generating_function() == linear_exp_oracle(
+        assert form.reassembles()
+        assert node_polynomials(n).generating_series() == linear_exp_oracle(
             (form.log_a3, form.log_a4, form.log_a1, form.log_a2))
 
 

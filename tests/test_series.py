@@ -243,6 +243,11 @@ def test_kernels_reject_polynomial_coefficients():
             getattr(s, method)()
     with pytest.raises(TypeError):
         PSeries([1, 1], order=3) / x
+    q = PSeries.identity(3)
+    for outer, inner in ((PSeries([one, x], order=3), q),
+                         (PSeries([1, 1], order=3), PSeries([0, x], order=3))):
+        with pytest.raises(TypeError):
+            outer.compose(inner)
 
 
 # -- construction and truncation ---------------------------------------------
