@@ -16,7 +16,12 @@ strings ASCII-escaped (non-ASCII and control characters as \\uXXXX), and
 generic emitter: each is filled into a fixed row template laid out at its
 depth, held by the tests to the same ``json.dumps`` contract.
 
-The argument parser is built on the first ``run`` of a process and reused.
+A command line of the form ``<command> (--option value)*`` whose values
+all pass is read directly from the command table (``read_args``), without
+importing argparse; any other, ``--help`` and every usage error included,
+goes to the argparse parser built from the same table, which is built on
+the first such ``run`` of a process and reused.  Only ``inclexcl`` imports
+the json package, for its stdin.
 
 Exit codes: 0 success (and exact equality for the comparison commands),
 1 mathematical mismatch or failed internal check, 2 the input was rejected:
@@ -25,18 +30,16 @@ surface or set system) or from the CLI's own bounds, or a division by zero
 the input asked for.  Errors are one line on stderr.
 """
 
-import argparse
-import json
 import sys
+from _json import encode_basestring_ascii
 from fractions import Fraction
 from itertools import combinations
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import inclexcl, nodal
 from .chern import parse_surface, rr_example_pairs, solve_rr_coefficients
 from .modular import (d2g2_series, delta_series, dg2_series, g2_series,
                       partition_power_series)
-from .nodal import MAX_DELTA
 
 # Both bounds limit input from outside the program, not the kernels.  On a
 # 2-vCPU host, DELTA or PARTITION_POWER(24) to q^500 builds in 0.01 s (the
@@ -246,6 +249,7 @@ _ROW = ('{\n        "cardinality": %d,\n        "index_set": "%s",'
 
 
 def cmd_inclexcl(args, out, stdin):
+    import json
     try:
         data = json.load(stdin)
     except json.JSONDecodeError as exc:
@@ -316,57 +320,116 @@ def cmd_series(args, out):
     return 0
 
 
-# -- parser -------------------------------------------------------------------
+# -- command line -------------------------------------------------------------
+
+# The default of every --max-delta and --order.  It is the CLI's own, not
+# nodal.MAX_DELTA, so that raising the library's cap leaves the output of a
+# bare command as it is.
+DEFAULT_ORDER = 5
+
+_FORMAT = ("--format", "format", None, ("json", "csv"), False, "json", None)
+
+# The one declaration of the command line, read by build_parser and by
+# read_args: each command with its help text and its options as
+# (option, dest, type, choices, required, default, help); a type of None
+# keeps the value a str.
+COMMANDS = (
+    ("node-polys", "emit the universal node polynomials T_0..T_delta", (
+        ("--max-delta", "max_delta", int, None, False, DEFAULT_ORDER, None),
+    )),
+    ("count", "evaluate a node polynomial on a surface", (
+        ("--surface", "surface", None, None, True, None,
+         "P2:d, K3:l2, T4:l2 or explicit L2,LK,K2,c2"),
+        ("--delta", "delta", int, None, True, None, None),
+    )),
+    ("yau-zaslow", "compare K3 counts with the partition power", (
+        ("--max-delta", "max_delta", int, None, False, DEFAULT_ORDER, None),
+        _FORMAT,
+    )),
+    ("blowup-check", "verify the one-point blowup identity", (
+        ("--surface", "surface", None, None, True, None, None),
+        ("--order", "order", int, None, False, DEFAULT_ORDER, None),
+    )),
+    ("rr-solve", "recover the Riemann-Roch coefficients from surfaces", ()),
+    ("factorize", "split log F into the four per-Chern-number series", (
+        ("--max-delta", "max_delta", int, None, False, DEFAULT_ORDER, None),
+    )),
+    ("inclexcl", "modified cardinalities of a set system "
+                 "(JSON list of integer lists on stdin)", (
+        _FORMAT,
+    )),
+    ("series", "emit a named q-expansion", (
+        ("--name", "name", None, None, True, None,
+         "G2, DG2, D2G2, DELTA, B1, B2 or PARTITION_POWER(e)"),
+        ("--order", "order", int, None, False, DEFAULT_ORDER, None),
+        _FORMAT,
+    )),
+)
+
+# command -> {option: its COMMANDS entry}
+_OPTIONS = {command: {entry[0]: entry for entry in options}
+            for command, _, options in COMMANDS}
+
 
 def build_parser():
+    """The argparse parser of :data:`COMMANDS`: the reference for every
+    command line, and the reader of those :func:`read_args` declines."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="nodepoly",
         description="Exact node-polynomial computations for algebraic "
                     "surfaces (all output is exact rational arithmetic).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("node-polys",
-                       help="emit the universal node polynomials T_0..T_delta")
-    p.add_argument("--max-delta", type=int, default=MAX_DELTA)
-
-    p = sub.add_parser("count",
-                       help="evaluate a node polynomial on a surface")
-    p.add_argument("--surface", required=True,
-                   help="P2:d, K3:l2, T4:l2 or explicit L2,LK,K2,c2")
-    p.add_argument("--delta", type=int, required=True)
-
-    p = sub.add_parser("yau-zaslow",
-                       help="compare K3 counts with the partition power")
-    p.add_argument("--max-delta", type=int, default=MAX_DELTA)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("blowup-check",
-                       help="verify the one-point blowup identity")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--order", type=int, default=MAX_DELTA)
-
-    sub.add_parser("rr-solve",
-                   help="recover the Riemann-Roch coefficients from surfaces")
-
-    p = sub.add_parser("factorize",
-                       help="split log F into the four per-Chern-number series")
-    p.add_argument("--max-delta", type=int, default=MAX_DELTA)
-
-    p = sub.add_parser("inclexcl",
-                       help="modified cardinalities of a set system "
-                            "(JSON list of integer lists on stdin)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    p = sub.add_parser("series",
-                       help="emit a named q-expansion")
-    p.add_argument("--name", required=True,
-                   help="G2, DG2, D2G2, DELTA, B1, B2 or PARTITION_POWER(e)")
-    p.add_argument("--order", type=int, default=MAX_DELTA)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    for command, help_text, options in COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        for option, dest, kind, choices, required, default, option_help \
+                in options:
+            p.add_argument(option, dest=dest, type=kind, choices=choices,
+                           required=required, default=default,
+                           help=option_help)
     return parser
 
 
-# built on the first run; parse_args keeps no state on the parser
+def read_args(argv):
+    """The attributes ``build_parser().parse_args(argv)`` would set, for a
+    well-formed ``<command> (--option value)*``; None for any other argv.
+
+    Well-formed means: option names spelled in full, each at most once; no
+    value starting with "-" unless it is an ASCII "-[0-9]+"; int options
+    that ``int`` reads, values among the choices; every required option
+    given.  Whatever this declines (``-h``, abbreviations, ``--opt=value``,
+    repeats, bad values, usage errors) argparse reads, as before.
+    """
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None or len(argv) % 2 == 0:
+        return None
+    fields = {"command": argv[0]}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        entry = options.get(option)
+        if entry is None or entry[1] in fields:
+            return None
+        _, dest, kind, choices, _, _, _ = entry
+        if value[:1] == "-" and not (value[1:].isdigit()
+                                     and value.isascii()):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        fields[dest] = value
+    for _, dest, _, _, required, default, _ in options.values():
+        if dest not in fields:
+            if required:
+                return None
+            fields[dest] = default
+    return SimpleNamespace(**fields)
+
+
+# built on the first run that read_args declines; parse_args keeps no state
+# on the parser
 _parser = None
 
 HANDLERS = {
@@ -386,12 +449,16 @@ def run(argv=None, out=None, err=None, stdin=None):
     err = err if err is not None else sys.stderr
     stdin = stdin if stdin is not None else sys.stdin
     global _parser
-    if _parser is None:
-        _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_args(argv)
+    if args is None:
+        if _parser is None:
+            _parser = build_parser()
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else 2
     try:
         if args.command == "inclexcl":
             return cmd_inclexcl(args, out, stdin)

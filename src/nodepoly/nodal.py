@@ -103,9 +103,14 @@ def closed_form_series(surface, order=MAX_DELTA):
     All four base series have constant term 1, so integer, negative and
     half-integer exponents are all exact.
     """
-    point = surface.chern_tuple()
+    return _closed_form(surface.chern_tuple(), _bases(order))
+
+
+def _closed_form(point, bases):
+    """prod_i base_i^(e_i) at the Chern tuple ``point``, over the
+    :func:`_bases` of one order."""
     dg2, b1, b2, disc = (base ** sum(e * x for e, x in zip(row, point))
-                         for row, base in zip(EXPONENTS, _bases(order)))
+                         for row, base in zip(EXPONENTS, bases))
     return dg2 * b1 * b2 * disc
 
 
@@ -343,9 +348,10 @@ def blowup_identity_check(surface, order=MAX_DELTA):
 
     This is the one-point blowup formula in denominator-free form.
     """
-    lhs = (closed_form_series(surface.blowup(), order)
-           * b1_series(order) * dg2_normalized(order))
-    rhs = closed_form_series(surface, order) * b2_series(order)
+    bases = _bases(order)
+    dg2, b1, b2, _ = bases
+    lhs = _closed_form(surface.blowup().chern_tuple(), bases) * b1 * dg2
+    rhs = _closed_form(surface.chern_tuple(), bases) * b2
     return BlowupCheck(surface, order, lhs, rhs)
 
 
@@ -361,8 +367,9 @@ class FactorizedForm(namedtuple("FactorizedForm",
         :data:`CHECK_SURFACES`; log F is linear, so that fixes all four."""
         rows = (self.log_a3, self.log_a4, self.log_a1, self.log_a2)
         dg2 = dg2_series(self.max_delta)
+        bases = _bases(self.max_delta)
         return all(_numeric_series(rows, s.chern_tuple()).compose(dg2)
-                   == closed_form_series(s, self.max_delta)
+                   == _closed_form(s.chern_tuple(), bases)
                    for s in CHECK_SURFACES)
 
 

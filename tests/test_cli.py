@@ -9,10 +9,12 @@ from fractions import Fraction
 import pytest
 
 from nodepoly import cli, nodal
-from nodepoly.cli import (MAX_PARTITION_EXPONENT, MAX_SERIES_ORDER,
-                          build_parser, emit_json, fmt_rational, run)
+from nodepoly.cli import (DEFAULT_ORDER, MAX_PARTITION_EXPONENT,
+                          MAX_SERIES_ORDER, build_parser, emit_json,
+                          fmt_rational, read_args, run)
 from nodepoly.inclexcl import SetSystem
 
+from test_golden import FIXTURE as GOLDEN_FIXTURE
 from test_inclexcl import backward_induction_oracle
 from test_nodal import cap_message, swap_two_rows
 
@@ -456,7 +458,9 @@ def test_shared_parser_keeps_no_state(monkeypatch):
     for argv, stdin_text in SHARED_PARSER_LINES:
         monkeypatch.setattr(cli, "_parser", None)
         fresh[tuple(argv)] = captured_run(argv, stdin_text)
-    assert len(built) == len(SHARED_PARSER_LINES)
+    # a parser is built only for the lines read_args declines
+    assert len(built) == 9 == sum(read_args(argv) is None
+                                  for argv, _ in SHARED_PARSER_LINES)
     assert {code for code, _, _ in fresh.values()} == {0, 2}
     assert fresh[("--help",)][1].startswith("usage: nodepoly ")
     assert fresh[("count", "--delta", "1")][2].startswith(
@@ -469,6 +473,91 @@ def test_shared_parser_keeps_no_state(monkeypatch):
     for argv, stdin_text in lines:
         assert captured_run(argv, stdin_text) == fresh[tuple(argv)], argv
     assert len(built) == 1
+
+
+# -- the direct reader against argparse ---------------------------------------
+
+# the process lines of the cli-delta5 benchmark workload
+DELTA5_LINES = (
+    [[command, "--max-delta", "5"]
+     for command in ("node-polys", "factorize", "yau-zaslow")]
+    + [["count", "--surface", surface, "--delta", "5"]
+       for surface in [f"K3:{2 * h - 2}" for h in range(1, 13)]
+       + [f"T4:{2 * n}" for n in range(1, 13)]])
+
+
+def golden_lines():
+    return [r["argv"] for r in
+            json.loads(GOLDEN_FIXTURE.read_text(encoding="utf-8"))]
+
+
+READER_CORPUS = [
+    ["node-polys", "--max-d", "2"],  # abbreviation
+    ["node-polys", "--max-delta=2"],
+    ["node-polys", "--max-delta", "2", "--max-delta", "3"],  # repeated
+    ["node-polys", "--max-delta", "-1"],
+    ["node-polys", "--max-delta", "-"],
+    ["node-polys", "--max-delta"],  # no value
+    ["node-polys", "--", "--max-delta", "2"],
+    ["count", "--surface", "-1,0,0,24", "--delta", "1"],
+    ["count", "--surface", "", "--delta", "1"],
+    ["count", "--surface", "K3:2", "--delta", "\u0663"],  # Arabic-Indic 3
+    ["count", "--surface", "K3:2", "--delta", "-\u0663"],
+    ["count", "--surface", "K3:2", "--delta", "\u00b2"],  # superscript 2
+    ["count", "--surface", "-h", "--delta", "1"],
+    ["count", "--delta", "-5", "--surface", "K3:2"],
+    ["count", "--surface", "K3:2", "--delta", "2", "extra"],
+    ["node-polys", "--max-delta", "2.0"],  # bad int
+    ["node-polys", "--max-delta", "9" * 5000],  # past int's digit limit
+    ["yau-zaslow", "--format", "xml"],  # bad choice
+    ["series", "--order", "3"],  # no --name
+    ["series", "--name", "G2"],  # defaults only
+    ["rr-solve", "extra"],
+    ["no-such-command"],
+    ["-h"],
+    [],
+] + [[command, "-h"] for command, _, _ in cli.COMMANDS]
+
+
+def reader_lines():
+    lines = (golden_lines() + DELTA5_LINES + READER_CORPUS
+             + [argv for argv, _ in SHARED_PARSER_LINES])
+    return [pytest.param(argv, id=" ".join(argv)[:60] or "[]")
+            for argv in lines]
+
+
+@pytest.mark.parametrize("argv", reader_lines())
+def test_reader_sets_what_argparse_sets(argv, monkeypatch):
+    args = read_args(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+    # and the run prints what the argparse path prints
+    monkeypatch.setenv("COLUMNS", "80")
+    direct = captured_run(argv, "")
+    monkeypatch.setattr(cli, "read_args", lambda argv: None)
+    assert captured_run(argv, "") == direct
+
+
+def test_benchmark_and_golden_lines_take_the_direct_path(monkeypatch):
+    def refusing_build_parser():
+        raise AssertionError("the parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refusing_build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in golden_lines() + DELTA5_LINES:
+        assert read_args(argv) is not None, argv
+    for argv in DELTA5_LINES[:4]:
+        assert invoke(argv)[0] == 0
+
+
+def test_bare_commands_default_to_order_5():
+    assert DEFAULT_ORDER == 5
+    for command, _, options in cli.COMMANDS:
+        for option, _, kind, _, required, default, _ in options:
+            if kind is int and not required:
+                assert default == DEFAULT_ORDER, (command, option)
+    assert invoke(["node-polys"])[1] == \
+        invoke(["node-polys", "--max-delta", "5"])[1]
 
 
 def test_internal_errors_exit_without_traceback(monkeypatch):
