@@ -5,10 +5,11 @@ polynomials consume, in the canonical-class basis:
 
     L2 = c1(L)^2,  LK = c1(L).c1(K),  K2 = c1(K)^2,  c2 = c2(M).
 
-Two integrality constraints are enforced at construction: K2 + c2 must be
-divisible by 12 (Noether) and L2 - LK must be even (so chi(L) is an
-integer).  The Riemann-Roch solver works in the anticanonical basis
-c1(M) = -c1(K), where chi(L) = A1*c1(M)^2 + A2*c2 + A3*c1(M).c1(L)
+Riemann-Roch is stated once, as the linear forms :data:`CHI_O` and
+:data:`CHI_L`.  Two integrality constraints are enforced at construction:
+K2 + c2 must be divisible by 12 (Noether) and L2 - LK must be even (so
+chi(L) is an integer).  The Riemann-Roch solver works in the anticanonical
+basis c1(M) = -c1(K), where chi(L) = A1*c1(M)^2 + A2*c2 + A3*c1(M).c1(L)
 + A4*c1(L)^2; the stored data convert via c1(M).c1(L) = -LK and
 c1(M)^2 = K2.
 
@@ -19,6 +20,11 @@ namedtuple subclasses, not dataclasses: importing ``dataclasses`` pulls in
 
 from collections import namedtuple
 from fractions import Fraction
+
+# Riemann-Roch on a surface as linear forms over (L2, LK, K2, c2):
+# chi(O) = (K2 + c2)/12 (Noether) and chi(L) = chi(O) + (L2 - LK)/2.
+CHI_O = tuple(map(Fraction, (0, 0, "1/12", "1/12")))
+CHI_L = tuple(o + Fraction(h) for o, h in zip(CHI_O, ("1/2", "-1/2", 0, 0)))
 
 
 class SurfaceClass(namedtuple("SurfaceClass", "name L2 LK K2 c2")):
@@ -37,11 +43,11 @@ class SurfaceClass(namedtuple("SurfaceClass", "name L2 LK K2 c2")):
 
     def chi_O(self):
         """Holomorphic Euler characteristic of the structure sheaf."""
-        return Fraction(self.K2 + self.c2, 12)
+        return sum(e * x for e, x in zip(CHI_O, self.chern_tuple()))
 
     def chi_L(self):
-        """chi(L) = chi(O) + (L2 - LK)/2, an integer by construction."""
-        return int(self.chi_O() + Fraction(self.L2 - self.LK, 2))
+        """chi(L), an integer by construction."""
+        return int(sum(e * x for e, x in zip(CHI_L, self.chern_tuple())))
 
     def dim_linear_system(self):
         """Expected projective dimension of |L|, i.e. chi(L) - 1."""

@@ -41,14 +41,6 @@ def _require_fractions(coeffs, what):
         raise TypeError(f"{what} needs Fraction coefficients")
 
 
-def _reciprocal(c):
-    """Multiplicative inverse of a Fraction, or ValueError at zero."""
-    _require_fractions((c,), "division")
-    if c == 0:
-        raise ValueError("constant term is not invertible (zero)")
-    return 1 / c
-
-
 def _integer_run(a):
     """Clear an all-Fraction run to integers: (d, [a_k * d]) with d the
     least common denominator, so that a = A/d."""
@@ -387,13 +379,18 @@ class PSeries:
         """Multiplicative inverse; requires a nonzero constant term."""
         a = self.coeffs
         _require_fractions(a, "inverse")
-        _reciprocal(a[0])  # ValueError when it is zero
+        if a[0] == 0:
+            raise ValueError("constant term is not invertible (zero)")
         return PSeries(_invert_fractions(a))
 
     def __truediv__(self, other):
         if isinstance(other, PSeries):
             return self * other.inverse()
-        return self * _reciprocal(_promote(other))
+        o = _promote(other)
+        _require_fractions((o,), "division")
+        if o == 0:
+            raise ValueError("the divisor is zero")
+        return self * (1 / o)
 
     def __rtruediv__(self, other):
         return self.inverse() * _promote(other)
@@ -467,7 +464,8 @@ class PSeries:
         _require_fractions(a, "reversion")
         if a[0] != 0:
             raise ValueError("reversion needs constant term 0")
-        _reciprocal(a[1])  # ValueError when it is zero
+        if a[1] == 0:
+            raise ValueError("linear coefficient is not invertible (zero)")
         return PSeries(_reversion_fractions(a))
 
     # -- q-calculus --------------------------------------------------------

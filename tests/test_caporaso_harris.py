@@ -1,0 +1,146 @@
+"""B1 and B2 from Severi degrees of plane curves, independent of nodal's table.
+
+The Caporaso-Harris recursion (Counting plane curves of any genus, Invent.
+Math. 1998, Thm 1.1), written for possibly reducible curves with delta
+nodes, counts the degree-d curves N^{d,delta}(alpha, beta) with tangency
+conditions to a fixed line: alpha_k fixed and beta_k unfixed points of
+contact order k.  With Iv = sum k*v_k, |v| = sum v_k and I^v = prod k^(v_k),
+
+    N^{d,delta}(alpha, beta)
+        = sum_(k: beta_k > 0) k * N^{d,delta}(alpha + e_k, beta - e_k)
+        + sum I^(beta'-beta) C(alpha, alpha') C(beta', beta)
+              * N^{d-1,delta'}(alpha', beta'),
+
+the second sum over alpha' <= alpha and beta' >= beta with
+I alpha' + I beta' = d - 1 and delta' = delta - (d-1) + |beta'-beta| >= 0.
+The Severi degree is N^{d,delta}(0, d*e_1).
+
+With L = dH on P2 the closed form reads F_d(DG2) = (DG2/q)^chi(L) *
+B1^9 * B2^(-3d) / (Delta*D2G2/q^2)^(1/2) for F_d(t) = sum N^{d,delta}
+t^delta, as far as each N^{d,delta} is the universal count.  So
+R_d = F_d(DG2) * (DG2/q)^(-chi(L)) * (Delta*D2G2/q^2)^(1/2) equals
+B1^9 * B2^(-3d), and a pair of degrees (d, d+1) gives
+B2 = (R_d/R_(d+1))^(1/3) and B1 = (R_d * B2^(3d))^(1/9).
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product, zip_longest
+from math import comb, prod
+
+from nodepoly.chern import P2
+from nodepoly.modular import dg2_series
+from nodepoly.nodal import (B1_COEFFS, B2_COEFFS, count_nodal,
+                            discriminant_factor, dg2_normalized)
+from nodepoly.series import PSeries
+
+
+def weight(v):
+    """I v = sum k * v_k (v_k at index k - 1)."""
+    return sum(k * x for k, x in enumerate(v, 1))
+
+
+def trim(v):
+    """v without its trailing zeros, the memo key of a tangency vector."""
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return tuple(v)
+
+
+def add(u, w):
+    return trim(map(sum, zip_longest(u, w, fillvalue=0)))
+
+
+def unit(k, sign=1):
+    return (0,) * (k - 1) + (sign,)
+
+
+def multiplicity_vectors(m):
+    """Every gamma with I gamma = m, as trimmed tangency vectors."""
+    def parts(m, largest):
+        if m == 0:
+            yield ()
+            return
+        for k in range(min(m, largest), 0, -1):
+            for rest in parts(m - k, k):
+                yield (k,) + rest
+    for p in parts(m, m):
+        yield trim(p.count(k) for k in range(1, m + 1))
+
+
+@lru_cache(maxsize=None)
+def severi_ch(d, delta, alpha, beta):
+    """N^{d,delta}(alpha, beta) by the Caporaso-Harris recursion."""
+    if d == 0:
+        return int(delta == 0 and not alpha and not beta)
+    genus = (d - 1) * (d - 2) // 2 - delta
+    if 2 * d + genus - 1 + sum(beta) <= 0:
+        return 0
+    total = 0
+    for k, b in enumerate(beta, 1):
+        if b:
+            total += k * severi_ch(d, delta, add(alpha, unit(k)),
+                                   add(beta, unit(k, -1)))
+    for sub in product(*(range(a + 1) for a in alpha)):
+        binom_alpha = prod(map(comb, alpha, sub))
+        rest = d - 1 - weight(sub) - weight(beta)
+        if rest < 0:
+            continue
+        for gamma in multiplicity_vectors(rest):
+            sub_delta = delta - (d - 1) + sum(gamma)
+            if sub_delta < 0:
+                continue
+            sup = add(beta, gamma)
+            total += (prod(k ** g for k, g in enumerate(gamma, 1))
+                      * binom_alpha
+                      * prod(map(comb, sup, beta))
+                      * severi_ch(d - 1, sub_delta, trim(sub), sup))
+    return total
+
+
+def severi_degree(d, delta):
+    """N^{d,delta}: degree-d plane curves with delta nodes through the
+    right number of general points."""
+    return severi_ch(d, delta, (), unit(1, d) if d else ())
+
+
+def r_series(d, order):
+    """R_d = F_d(DG2) * (DG2/q)^(-chi(L)) * (Delta*D2G2/q^2)^(1/2) to q^order,
+    with chi(O(d)) = (d+1)(d+2)/2 stated here apart from ``chern``."""
+    f = PSeries([severi_degree(d, delta) for delta in range(order + 1)])
+    chi = (d + 1) * (d + 2) // 2
+    return (f.compose(dg2_series(order)) * dg2_normalized(order) ** -chi
+            * discriminant_factor(order) ** Fraction(1, 2))
+
+
+def b_series_from_pair(d, order):
+    """(B1, B2) to q^order from the degrees d and d + 1."""
+    r = r_series(d, order)
+    b2 = (r / r_series(d + 1, order)) ** Fraction(1, 3)
+    return (r * b2 ** (3 * d)) ** Fraction(1, 9), b2
+
+
+def test_severi_degree_anchors():
+    anchors = {(3, 1): 12, (4, 2): 225, (4, 3): 675, (4, 6): 105,
+               (3, 3): 15, (8, 4): 11225145, (10, 5): 4037126346}
+    for (d, delta), n in anchors.items():
+        assert severi_degree(d, delta) == n, (d, delta)
+
+
+def test_b_series_from_severi_degrees():
+    # Kool-Shende-Thomas (arXiv:1010.3211) prove N^{d,delta} universal for
+    # d >= delta, so the pair (5, 6) gives B1 and B2 to q^5.
+    b1, b2 = b_series_from_pair(5, 5)
+    assert b1 == PSeries(B1_COEFFS)
+    assert b2 == PSeries(B2_COEFFS)
+
+
+def test_plane_counts_are_severi_degrees():
+    # within the Goettsche threshold 2d >= delta + 2
+    cases = [(d, delta) for d in range(1, 11) for delta in range(6)
+             if 2 * d >= delta + 2]
+    assert len(cases) == 51
+    for d, delta in cases:
+        assert count_nodal(P2(d), delta).value == severi_degree(d, delta), \
+            (d, delta)

@@ -567,11 +567,10 @@ def test_internal_errors_exit_without_traceback(monkeypatch):
         return handler
 
     monkeypatch.setitem(cli.HANDLERS, "rr-solve",
-                        fails(AssertionError("T_0 must be the constant 1")))
+                        fails(AssertionError("values disagree")))
     code, out, err = invoke(["rr-solve"])
     assert (code, out) == (1, "")
-    assert err == "nodepoly: error: internal check failed: " \
-        "T_0 must be the constant 1\n"
+    assert err == "nodepoly: error: internal check failed: values disagree\n"
     monkeypatch.setitem(cli.HANDLERS, "rr-solve",
                         fails(ZeroDivisionError("division by zero")))
     code, out, err = invoke(["rr-solve"])

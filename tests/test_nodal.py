@@ -31,8 +31,8 @@ def random_surface(rng, span=6):
     return SurfaceClass(f"rand({l2},{lk},{k2},{c2})", l2, lk, k2, c2)
 
 
-# chi(L) and -chi(O)/2 as polynomials, stated here apart from nodal.EXPONENTS
-# so that a wrong matrix entry fails the oracles below.
+# chi(L) and -chi(O)/2 as polynomials, stated here apart from chern's forms
+# and nodal.EXPONENTS so that a wrong entry fails the oracles below.
 CHI_L = (Fraction(1, 2) * (chernpoly.L2 - chernpoly.LK)
          + Fraction(1, 12) * (chernpoly.K2 + chernpoly.C2))
 MINUS_HALF_CHI_O = Fraction(-1, 24) * (chernpoly.K2 + chernpoly.C2)
@@ -91,6 +91,8 @@ def test_exponents_match_riemann_roch():
     # basis: c1(M).c1(L) = -LK and c1(M)^2 = K2
     a = solve_rr_coefficients(rr_example_pairs())
     assert (a.A4, -a.A3, a.A1, a.A2) == dg2_row
+    assert linear_coefficients(CHI_L) == dg2_row
+    assert linear_coefficients(MINUS_HALF_CHI_O) == delta_row
 
 
 # -- B series ------------------------------------------------------------------

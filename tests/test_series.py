@@ -320,8 +320,13 @@ def test_inverse_scalar_and_b2_prefix():
 
 
 def test_inverse_requires_invertible_constant():
-    with pytest.raises(ValueError):
-        PSeries([0, 1], order=3).inverse()
+    # each error names the coefficient that is zero
+    cases = [(lambda: PSeries([0, 1], order=3).inverse(), "constant term"),
+             (lambda: PSeries([0, 0, 1]).reversion(), "linear coefficient"),
+             (lambda: PSeries([1, 1]) / 0, "divisor")]
+    for call, zero in cases:
+        with pytest.raises(ValueError, match=f"{zero} is"):
+            call()
 
 
 def test_compose_identities():
