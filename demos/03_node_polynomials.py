@@ -12,15 +12,16 @@ input data are known to q^5, so delta runs up to 5.
 from nodepoly import P2, SurfaceClass, T4, node_polynomials
 from nodepoly.nodal import validity_range
 
-table = node_polynomials(5)
-for delta in range(6):
-    print(f"T_{delta} =", table[delta])
+# F(t) = sum T_delta t^delta, a series whose t^delta coefficient is T_delta
+f = node_polynomials(5)
+for delta, t in enumerate(f):
+    print(f"T_{delta} =", t)
     print()
 
 # For a pencil of plane curves of degree d the count is 3(d-1)^2.
 print("delta = 1 on P2:")
 for d in range(3, 9):
-    print(f"  degree {d}: {table.evaluate(P2(d), 1)}"
+    print(f"  degree {d}: {f[1].evaluate(*P2(d).chern_tuple())}"
           f"  [{validity_range(P2(d), 1)}]"
           f"   3(d-1)^2 = {3 * (d - 1) ** 2}")
 
@@ -30,7 +31,7 @@ for d in range(3, 9):
 print()
 for delta in (2, 3):
     for d in (1, 2, 3, 4):
-        value = table.evaluate(P2(d), delta)
+        value = f[delta].evaluate(*P2(d).chern_tuple())
         print(f"  P2:{d} delta={delta}: {str(value):>10}"
               f"  [{validity_range(P2(d), delta)}]")
 
@@ -39,5 +40,5 @@ for delta in (2, 3):
 # keeps the L2-dependence alive.
 print()
 zero = SurfaceClass("zero", 0, 0, 0, 0)
-print("zero surface:", [int(table.evaluate(zero, d)) for d in range(6)])
-print("T4:6 counts: ", [int(table.evaluate(T4(6), d)) for d in range(6)])
+for label, s in (("zero surface:", zero), ("T4:6 counts: ", T4(6))):
+    print(label, [int(t.evaluate(*s.chern_tuple())) for t in f])

@@ -15,7 +15,7 @@ from nodepoly.nodal import (CHECK_SURFACES, b1_series, b2_series,
                             dg2_normalized)
 
 # The universal blowup factor, computed once.
-factor = (b2_series() / b1_series()) * dg2_normalized(5).inverse()
+factor = (b2_series(5) / b1_series(5)) * dg2_normalized(5).inverse()
 print("(B2/B1)*(DG2/q)^(-1) =", factor)
 print()
 

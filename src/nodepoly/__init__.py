@@ -15,8 +15,8 @@ from .inclexcl import (SetSystem, intersection_table, modified_cardinalities,
 from .modular import (d2g2_series, delta_series, dg2_series, g2_series,
                       partition_power_series, sigma1)
 from .nodal import (MAX_DELTA, BlowupCheck, FactorizedForm, NodalCount,
-                    NodePolynomialTable, YauZaslowReport, b1_series,
-                    b2_series, blowup_identity_check, closed_form_series,
+                    YauZaslowReport, b1_series, b2_series,
+                    blowup_identity_check, closed_form_series,
                     closed_form_symbolic, count_nodal,
                     factorize_generating_function, node_polynomials,
                     yau_zaslow_check)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlowupCheck", "ChernPoly", "FactorizedForm", "K3", "MAX_DELTA",
-    "NodalCount", "NodePolynomialTable", "P2", "PSeries",
+    "NodalCount", "P2", "PSeries",
     "RRCoefficients", "SetSystem", "SurfaceClass", "T4", "YauZaslowReport",
     "b1_series", "b2_series", "blowup_identity_check", "builtin_catalog",
     "closed_form_series", "closed_form_symbolic", "count_nodal",

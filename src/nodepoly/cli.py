@@ -19,9 +19,8 @@ depth, held by the tests to the same ``json.dumps`` contract.
 A command line of the form ``<command> (--option value)*`` whose values
 all pass is read directly from the command table (``read_args``), without
 importing argparse; any other, ``--help`` and every usage error included,
-goes to the argparse parser built from the same table, which is built on
-the first such ``run`` of a process and reused.  Only ``inclexcl`` imports
-the json package, for its stdin.
+goes to an argparse parser built from the same table for that line.
+Only ``inclexcl`` imports the json package, for its stdin.
 
 Exit codes: 0 success (and exact equality for the comparison commands),
 1 mathematical mismatch or failed internal check, 2 the input was rejected:
@@ -154,8 +153,8 @@ def document(command, parameters, order, fmt, payload):
 # -- subcommand handlers ------------------------------------------------------
 
 def cmd_node_polys(args, out):
-    table = nodal.node_polynomials(args.max_delta)
-    payload = {str(d): fmt_poly(table[d]) for d in range(args.max_delta + 1)}
+    f = nodal.node_polynomials(args.max_delta)
+    payload = {str(d): fmt_poly(t) for d, t in enumerate(f)}
     emit_json(document("node-polys", {"max_delta": args.max_delta},
                        args.max_delta, "json", payload), out)
     return 0
@@ -428,10 +427,6 @@ def read_args(argv):
     return SimpleNamespace(**fields)
 
 
-# built on the first run that read_args declines; parse_args keeps no state
-# on the parser
-_parser = None
-
 HANDLERS = {
     "node-polys": cmd_node_polys,
     "count": cmd_count,
@@ -448,15 +443,12 @@ def run(argv=None, out=None, err=None, stdin=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     stdin = stdin if stdin is not None else sys.stdin
-    global _parser
     if argv is None:
         argv = sys.argv[1:]
     args = read_args(argv)
     if args is None:
-        if _parser is None:
-            _parser = build_parser()
         try:
-            args = _parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if exc.code is not None else 2
     try:

@@ -21,9 +21,10 @@ weighted by column v of the matrix, with q = DG2^{-1}(t) substituted.
 Counts are numeric: the Chern tuple is dotted with the four series and one
 Fraction series is exponentiated.  The polynomial ring appears only in the
 one integer exp, :func:`_exp_linear`, that turns the four series into F
-with polynomial coefficients, whose t^delta coefficient is T_delta.  The
-same four series are the factorization of log F per Chern number, checked
-by :meth:`FactorizedForm.reassembles`; the Yau-Zaslow count on K3 and the
+with polynomial coefficients, whose t^delta coefficient is T_delta; that
+PSeries is what :func:`node_polynomials` returns.  The same four series
+are the factorization of log F per Chern number, checked by
+:meth:`FactorizedForm.reassembles`; the Yau-Zaslow count on K3 and the
 one-point blowup formula are checked too.
 """
 
@@ -69,12 +70,12 @@ def _check_order(order):
             f"data stop at q^{MAX_DELTA}")
 
 
-def b1_series(order=MAX_DELTA):
+def b1_series(order):
     _check_order(order)
     return PSeries(B1_COEFFS[: order + 1])
 
 
-def b2_series(order=MAX_DELTA):
+def b2_series(order):
     _check_order(order)
     return PSeries(B2_COEFFS[: order + 1])
 
@@ -99,7 +100,7 @@ def _bases(order):
             discriminant_factor(order))
 
 
-def closed_form_series(surface, order=MAX_DELTA):
+def closed_form_series(surface, order):
     """The closed-form generating series evaluated on one surface.
 
     All four base series have constant term 1, so integer, negative and
@@ -201,7 +202,7 @@ def _numeric_series(rows, point):
     return sum(x * row for x, row in zip(point, rows)).exp()
 
 
-def closed_form_symbolic(order=MAX_DELTA):
+def closed_form_symbolic(order):
     """The closed form with coefficients polynomial in (L2, LK, K2, c2).
 
     One exp of the rows of :func:`_log_rows`; evaluating its coefficients at
@@ -210,55 +211,15 @@ def closed_form_symbolic(order=MAX_DELTA):
     return _exp_linear(_log_rows(order))
 
 
-class NodePolynomialTable:
-    """T_0 .. T_max_delta keyed by the number of nodes."""
+def node_polynomials(max_delta):
+    """F(t) = sum_delta T_delta t^delta to t^max_delta: the series whose
+    t^delta coefficient is the ChernPoly T_delta.
 
-    __slots__ = ("max_delta", "entries")
-
-    def __init__(self, max_delta, entries):
-        object.__setattr__(self, "max_delta", max_delta)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NodePolynomialTable is immutable")
-
-    def __reduce__(self):
-        # copy and pickle through the constructor, not __setattr__
-        return (type(self), (self.max_delta, self.entries))
-
-    def __eq__(self, other):
-        if type(other) is not NodePolynomialTable:
-            return NotImplemented
-        return (self.max_delta, self.entries) == (other.max_delta, other.entries)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"NodePolynomialTable(max_delta={self.max_delta!r}, "
-                f"entries={self.entries!r})")
-
-    def __getitem__(self, delta):
-        if delta not in self.entries:
-            raise KeyError(f"delta must be between 0 and {self.max_delta}")
-        return self.entries[delta]
-
-    def evaluate(self, surface, delta):
-        return self[delta].evaluate(*surface.chern_tuple())
-
-    def generating_series(self):
-        return PSeries([self.entries[d] for d in range(self.max_delta + 1)])
-
-
-def node_polynomials(max_delta=MAX_DELTA):
-    """The universal node polynomials from the log-linear form of F.
-
-    F(t) = exp(L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3) with the rows l_v of
-    :func:`_log_rows_in_t`; the coefficient of t^delta is T_delta.  The
-    exp makes T_0 = 1, and T_delta has total degree <= delta because every
-    row starts at t^1.
+    F = exp(L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3) with the rows l_v of
+    :func:`_log_rows_in_t`.  The exp makes T_0 = 1, and T_delta has total
+    degree <= delta because every row starts at t^1.
     """
-    entries = dict(enumerate(_exp_linear(_log_rows_in_t(max_delta))))
-    return NodePolynomialTable(max_delta, entries)
+    return _exp_linear(_log_rows_in_t(max_delta))
 
 
 def validity_range(surface, delta):
@@ -313,7 +274,7 @@ class YauZaslowReport(namedtuple("YauZaslowReport", "rows")):
         return all(row.equal for row in self.rows)
 
 
-def yau_zaslow_check(max_delta=MAX_DELTA):
+def yau_zaslow_check(max_delta):
     """Rational-curve counts on K3 against the 24th partition power.
 
     For each delta, T_delta at (2*delta-2, 0, 0, 24) is compared with the
@@ -336,7 +297,7 @@ class BlowupCheck(namedtuple("BlowupCheck", "surface order lhs rhs")):
         return self.lhs == self.rhs
 
 
-def blowup_identity_check(surface, order=MAX_DELTA):
+def blowup_identity_check(surface, order):
     """Verify H_blowup(S) * B1 * (DG2/q) = H_S * B2 exactly.
 
     This is the one-point blowup formula in denominator-free form.
@@ -366,7 +327,7 @@ class FactorizedForm(namedtuple("FactorizedForm",
                    for s in CHECK_SURFACES)
 
 
-def factorize_generating_function(max_delta=MAX_DELTA):
+def factorize_generating_function(max_delta):
     """Split log F(t) into the four per-Chern-number series: these are the
     rows of :func:`_log_rows_in_t`."""
     l2, lk, k2, c2 = _log_rows_in_t(max_delta)

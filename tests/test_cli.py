@@ -411,6 +411,12 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _, _ = invoke(["no-such-command"])
     assert code == 2
+    # argparse takes a value starting with "-" for an option; "=" joins it
+    argv = ["count", "--surface", "-1,1,8,4", "--delta", "1"]
+    code, _, err = captured_run(argv, "")
+    assert code == 2 and "expected one argument" in err
+    code, out, _ = invoke(["count", "--surface=-1,1,8,4", "--delta", "1"])
+    assert code == 0 and payload_of(out)["count"] == "3"
 
 
 # every subcommand, with usage errors and --help in between
@@ -456,7 +462,6 @@ def test_shared_parser_keeps_no_state(monkeypatch):
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     fresh = {}
     for argv, stdin_text in SHARED_PARSER_LINES:
-        monkeypatch.setattr(cli, "_parser", None)
         fresh[tuple(argv)] = captured_run(argv, stdin_text)
     # a parser is built only for the lines read_args declines
     assert len(built) == 9 == sum(read_args(argv) is None
@@ -466,13 +471,13 @@ def test_shared_parser_keeps_no_state(monkeypatch):
     assert fresh[("count", "--delta", "1")][2].startswith(
         "usage: nodepoly count ")
 
-    monkeypatch.setattr(cli, "_parser", None)
     del built[:]
     lines = SHARED_PARSER_LINES * 3
     random.Random(13).shuffle(lines)
     for argv, stdin_text in lines:
         assert captured_run(argv, stdin_text) == fresh[tuple(argv)], argv
-    assert len(built) == 1
+    # one parser per declined line, none kept between runs
+    assert len(built) == 27
 
 
 # -- the direct reader against argparse ---------------------------------------
@@ -543,7 +548,6 @@ def test_benchmark_and_golden_lines_take_the_direct_path(monkeypatch):
         raise AssertionError("the parser was built")
 
     monkeypatch.setattr(cli, "build_parser", refusing_build_parser)
-    monkeypatch.setattr(cli, "_parser", None)
     for argv in golden_lines() + DELTA5_LINES:
         assert read_args(argv) is not None, argv
     for argv in DELTA5_LINES[:4]:

@@ -1,11 +1,12 @@
 """The result records: immutable values that cost nothing to import.
 
-The records are namedtuple subclasses, apart from NodePolynomialTable (its
-``[]`` takes delta), which is a slotted class.  Each has named fields, a
+The records are namedtuple subclasses.  Each has named fields, a
 ``Name(field=value, ...)`` repr, equality by value, a hash when every field
-hashes, and no way to assign a field.  Importing the CLI loads no module
-beyond what fractions loads already and the C module ``_json``, and a
-well-formed command line runs without loading argparse or json.
+hashes, and no way to assign a field.  The table of node polynomials is the
+series F that node_polynomials returns, a slotted PSeries with no hash.
+Importing the CLI loads no module beyond what fractions loads already and
+the C module ``_json``, and a well-formed command line runs without loading
+argparse or json.
 """
 
 import copy
@@ -23,8 +24,8 @@ from nodepoly.chern import K3, P2, RRCoefficients, SurfaceClass
 from nodepoly.chernpoly import ChernPoly
 from nodepoly.inclexcl import SetSystem
 from nodepoly.nodal import (BlowupCheck, FactorizedForm, NodalCount,
-                            NodePolynomialTable, YauZaslowReport,
-                            YauZaslowRow, blowup_identity_check, count_nodal,
+                            YauZaslowReport, YauZaslowRow,
+                            blowup_identity_check, count_nodal,
                             factorize_generating_function, node_polynomials,
                             yau_zaslow_check)
 from nodepoly.series import PSeries
@@ -76,10 +77,8 @@ RECORDS = [
      "A3=Fraction(1, 2), A4=Fraction(1, 2))"),
     (SetSystem([[2, 1], [3]]), SetSystem([{1, 2}, (3,)]), SetSystem([[3]]),
      "SetSystem(k=2, signatures={1: 1, 2: 1, 3: 2})"),
-    (node_polynomials(0), node_polynomials(0),
-     NodePolynomialTable(1, node_polynomials(1).entries),
-     "NodePolynomialTable(max_delta=0, entries={0: ChernPoly({(0, 0, 0, 0): "
-     "Fraction(1, 1)})})"),
+    (node_polynomials(0), node_polynomials(0), node_polynomials(1),
+     "PSeries([ChernPoly({(0, 0, 0, 0): Fraction(1, 1)})])"),
     (count_nodal(P2(3), 1), NodalCount(S, 1, Fraction(12), "in range"),
      count_nodal(P2(3), 0),
      "NodalCount(surface=SurfaceClass(name='P2:3', L2=9, LK=-9, K2=9, c2=3), "
@@ -106,9 +105,11 @@ RECORDS = [
      "log_a2=PSeries([Fraction(0, 1)]), log_a3=PSeries([Fraction(0, 1)]), "
      "log_a4=PSeries([Fraction(0, 1)]))"),
 ]
-# these hold a dict or PSeries, so they have no hash
-UNHASHABLE = (NodePolynomialTable, BlowupCheck, FactorizedForm)
-IDS = [type(r[0]).__name__ for r in RECORDS]
+# these are or hold a PSeries, so they have no hash
+UNHASHABLE = (PSeries, BlowupCheck, FactorizedForm)
+# node_polynomials' table T_0..T_delta is the series F, so its id is the table
+IDS = ["NodePolynomialTable" if type(r[0]) is PSeries else type(r[0]).__name__
+       for r in RECORDS]
 
 
 @pytest.mark.parametrize("record, twin, other, text", RECORDS, ids=IDS)
@@ -130,7 +131,8 @@ def test_record_hashing(record, twin, other, text):
 
 @pytest.mark.parametrize("record, twin, other, text", RECORDS, ids=IDS)
 def test_record_immutability(record, twin, other, text):
-    field = text[text.index("(") + 1:text.index("=")]
+    # a record's first field leads its repr; a PSeries has one slot
+    field = getattr(record, "_fields", type(record).__slots__)[0]
     value = getattr(record, field)
     with pytest.raises(AttributeError):
         setattr(record, field, value)
@@ -147,12 +149,19 @@ def test_record_copy_and_pickle_round_trip(record, twin, other, text):
 
 
 def test_series_and_polynomials_copy_and_pickle():
-    for value in (PSeries([1, 2]), ChernPoly.variable(0),
-                  node_polynomials(2).generating_series()):
+    f = node_polynomials(2)
+    assert type(f) is PSeries and f != node_polynomials(1)
+    for value in (PSeries([1, 2]), ChernPoly.variable(0), f):
         for copied in (copy.deepcopy(value), copy.copy(value),
                        pickle.loads(pickle.dumps(value))):
             assert type(copied) is type(value)
             assert copied == value and repr(copied) == repr(value)
+
+
+def test_package_exports():
+    import nodepoly
+    assert len(set(nodepoly.__all__)) == len(nodepoly.__all__)
+    assert [n for n in nodepoly.__all__ if not hasattr(nodepoly, n)] == []
 
 
 def test_set_system_equality_is_by_signature():
@@ -198,9 +207,8 @@ def test_record_field_access():
     count = count_nodal(K3(8), 5)
     assert (count.surface, count.delta, count.value, count.validity) == \
         (K3(8), 5, 176256, "in range")
-    table = node_polynomials(2)
-    assert table.max_delta == 2 and sorted(table.entries) == [0, 1, 2]
-    assert table[1] == table.entries[1]
+    f = node_polynomials(2)
+    assert f.order == 2 and f[1] == f.coeffs[1]
     report = yau_zaslow_check(2)
     assert report.all_equal and report.rows[2].equal
     assert report.rows[2].node_value == report.rows[2].partition_value == 324
