@@ -1,20 +1,21 @@
 """Command-line front end with exact-rational structured output.
 
 Every subcommand emits one JSON document (CSV for flat tables on request)
-wrapping the command name, its parameters and the payload.  Rationals are
-serialized losslessly as "numerator/denominator" strings, integers without
-the "/1"; polynomial coefficients are keyed by exponent tuples "a,b,c,d"
-over (L2, LK, K2, c2).  Output is byte-identical across runs for identical
-inputs.
+wrapping the command name, its parameters and the payload.  Rationals go
+into it as Fractions, and the emitter prints each as the JSON string of its
+``str``: "numerator/denominator", or the numerator alone when the
+denominator is 1; a CSV cell is ``str`` of its value.  Polynomial
+coefficients are keyed by exponent tuples "a,b,c,d" over (L2, LK, K2, c2).
+Output is byte-identical across runs for identical inputs.
 
 The JSON layout is fixed: object keys sorted, two-space indent, a comma
 ending each line but an object's or array's last, ": " after each key,
 strings ASCII-escaped (non-ASCII and control characters as \\uXXXX), and
 "{}" / "[]" for empty containers -- byte for byte what
-``json.dumps(doc, indent=2, sort_keys=True)`` prints.  The rows of the
-``inclexcl`` table, up to 1023 of them, are the one exception to the
-generic emitter: each is filled into a fixed row template laid out at its
-depth, held by the tests to the same ``json.dumps`` contract.
+``json.dumps(doc, indent=2, sort_keys=True, default=str)`` prints.  The
+rows of the ``inclexcl`` table, up to 1023 of them, are the one exception
+to the generic emitter: each is filled into a fixed row template laid out
+at its depth, held by the tests to the same ``json.dumps`` contract.
 
 A command line of the form ``<command> (--option value)*`` whose values
 all pass is read directly from the command table (``read_args``), without
@@ -54,21 +55,9 @@ MODULAR_SERIES = {"G2": g2_series, "DG2": dg2_series, "D2G2": d2g2_series,
 
 # -- serialization -----------------------------------------------------------
 
-def fmt_rational(x):
-    """Lossless "num/den" string; integers drop the denominator."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def fmt_series(series):
-    return [fmt_rational(c) for c in series]
-
-
 def fmt_poly(poly):
-    return {",".join(str(e) for e in exps): fmt_rational(c)
-            for exps, c in poly.sorted_terms()}
+    # unsorted: _write_json sorts the keys
+    return {",".join(map(str, exps)): c for exps, c in poly.terms.items()}
 
 
 def fmt_surface(s):
@@ -83,8 +72,9 @@ class _Verbatim(str):
 
 def _write_json(value, newline, write):
     """Pass the JSON text of ``value`` (dict with str keys, list, str, int,
-    bool, None or ``_Verbatim`` text) to ``write`` in pieces; ``newline`` is
-    a line break plus the indent of the level ``value`` sits at.
+    Fraction, bool, None or ``_Verbatim`` text) to ``write`` in pieces;
+    ``newline`` is a line break plus the indent of the level ``value`` sits
+    at.  A Fraction's ``str`` (digits, "-" and "/") needs no escaping.
 
     ``json.dumps(indent=2)`` runs the pure-Python encoder (CPython's C
     encoder serves only ``indent=None``); this one covers just the types
@@ -93,6 +83,8 @@ def _write_json(value, newline, write):
     kind = type(value)
     if kind is str:
         write(encode_basestring_ascii(value))
+    elif kind is Fraction:
+        write(f'"{value}"')
     elif kind is _Verbatim:
         write(value)
     elif kind is int:
@@ -166,7 +158,7 @@ def cmd_count(args, out):
     payload = {
         "surface": fmt_surface(surface),
         "delta": args.delta,
-        "count": fmt_rational(result.value),
+        "count": result.value,
         "validity": result.validity,
         "chi_L": surface.chi_L(),
         "dim_linear_system": surface.dim_linear_system(),
@@ -178,8 +170,8 @@ def cmd_count(args, out):
 
 def cmd_yau_zaslow(args, out):
     report = nodal.yau_zaslow_check(args.max_delta)
-    rows = [(r.delta, fmt_rational(r.node_value), fmt_rational(r.partition_value),
-             r.equal) for r in report.rows]
+    rows = [(r.delta, r.node_value, r.partition_value, r.equal)
+            for r in report.rows]
     if args.format == "csv":
         emit_csv(("delta", "node_polynomial_value", "partition_coefficient",
                   "equal"), rows, out)
@@ -201,8 +193,8 @@ def cmd_blowup_check(args, out):
     payload = {
         "surface": fmt_surface(surface),
         "blowup": fmt_surface(surface.blowup()),
-        "lhs": fmt_series(check.lhs),
-        "rhs": fmt_series(check.rhs),
+        "lhs": list(check.lhs),
+        "rhs": list(check.rhs),
         "holds": check.holds,
     }
     emit_json(document("blowup-check",
@@ -215,8 +207,7 @@ def cmd_rr_solve(args, out):
     pairs = rr_example_pairs()
     coeffs = solve_rr_coefficients(pairs)
     payload = {
-        "A1": fmt_rational(coeffs.A1), "A2": fmt_rational(coeffs.A2),
-        "A3": fmt_rational(coeffs.A3), "A4": fmt_rational(coeffs.A4),
+        "A1": coeffs.A1, "A2": coeffs.A2, "A3": coeffs.A3, "A4": coeffs.A4,
         "catalog": [{"surface": fmt_surface(s), "chi": chi}
                     for s, chi in pairs],
     }
@@ -228,10 +219,10 @@ def cmd_factorize(args, out):
     form = nodal.factorize_generating_function(args.max_delta)
     ok = form.reassembles()
     payload = {
-        "log_A1": fmt_series(form.log_a1),
-        "log_A2": fmt_series(form.log_a2),
-        "log_A3": fmt_series(form.log_a3),
-        "log_A4": fmt_series(form.log_a4),
+        "log_A1": list(form.log_a1),
+        "log_A2": list(form.log_a2),
+        "log_A3": list(form.log_a3),
+        "log_A4": list(form.log_a4),
         "exponents": {"A1": "K2", "A2": "c2", "A3": "L2", "A4": "LK"},
         "reassembly_exact": ok,
     }
@@ -311,11 +302,10 @@ def cmd_series(args, out):
             f"orders 0..{MAX_SERIES_ORDER}")
     series = _modular_series(args.name, args.order)
     if args.format == "csv":
-        emit_csv(("k", "coefficient"),
-                 ((k, fmt_rational(c)) for k, c in enumerate(series)), out)
+        emit_csv(("k", "coefficient"), enumerate(series), out)
     else:
         emit_json(document("series", {"name": args.name, "order": args.order},
-                           args.order, "json", fmt_series(series)), out)
+                           args.order, "json", list(series)), out)
     return 0
 
 

@@ -7,10 +7,12 @@ pinned down by the closed form it takes after the substitution t = DG2(q):
 
     F(DG2(q)) = (DG2/q)^chi(L) * B1^K2 * B2^LK / (Delta*D2G2/q^2)^(chi(O)/2)
 
-where B1, B2 are the Severi-degree power series known to order q^5.  That
-data limit caps everything here at delta <= 5: the cap is a property of the
-inputs, not of the algorithms.  The tests re-derive B1 and B2 from the
-Caporaso-Harris recursion for Severi degrees of plane curves.
+where B1, B2 are power series derived from Severi degrees of plane curves,
+held here to q^20 (:data:`B1_COEFFS`, from the Caporaso-Harris recursion at
+the degree pairs (11, 12) and (12, 13)).  That data limit caps everything
+here at delta <= 20, :data:`MAX_DELTA`: the cap is a property of the
+inputs, not of the algorithms.  The tests re-derive B1 and B2 from the same
+recursion, to q^16.
 
 The four exponents are linear in (L2, LK, K2, c2) and are stated once, as
 the rows of the Fraction matrix :data:`EXPONENTS`, whose chi(L) and
@@ -38,11 +40,25 @@ from .modular import (d2g2_series, delta_series, dg2_series,
                       partition_power_series)
 from .series import PSeries
 
-MAX_DELTA = 5
+# B1 and B2 to q^20 (Goettsche, alg-geom/9711012, gives them to q^5).  They
+# are derived from Severi degrees of plane curves by the Caporaso-Harris
+# recursion, as in tests/test_caporaso_harris.py: the degree pairs (11, 12)
+# and (12, 13) give the same series.  Degree ceil(M/2) + 1 reaches q^M at
+# Goettsche's threshold d >= delta/2 + 1, a conjecture; Kool-Shende-Thomas
+# (arXiv:1010.3211) prove the Severi degrees universal only for d >= delta.
+B1_COEFFS = (
+    1, -1, -5, 39, -345, 2961, -24866, 207759, -1737670, 14584625,
+    -122937305, 1040906771, -8852158628, 75598131215, -648168748072,
+    5577807139921, -48163964723088, 417210529188188, -3624610235789053,
+    31575290280786530, -275758194822813754)
+B2_COEFFS = (
+    1, 5, 2, 35, -140, 986, -6643, 48248, -362700, 2802510, -22098991,
+    177116726, -1438544962, 11814206036, -97940651274, 818498739637,
+    -6888195294592, 58324130994782, -496519067059432, 4247266246317414,
+    -36488059346439524)
 
-# Goettsche, alg-geom/9711012; B1 = 1 - q - 5q^2 + 39q^3 - 345q^4 + 2961q^5.
-B1_COEFFS = (1, -1, -5, 39, -345, 2961)
-B2_COEFFS = (1, 5, 2, 35, -140, 986)
+# The delta cap is where the B1/B2 data stop.
+MAX_DELTA = len(B1_COEFFS) - 1
 
 # The closed form is prod_i base_i^(e_i) over the bases DG2/q, B1, B2 and
 # Delta*D2G2/q^2, with e_i = EXPONENTS[i] . (L2, LK, K2, c2): chi(L), K2, LK

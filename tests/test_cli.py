@@ -11,7 +11,7 @@ import pytest
 from nodepoly import cli, nodal
 from nodepoly.cli import (DEFAULT_ORDER, MAX_PARTITION_EXPONENT,
                           MAX_SERIES_ORDER, build_parser, emit_json,
-                          fmt_rational, read_args, run)
+                          read_args, run)
 from nodepoly.inclexcl import SetSystem
 
 from test_golden import FIXTURE as GOLDEN_FIXTURE
@@ -32,9 +32,9 @@ def payload_of(text):
 def test_rational_round_trip():
     for value in (Fraction(1, 12), Fraction(-345), Fraction(0),
                   Fraction(176256), Fraction(-7, 24)):
-        assert Fraction(fmt_rational(value)) == value
-    assert fmt_rational(Fraction(24)) == "24"
-    assert fmt_rational(Fraction(1, 2)) == "1/2"
+        assert Fraction(json.loads(emitted(value))) == value
+    assert emitted(Fraction(24)) == '"24"\n'
+    assert emitted(Fraction(1, 2)) == '"1/2"\n'
 
 
 def test_rr_solve():
@@ -80,13 +80,16 @@ def test_series_csv():
 
 
 def test_series_b1_data_limit():
-    code, out, err = invoke(["series", "--name", "B1", "--order", "6"])
+    code, out, err = invoke(["series", "--name", "B1", "--order",
+                             str(nodal.MAX_DELTA + 1)])
     assert code == 2
     assert out == ""
-    assert "q^5" in err
+    assert f"q^{nodal.MAX_DELTA}" in err
 
 
-@pytest.mark.parametrize("delta", [-1, nodal.MAX_DELTA + 1])
+# 6 lies past Goettsche's q^5 data (alg-geom/9711012) but inside the q^20
+# table: it must run
+@pytest.mark.parametrize("delta", [-1, 6, nodal.MAX_DELTA + 1])
 @pytest.mark.parametrize("argv", [
     ["node-polys", "--max-delta"],
     ["count", "--surface", "P2:3", "--delta"],
@@ -95,8 +98,12 @@ def test_series_b1_data_limit():
     ["factorize", "--max-delta"],
 ], ids=lambda argv: argv[0])
 def test_delta_cap_error_is_the_library_message(argv, delta):
-    assert invoke(argv + [str(delta)]) == (2, "", f"nodepoly: error: "
-                                           f"{cap_message(delta)}\n")
+    code, out, err = invoke(argv + [str(delta)])
+    if 0 <= delta <= nodal.MAX_DELTA:
+        assert (code, err) == (0, "") and payload_of(out)
+    else:
+        assert (code, out, err) == (2, "", f"nodepoly: error: "
+                                    f"{cap_message(delta)}\n")
 
 
 @pytest.mark.parametrize("name", ["B1", "B2", "b1"])
@@ -150,7 +157,8 @@ def test_node_polys_t1():
 
 
 def test_node_polys_cap_names_data_limit():
-    code, _, err = invoke(["node-polys", "--max-delta", "6"])
+    code, _, err = invoke(["node-polys", "--max-delta",
+                           str(nodal.MAX_DELTA + 1)])
     assert code == 2
     assert "B1/B2" in err
 
@@ -594,7 +602,7 @@ def test_output_is_deterministic():
 # -- the JSON emitter against json.dumps as the oracle -------------------------
 
 def oracle(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
 
 
 def emitted(doc):
@@ -644,7 +652,7 @@ def random_text(rng):
 
 
 def random_value(rng, depth):
-    kind = rng.randrange(8 if depth < 4 else 6)
+    kind = rng.randrange(9 if depth < 4 else 7)
     if kind == 0:
         return random_text(rng)
     if kind == 1:
@@ -658,6 +666,9 @@ def random_value(rng, depth):
     if kind == 5:
         return rng.choice(({}, []))
     if kind == 6:
+        return Fraction(rng.randrange(-10**30, 10**30),
+                        rng.choice((1, rng.randrange(1, 10**12))))
+    if kind == 7:
         return [random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
     return {random_text(rng): random_value(rng, depth + 1)
             for _ in range(rng.randrange(5))}

@@ -6,8 +6,13 @@ this file as a script (``PYTHONPATH=src python tests/test_golden.py``) on a
 tree whose output was the reference, so the suite itself checks that a
 refactor leaves every byte of these commands as it was.  ``count`` is left
 out: its values are pinned against the table in ``test_nodal``.
+
+``golden/deep_sha256.json`` pins the commands at delta 20, where stdout
+runs to a megabyte, by the sha256 of their stdout; the same script writes
+it.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -18,6 +23,7 @@ import pytest
 from nodepoly.cli import run
 
 FIXTURE = Path(__file__).parent / "golden" / "cli_stdout.json"
+DEEP_FIXTURE = FIXTURE.parent / "deep_sha256.json"
 
 
 def seeded_sets(k, universe, seed):
@@ -47,6 +53,14 @@ CASES = [pytest.param(argv, None, id=" ".join(argv)) for argv in (
       for name, text in STDINS.items() for fmt in ("json", "csv")]
 
 
+DEEP_CASES = [pytest.param(argv, id=" ".join(argv)) for argv in (
+    [[command, "--max-delta", "20"]
+     for command in ("node-polys", "factorize", "yau-zaslow")]
+    + [["count", "--surface", s, "--delta", "20"]
+       for s in ("K3:38", "T4:42", "P2:11", "P2:20", "8,-8,8,4")]
+)]
+
+
 def record(argv, stdin=None):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), out=out, err=err, stdin=io.StringIO(stdin or ""))
@@ -61,12 +75,29 @@ def golden():
             json.loads(FIXTURE.read_text(encoding="utf-8"))}
 
 
+def deep_record(argv):
+    rec = record(argv)
+    rec["stdout_sha256"] = hashlib.sha256(
+        rec.pop("stdout").encode("utf-8")).hexdigest()
+    return rec
+
+
 @pytest.mark.parametrize("argv, stdin", CASES)
 def test_cli_output_is_golden(argv, stdin):
     assert record(argv, stdin) == golden()[tuple(argv), stdin]
+
+
+@pytest.mark.parametrize("argv", DEEP_CASES)
+def test_deep_output_hash_is_golden(argv):
+    pins = {tuple(r["argv"]): r for r in
+            json.loads(DEEP_FIXTURE.read_text(encoding="utf-8"))}
+    assert deep_record(argv) == pins[tuple(argv)]
 
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps([record(*c.values) for c in CASES],
                                   indent=1) + "\n", encoding="utf-8")
+    DEEP_FIXTURE.write_text(json.dumps([deep_record(*c.values)
+                                        for c in DEEP_CASES],
+                                       indent=1) + "\n", encoding="utf-8")
