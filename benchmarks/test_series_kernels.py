@@ -6,6 +6,10 @@ closed form takes, DG2/q and Delta*D2G2/q^2: mul (s*s), inverse, log, exp
 the composition of log(DG2/q) with that reversion (the substitution q =
 DG2^{-1}(t) of the node polynomials) at M = 16, 20 and 28.  N = 64 and
 M = 20 are where the median op of the ``qseries-deep`` workload sits.
+Three more exp rows take inputs whose outputs carry true n! denominators,
+exp(q + q^2/3) at N = 48 and 96 and exp(sum q^k/k!) at N = 48: there the
+running denominator of the exp grows at every step, the cost side of its
+integer-output case.
 Inputs are built outside the timed call.  This directory is outside the
 tier-1 test paths; run it with pytest-benchmark installed:
 
@@ -14,16 +18,23 @@ tier-1 test paths; run it with pytest-benchmark installed:
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from nodepoly.modular import d2g2_series, delta_series, dg2_series
+from nodepoly.series import PSeries
 
 ORDERS = (48, 64, 96)
 REVERSION_ORDERS = (16, 20, 28)
 BASES = {
     "DG2/q": lambda n: dg2_series(n + 1).shift_down(1),
     "Delta*D2G2/q^2": lambda n: (delta_series(n + 2) * d2g2_series(n + 2)).shift_down(2),
+}
+FACTORIAL_EXPS = {
+    "q+q^2/3": lambda n: PSeries([0, 1, Fraction(1, 3)], order=n),
+    "sum q^k/k!": lambda n: PSeries([0] + [Fraction(1, factorial(k))
+                                           for k in range(1, n + 1)]),
 }
 KERNELS = {
     "mul": lambda s: s * s,
@@ -58,3 +69,11 @@ def test_compose(benchmark, m):
     inner = dg2_series(m).reversion()
     benchmark.group = f"compose M={m}"
     assert benchmark(outer.compose, inner).order == m
+
+
+@pytest.mark.parametrize("name, n", [("q+q^2/3", 48), ("q+q^2/3", 96),
+                                     ("sum q^k/k!", 48)])
+def test_exp_factorial_denominators(benchmark, name, n):
+    s = FACTORIAL_EXPS[name](n)
+    benchmark.group = f"exp N={n}"
+    assert benchmark(s.exp).order == n

@@ -82,7 +82,7 @@ def _check_order(order):
     """The one check of the delta cap: every entry point calls it first."""
     if not 0 <= order <= MAX_DELTA:
         raise ValueError(
-            f"delta {order} is out of range 0..{MAX_DELTA}: the B1/B2 series "
+            f"{order} is out of range 0..{MAX_DELTA}: the B1/B2 series "
             f"data stop at q^{MAX_DELTA}")
 
 
@@ -165,13 +165,19 @@ def _exp_linear(rows):
     """exp(L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3) in integers, for four Fraction
     series l_v: the only exp with polynomial coefficients.
 
-    With the sum written sum_v x_v * l_v(t) over the Chern numbers x_v,
+    With the sum written a = sum_v x_v * l_v(t) over the Chern numbers x_v,
     k * l_(v,k) = C_(k,v) / dc for one integer dc, and the t^n coefficient
-    written B_n / (n! * dc^n), the recurrence of ``_exp_fractions`` holds
-    with integer polynomials B_n: B_0 = 1 and
-    B_n = sum_(k,v) x_v * C_(k,v) * dc^(k-1) * (n-1)!/(n-k)! * B_(n-k).
+    of b = exp(a) written B_n / (n! * dc^n), the recurrence
+    n*b_n = sum_k k*a_k*b_(n-k) holds with integer polynomials B_n: B_0 = 1
+    and B_n = sum_(k,v) x_v * C_(k,v) * dc^(k-1) * (n-1)!/(n-k)! * B_(n-k).
     Each B_n maps packed exponents (base order + 1, so x_v is the shift
     base^v) to ints; one Fraction is built per term at the end.
+
+    The fixed n! * dc^n scale is kept on purpose, where the Fraction exp
+    keeps a running denominator: here dc = 1 (at delta 5, 12 and 20) and
+    the coefficient denominators of T_delta have lcm exactly delta!, so a
+    running denominator would grow at every step and save nothing.  A
+    separable exp, prod_v exp(x_v * l_v), is the way to speed this one up.
     """
     order = min(map(len, rows)) - 1
     rows = [[k * c for k, c in enumerate(row)] for row in rows]

@@ -17,14 +17,19 @@ one Miller recurrence) and reversion (Lagrange inversion, each power by
 Miller's recurrence) -- clear denominators once, run in Python ints and
 build one Fraction per output coefficient.  Only the product has a generic
 loop for other coefficient rings; the other six raise TypeError on them.
-The integer kernels accumulate their inner sums in plain ``for`` loops, not
-``sum`` over a generator: at the orders the closed form needs (N <= 96)
-resuming a generator for each term costs about as much as the big-integer
-product it feeds.
+The exp keeps every coefficient over one running denominator that grows
+only when a new coefficient needs it, and takes each inner sum as one
+C-level ``sum(map(mul, ...))``: an exp with integer outputs, such as the
+counts of ``nodal``, multiplies integers of the size of its output.  The
+other integer kernels accumulate their inner sums in plain ``for`` loops,
+not ``sum`` over a generator: at the orders the closed form needs
+(N <= 96) resuming a generator for each term costs about as much as the
+big-integer product it feeds.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def _promote(c):
@@ -139,9 +144,13 @@ def _log_fractions(a):
 def _exp_fractions(a):
     """Exponential of an all-Fraction run with a_0 = 0, in integers.
 
-    With k*a_k = C_k/dc for integers C_k and b_m = B_m / (m! * dc^m),
-    B_0 = 1 and B_n = sum_k C_k * dc^(k-1) * B_(n-k) * (n-1)!/(n-k)!.
-    The falling factorial is applied by Horner's rule over n-k.
+    With k*a_k = C_k/dc for integers C_k, every b_j computed so far is
+    B_j / D over one running denominator D, starting at B_0 = D = 1.  The
+    recurrence n*b_n = sum_k k*a_k*b_(n-k) gives b_n = S / (n*dc*D) with
+    S = sum_k C_k * B_(n-k).  With g = gcd(S, n*dc), D grows only by
+    f = n*dc/g (the earlier B_j are scaled by f) and B_n = S/g.  So an exp
+    whose outputs are integers keeps D = 1 and works at the size of its
+    output.
     """
     pairs = []
     for k, c in enumerate(a):  # k*a_k in lowest terms, without Fractions
@@ -149,20 +158,20 @@ def _exp_fractions(a):
         g = gcd(k, q)
         pairs.append((k // g * n, q // g))
     dc, num = _clear_pairs(pairs)
-    scaled = _scale_up(num, dc)
-    b = [1]
+    num = num[1:]
+    b, den = [1], 1
     for n in range(1, len(a)):
-        acc = 0
-        for j in range(n):
-            acc = acc * j + scaled[n - j] * b[j]
-        b.append(acc)
-    out = []
-    den = 1
-    for n, x in enumerate(b):
-        if n:
-            den *= n * dc
-        out.append(Fraction(x, den))
-    return out
+        s = sum(map(mul, num, reversed(b)))
+        m = n * dc
+        g = gcd(s, m)
+        if g != m:
+            f = m // g
+            den *= f
+            b = [x * f for x in b]
+        b.append(s // g)
+    if den == 1:
+        return [Fraction(x) for x in b]
+    return [Fraction(x, den) for x in b]
 
 
 def _miller(num, p, r, n):

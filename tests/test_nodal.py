@@ -112,7 +112,7 @@ def test_b_series_data_limit():
 
 
 def cap_message(delta):
-    return (f"delta {delta} is out of range 0..{MAX_DELTA}: the B1/B2 series "
+    return (f"{delta} is out of range 0..{MAX_DELTA}: the B1/B2 series "
             f"data stop at q^{MAX_DELTA}")
 
 

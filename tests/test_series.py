@@ -14,7 +14,7 @@ composition both ways with the reverted series.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 import random
 
 import pytest
@@ -175,6 +175,25 @@ def test_exp_matches_generic_loop():
     got = s.exp()
     assert got == exp_oracle(s)
     assert_fractions(got)
+    # every branch of the running denominator D: integer outputs at N = 96
+    # (D stays 1); true n! denominators (D grows at each step); exp(2q),
+    # whose D grows by 3 at q^3 and whose q^4 gcd then cancels all of
+    # n*dc = 4; negative sums; dc = 42 > 1; and exp(sum q^k/k!), whose dc is
+    # lcm((k-1)!) but whose outputs (Bell numbers over n!) need only n!
+    cases = [
+        dg2_series(97).shift_down(1).log(),
+        (delta_series(98) * d2g2_series(98)).shift_down(2).log(),
+        PSeries.identity(40),
+        PSeries([0, 1, F(1, 3)], order=40),
+        PSeries([0, 2], order=12),
+        PSeries([0, -2, F(-5, 3)], order=24),
+        PSeries([0, F(1, 2), F(-1, 3), F(5, 7)], order=24),
+        PSeries([0] + [F(1, factorial(k)) for k in range(1, 49)]),
+    ]
+    for s in cases:
+        got = s.exp()
+        assert got == exp_oracle(s)
+        assert_fractions(got)
 
 
 def test_log_matches_oracle():
