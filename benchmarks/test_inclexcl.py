@@ -4,12 +4,15 @@ One op is ``SetSystem(lists)`` -- the pass that checks each element and
 records its membership signature -- followed by ``modified_cardinalities``,
 on seeded inputs of the two regimes of the ``inclexcl`` command: k = 6 sets
 over 20000 elements (element-bound) and k = 10 over 2000 (lattice-bound),
-each element joining each set with probability 1/2.  The lists are built
-outside the timed call.  A lattice-only case times ``modified_cardinalities``
-alone on a prebuilt ``SetSystem``.  A last case times the whole command on
-the same inputs: ``cli.run(["inclexcl"])`` from the JSON text on stdin to
-the JSON document on stdout, parsing, counting and writing included.  Run it
-with pytest-benchmark installed:
+each element joining each set with probability 1/2.  Both are dense, so
+``SetSystem`` records their masks in a list indexed by element; a third
+shape spreads the k = 6 elements by a 10**9 stride, which sends them down
+the dict path.  The lists are built outside the timed call.  A lattice-only
+case times ``modified_cardinalities`` alone on a prebuilt ``SetSystem``.  A
+last case times the whole command on the same inputs:
+``cli.run(["inclexcl"])`` from the JSON text on stdin to the JSON document
+on stdout, parsing, counting and writing included.  Run it with
+pytest-benchmark installed:
 
     python -m pytest benchmarks/test_inclexcl.py                  # timings
     python -m pytest benchmarks --benchmark-disable -q            # one pass
@@ -24,12 +27,14 @@ import pytest
 from nodepoly.cli import run
 from nodepoly.inclexcl import SetSystem, modified_cardinalities
 
-SHAPES = {"k=6/20000": (6, 20000), "k=10/2000": (10, 2000)}
+# name -> (k, universe size, stride between elements)
+SHAPES = {"k=6/20000": (6, 20000, 1), "k=10/2000": (10, 2000, 1),
+          "k=6/20000 sparse": (6, 20000, 10**9)}
 
 
-def seeded_sets(k, universe, seed=1):
+def seeded_sets(k, universe, stride, seed=1):
     rng = random.Random(seed)
-    return [[x for x in range(universe) if rng.random() < 0.5]
+    return [[x * stride for x in range(universe) if rng.random() < 0.5]
             for _ in range(k)]
 
 
@@ -39,8 +44,8 @@ def build_and_count(sets):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_build_and_count(benchmark, shape):
-    k, universe = SHAPES[shape]
-    sets = seeded_sets(k, universe)
+    k, universe, stride = SHAPES[shape]
+    sets = seeded_sets(k, universe, stride)
     benchmark.group = f"inclexcl {shape}"
     plain, modified = benchmark(build_and_count, sets)
     assert len(plain) == len(modified) == 2 ** k - 1
@@ -49,8 +54,8 @@ def test_build_and_count(benchmark, shape):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_lattice_only(benchmark, shape):
-    k, universe = SHAPES[shape]
-    sets = seeded_sets(k, universe)
+    k, universe, stride = SHAPES[shape]
+    sets = seeded_sets(k, universe, stride)
     system = SetSystem(sets)
     benchmark.group = f"inclexcl {shape}"
     plain, modified = benchmark(modified_cardinalities, system)
@@ -66,8 +71,8 @@ def run_inclexcl(text):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_cli_inclexcl_json(benchmark, shape):
-    k, universe = SHAPES[shape]
-    sets = seeded_sets(k, universe)
+    k, universe, stride = SHAPES[shape]
+    sets = seeded_sets(k, universe, stride)
     benchmark.group = f"inclexcl {shape}"
     code, out = benchmark(run_inclexcl, json.dumps(sets))
     payload = json.loads(out)["payload"]

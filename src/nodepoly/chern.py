@@ -142,12 +142,21 @@ def parse_surface(spec):
         if name not in catalog:
             raise ValueError(f"unknown surface family {name!r}; "
                              f"choices: {', '.join(sorted(catalog))}")
-        return catalog[name](int(arg))
+        return catalog[name](_spec_integer(spec, arg))
     parts = spec.split(",")
     if len(parts) != 4:
         raise ValueError("explicit surface needs four integers L2,LK,K2,c2")
-    l2, lk, k2, c2 = (int(p) for p in parts)
+    l2, lk, k2, c2 = (_spec_integer(spec, p) for p in parts)
     return SurfaceClass(f"custom({spec})", l2, lk, k2, c2)
+
+
+def _spec_integer(spec, field):
+    """int(field) for one field of a surface spec, naming the spec if not."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"surface {spec!r}: expected an integer, "
+                         f"got {field!r}") from None
 
 
 def rr_example_pairs():

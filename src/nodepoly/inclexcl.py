@@ -6,7 +6,10 @@ finer intersection.  That is exactly the number of union elements whose
 membership signature -- the set of indices of the sets containing them --
 is I.  A :class:`SetSystem` is stored as that signature map (element ->
 bitmask, bit i for A_i), built in the same pass over the input that checks
-each element, so the union is its key set.  The histogram of the masks is
+each element, so the union is its key set.  The pass ORs each bit into a
+list indexed by element when the input is a list of lists whose largest
+element is at most about twice the number of listed elements, and into a
+dict otherwise.  The histogram of the masks is
 the modified table; a superset-sum (zeta) transform over the 2^k masks
 turns it into the plain intersection sizes:
 
@@ -25,11 +28,12 @@ Index sets are 0-based throughout, matching the input list positions.
 """
 
 from collections import namedtuple
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from math import comb
 from operator import add
 
 MAX_SETS = 10
+_BAD_ELEMENT = "set elements must be nonnegative integers"
 
 
 class _Signatures(dict):
@@ -49,6 +53,28 @@ class _Signatures(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
+def _dense_top(sets):
+    """The largest element of ``sets`` if its masks go in a list indexed
+    by element, else None.
+
+    That takes a list of lists, a max() over their elements that is an int,
+    and that top at most 2 * total + 64 for total listed elements: the list
+    of top + 1 slots then never holds more than twice the slots of the
+    input's own lists, plus 65.  Everything else -- generators, Python
+    sets, sparse or huge elements such as 10**30, input on which max()
+    fails -- keeps the dict, whose size is bounded by the input alone.
+    """
+    if type(sets) is not list or set(map(type, sets)) - {list}:
+        return None
+    try:
+        top = max(map(max, filter(None, sets)), default=0)
+    except TypeError:
+        return None
+    if type(top) is not int or top > 2 * sum(map(len, sets)) + 64:
+        return None
+    return top
+
+
 class SetSystem(namedtuple("SetSystem", "k signatures")):
     """A finite list of k finite sets of nonnegative integers, held as its
     membership signatures: each union element maps to the bitmask of the
@@ -62,21 +88,48 @@ class SetSystem(namedtuple("SetSystem", "k signatures")):
     ``true``/``false``) is rejected, since ``True`` would silently count as
     the element 1.  Every element is checked before the bound on k, and no
     mask grows past ``MAX_SETS`` bits.
+
+    The masks are built in one of two ways, chosen from the input alone.  A
+    list of lists whose largest element is at most about twice the number
+    of listed elements gets a list indexed by element, one ``masks[x] |=
+    bit`` per listed element, and the signature map is read off its nonzero
+    slots.  Any other input -- an iterator, Python sets, sparse or huge
+    elements, malformed elements -- gets a dict update per listed element,
+    the route whose memory is bounded by the input.  The checks and the
+    errors are the same on both.
     """
     __slots__ = ()
 
     def __new__(cls, sets):
-        signatures = {}
-        get = signatures.get
+        top = _dense_top(sets)
         k = 0
-        for s in sets:
-            bit = 1 << k if k < MAX_SETS else 0  # past the bound: checks only
-            for x in s:
-                if type(x) is not int or x < 0:
-                    raise ValueError(
-                        "set elements must be nonnegative integers")
-                signatures[x] = get(x, 0) | bit
-            k += 1
+        if top is None:
+            signatures = {}
+            get = signatures.get
+            for s in sets:
+                # past the bound: checks only
+                bit = 1 << k if k < MAX_SETS else 0
+                for x in s:
+                    if type(x) is not int or x < 0:
+                        raise ValueError(_BAD_ELEMENT)
+                    signatures[x] = get(x, 0) | bit
+                k += 1
+        else:
+            masks = [0] * (top + 1)
+            try:
+                for s in sets:
+                    bit = 1 << k if k < MAX_SETS else 0
+                    for x in s:
+                        # checked before the index: masks[-1] is the last slot
+                        if type(x) is not int or x < 0:
+                            raise ValueError(_BAD_ELEMENT)
+                        masks[x] |= bit
+                    k += 1
+            except IndexError:
+                # an int past top: max() was misled by the comparisons of
+                # a non-int element, which the dict path rejects too
+                raise ValueError(_BAD_ELEMENT) from None
+            signatures = compress(enumerate(masks), masks)
         if not k:
             raise ValueError("a set system needs at least one set")
         if k > MAX_SETS:

@@ -4,7 +4,9 @@ The signature oracle partitions the union by the exact index set of
 containing sets, one frozenset per element.  The backward-induction oracle
 builds every intersection and settles the lattice from the largest index
 sets down.  The histogram kernel must agree with both; its (plain, modified)
-lists are keyed by ``nonempty_index_sets`` to compare.
+lists are keyed by ``nonempty_index_sets`` to compare.  ``SetSystem``
+builds its signatures in an element-indexed list or, for sparse or
+malformed input, a dict; a per-element dict update is the oracle for both.
 """
 
 import random
@@ -12,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from nodepoly.inclexcl import (SetSystem, intersection_table,
+from nodepoly.inclexcl import (SetSystem, _dense_top, intersection_table,
                                modified_cardinalities, nonempty_index_sets,
                                union_via_alternating, union_via_modified)
 
@@ -41,6 +43,15 @@ def signature_oracle(system):
         signature = frozenset(i for i, s in enumerate(system.sets) if x in s)
         counts[signature] = counts.get(signature, 0) + 1
     return counts
+
+
+def per_element_signatures(sets):
+    """Element -> mask by one dict update per listed element."""
+    signatures = {}
+    for i, s in enumerate(sets):
+        for x in s:
+            signatures[x] = signatures.get(x, 0) | 1 << i
+    return signatures
 
 
 def random_system(rng, max_k=5, universe=12):
@@ -218,24 +229,87 @@ def test_index_set_enumeration():
     assert frozenset({0, 1, 2}) in sets
 
 
-def test_validation():
-    # every element is checked before the bound on the number of sets
-    element = "^set elements must be nonnegative integers$"
-    for sets in ([{-1}], [{0.5}], [[[1]]], [["1"]], [[None]], [[2, -1]],
-                 [[1]] * 10 + [[True]], [[1]] * 20 + [[-5]]):
-        with pytest.raises(ValueError, match=element):
-            SetSystem(sets)
+class Contrary:
+    """Compares as both greater and less than anything: max() over
+    [20, Contrary(), 10] returns 10, and the list path meets 20 past it."""
+
+    def __gt__(self, other):
+        return True
+
+    __lt__ = __gt__
+
+
+REJECTED_ELEMENTS = [
+    [{-1}], [{0.5}], [[[1]]], [["1"]], [[None]],
+    [[2, -1]],  # on the list path a missing x < 0 check writes masks[-1]
+    [[1]] * 10 + [[True]], [[1]] * 20 + [[-5]], [[20, Contrary(), 10]],
     # bool is an int subclass: True would otherwise count as the element 1
-    for sets in ([[True, 2], [1]], [[1, True]], [[False]]):
-        with pytest.raises(ValueError, match=element):
-            SetSystem(sets)
-    with pytest.raises(ValueError, match="^a set system needs at least one "
-                       "set$"):
-        SetSystem([])
-    with pytest.raises(ValueError, match="^11 sets exceed the bound 10: "):
-        SetSystem([{1}] * 11)
+    [[True, 2], [1]], [[1, True]], [[False]]]
+
+
+def with_huge(sets):
+    """``sets`` with 10**30 added to the first set, which sends any input
+    down the dict path."""
+    if not sets:
+        return sets
+    first = sets[0]
+    first = first | {10**30} if isinstance(first, set) else first + [10**30]
+    assert _dense_top([first] + sets[1:]) is None
+    return [first] + sets[1:]
+
+
+def test_validation():
+    # every element is checked before the bound on the number of sets, as
+    # given and again on the dict path
+    element = "^set elements must be nonnegative integers$"
+    for spread in (list, with_huge):
+        for sets in REJECTED_ELEMENTS:
+            with pytest.raises(ValueError, match=element):
+                SetSystem(spread(sets))
+        with pytest.raises(ValueError, match="^a set system needs at least "
+                           "one set$"):
+            SetSystem(spread([]))
+        for sets in ([{1}] * 11, [[1]] * 11):
+            with pytest.raises(ValueError,
+                               match="^11 sets exceed the bound 10: "):
+                SetSystem(spread(sets))
     assert SetSystem([[10**30]]).signatures == {10**30: 1}
     assert SetSystem([[]]).k == 1 and SetSystem([[]]).union() == frozenset()
+
+
+def test_signatures_match_per_element_oracle_on_both_paths():
+    # seeded dense systems take the list path, the same spread by a 10**12
+    # stride the dict path; duplicates, empty sets and element order vary
+    rng = random.Random(61)
+    for stride in (1, 10**12):
+        for k in range(1, 11):
+            for p in (0.5, 0.9):
+                universe = rng.randrange(50, 200)
+                sets = [[x * stride for x in range(universe)
+                         if rng.random() < p] for _ in range(k)]
+                for s in sets:
+                    s += rng.sample(s, len(s) // 4)
+                    rng.shuffle(s)
+                if k > 1:
+                    sets[rng.randrange(k)] = []
+                assert (_dense_top(sets) is None) == (stride > 1)
+                system = SetSystem(sets)
+                assert system.signatures == per_element_signatures(sets)
+                as_sets = SetSystem([set(s) for s in sets])
+                assert system == as_sets and hash(system) == hash(as_sets)
+
+
+def test_sparse_elements_allocate_no_element_indexed_list():
+    # One element at 10**6 would need an 8 MB list indexed by element (at
+    # 10**9, 8 GB); the dict path holds one entry.
+    tracemalloc.start()
+    try:
+        system = SetSystem([[10**6]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
+    assert system.signatures == {10**6: 1}
 
 
 def test_too_many_sets_rejected_with_narrow_masks():
