@@ -9,7 +9,11 @@ M = 20 are where the median op of the ``qseries-deep`` workload sits.
 Three more exp rows take inputs whose outputs carry true n! denominators,
 exp(q + q^2/3) at N = 48 and 96 and exp(sum q^k/k!) at N = 48: there the
 running denominator of the exp grows at every step, the cost side of its
-integer-output case.
+integer-output case.  The powers also run at N = 96 with the other
+exponents of the workload, s**(1/2) and s**(2/3), and on three inputs
+whose running Miller denominator is raised most often for their size, the
+cost side of the power kernel: (1+q)^(1/2), (3+q+q^2)^(-7) and
+euler_product(96)^(1/2).
 Inputs are built outside the timed call.  This directory is outside the
 tier-1 test paths; run it with pytest-benchmark installed:
 
@@ -22,7 +26,7 @@ from math import factorial
 
 import pytest
 
-from nodepoly.modular import d2g2_series, delta_series, dg2_series
+from nodepoly.modular import d2g2_series, delta_series, dg2_series, euler_product
 from nodepoly.series import PSeries
 
 ORDERS = (48, 64, 96)
@@ -35,6 +39,11 @@ FACTORIAL_EXPS = {
     "q+q^2/3": lambda n: PSeries([0, 1, Fraction(1, 3)], order=n),
     "sum q^k/k!": lambda n: PSeries([0] + [Fraction(1, factorial(k))
                                            for k in range(1, n + 1)]),
+}
+SLOW_POWERS = {
+    "(1+q)^(1/2)": (lambda n: PSeries([1, 1], order=n), Fraction(1, 2)),
+    "(3+q+q^2)^(-7)": (lambda n: PSeries([3, 1, 1], order=n), -7),
+    "euler_product^(1/2)": (euler_product, Fraction(1, 2)),
 }
 KERNELS = {
     "mul": lambda s: s * s,
@@ -54,6 +63,22 @@ def test_kernel(benchmark, kernel, base, n):
         s = s.log()
     benchmark.group = f"{kernel} N={n}"
     assert benchmark(KERNELS[kernel], s).order == n
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("base", BASES)
+def test_pow_exponents(benchmark, base, alpha):
+    s = BASES[base](96)
+    benchmark.group = "pow N=96"
+    assert benchmark(pow, s, alpha).order == 96
+
+
+@pytest.mark.parametrize("name", SLOW_POWERS)
+def test_pow_slow_side(benchmark, name):
+    build, e = SLOW_POWERS[name]
+    s = build(96)
+    benchmark.group = "pow N=96"
+    assert benchmark(pow, s, e).order == 96
 
 
 @pytest.mark.parametrize("m", REVERSION_ORDERS)

@@ -151,12 +151,15 @@ def parse_surface(spec):
 
 
 def _spec_integer(spec, field):
-    """int(field) for one field of a surface spec, naming the spec if not."""
-    try:
-        return int(field)
-    except ValueError:
+    """The integer one field of a surface spec spells, naming the spec if it
+    spells none.  Only an optional "-" then ASCII digits is read: int()
+    alone would also take "1_0", non-ASCII digits and surrounding space,
+    and the name built from the spec would not be the surface counted."""
+    digits = field[1:] if field[:1] == "-" else field
+    if not (digits.isdigit() and digits.isascii()):
         raise ValueError(f"surface {spec!r}: expected an integer, "
-                         f"got {field!r}") from None
+                         f"got {field!r}")
+    return int(field)
 
 
 def rr_example_pairs():

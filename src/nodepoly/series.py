@@ -21,10 +21,15 @@ The exp keeps every coefficient over one running denominator that grows
 only when a new coefficient needs it, and takes each inner sum as one
 C-level ``sum(map(mul, ...))``: an exp with integer outputs, such as the
 counts of ``nodal``, multiplies integers of the size of its output.  The
-other integer kernels accumulate their inner sums in plain ``for`` loops,
-not ``sum`` over a generator: at the orders the closed form needs
-(N <= 96) resuming a generator for each term costs about as much as the
-big-integer product it feeds.
+Miller recurrence of the powers and the reversion keeps its coefficients
+over one running denominator too, a power c^t of c = A_0 r^2 for e = p/r,
+raised to t = 2m only at a step m > t whose division is not exact: so a
+half-integer power of a q-series carries the denominators its output
+needs, not c^m at every step, with about log2(N) rescales.  The kernels
+other than the exp accumulate their inner sums in plain ``for`` loops, not
+``sum`` over a generator: at the orders the closed form needs (N <= 96)
+resuming a generator for each term costs about as much as the big-integer
+product it feeds.
 """
 
 from fractions import Fraction
@@ -175,45 +180,62 @@ def _exp_fractions(a):
 
 
 def _miller(num, p, r, n):
-    """B_0 .. B_(n-1) of Miller's recurrence for (A/A_0)^(p/r), in integers.
+    """B_0 .. B_(n-1) and D with (A/A_0)^(p/r) = sum B_m q^m / D, in
+    integers.
 
     Miller's recurrence m*a_0*b_m = sum_k ((e+1)k - m) a_k b_(m-k) for
-    b = a^e, with integers A_k, e = p/r and b_m = b_0 * B_m / (A_0 r^2)^m,
-    becomes B_0 = 1 and
-    m*B_m = sum_k ((p+r)k - r*m) A_k A_0^(k-1) r^(2k-1) B_(m-k), exact as
-    f^(p/r) is in Z[1/r][[q]] for f in 1 + qZ[[q]].  Zero A_k are skipped.
-    Returns the B_m and the step A_0 r^2.
+    b = a^e reads, for b = (A/A_0)^(p/r) with integers A_k, B_0 = D and
+    B_m = S / (m r A_0) with S = sum_k ((p+r)k - r*m) A_k B_(m-k).  Zero A_k
+    are skipped.  With c = A_0 r^2 every b_m * c^m is an integer (q -> A_0 q
+    turns b into f^(p/r) for an f in 1 + qZ[[q]], whose q^m coefficient
+    has a denominator dividing r^(2m)), so D = c^t makes step m exact once
+    t >= m.  D starts at 1 and grows only at a step m > t whose division
+    leaves a remainder: t is raised to 2m (at most n - 1), which makes the
+    next m steps exact too, and the stored B_j are scaled to match.  So D
+    follows the denominators the output needs, with at most 1 + log2(n)
+    rescales, where a fixed scale c^m would carry every one of them.  For
+    c = 1 (A_0 = 1 and an integer exponent) D = 1 and B_m = S/m.
     """
-    step = num[0] * r * r
-    terms, scale = [], r
+    c, q0 = num[0] * r * r, num[0] * r
+    terms = []  # a loop, not a comprehension: cheaper on short runs in 3.11
     for k in range(1, n):
         if num[k]:
-            terms.append((k, (p + r) * k, num[k] * scale))
-        scale *= step
-    b, i = [1], 0
+            terms.append((k, (p + r) * k, num[k]))
+    b, i, t = [1], 0, 0
     for m in range(1, n):
         if i < len(terms) and terms[i][0] == m:
             i += 1  # terms is sorted by k: sum over those with k <= m
         rm, acc = r * m, 0
         for k, pk, x in terms[:i]:
             acc += (pk - rm) * x * b[m - k]
-        b.append(acc // m)
-    return b, step
+        if c == 1:
+            b.append(acc // m)
+            continue
+        q = m * q0
+        if m > t:
+            quo, rem = divmod(acc, q)
+            if not rem:
+                b.append(quo)
+                continue
+            raised = min(2 * m, n - 1)
+            f = c ** (raised - t)
+            t = raised
+            b = [x * f for x in b]
+            acc *= f
+        b.append(acc // q)
+    return b, c ** t
 
 
 def _power_fractions(a, e):
     """a^e for an all-Fraction run with a_0 != 0 and e = p/r, in integers:
-    b_m = a_0^p * B_m / (A_0 r^2)^m with the B_m of :func:`_miller`."""
+    b_m = a_0^p * B_m / D with the B_m and D of :func:`_miller`."""
     p = e.numerator
-    b, step = _miller(_integer_run(a)[1], p, e.denominator, len(a))
+    b, d = _miller(_integer_run(a)[1], p, e.denominator, len(a))
     top, den = (a[0] ** p).as_integer_ratio()
-    if den == 1 and step == 1:
+    den *= d
+    if den == 1:
         return [Fraction(top * x) for x in b]
-    out = []
-    for x in b:
-        out.append(Fraction(top * x, den))
-        den *= step
-    return out
+    return [Fraction(top * x, den) for x in b]
 
 
 def _compose_fractions(c, g):
@@ -245,17 +267,17 @@ def _reversion_fractions(a):
     """Compositional inverse of an all-Fraction run with a_0 = 0 != a_1.
 
     Lagrange inversion: g_m = [q^(m-1)] (s/q)^(-m) / m.  With s/q = A/d,
-    (s/q)^(-m) = (d/A_0)^m * sum B_j q^j / A_0^j for the B_j of
-    :func:`_miller` at exponent -m, so g_m = d^m B_(m-1) / (m A_0^(2m-1)).
+    (s/q)^(-m) = (d/A_0)^m * sum B_j q^j / D for the B_j and D of
+    :func:`_miller` at exponent -m, so g_m = d^m B_(m-1) / (m A_0^m D).
     """
     d, num = _integer_run(a[1:])
     out = [Fraction(0)]
-    top, bottom = 1, num[0]
+    top, bottom = 1, 1
     for m in range(1, len(a)):
-        b, step = _miller(num, -m, 1, m)
+        b, den = _miller(num, -m, 1, m)
         top *= d
-        out.append(Fraction(top * b[-1], m * bottom))
-        bottom *= step * step
+        bottom *= num[0]
+        out.append(Fraction(top * b[-1], m * bottom * den))
     return out
 
 

@@ -425,8 +425,12 @@ def test_usage_errors_exit_2():
     assert code == 2 and "expected one argument" in err
     code, out, _ = invoke(["count", "--surface=-1,1,8,4", "--delta", "1"])
     assert code == 0 and payload_of(out)["count"] == "3"
-    # a field that is not an integer is named with its spec
-    for spec, field in (("K3:abc", "abc"), ("1,a,3,4", "a")):
+    # a field that is not an integer is named with its spec; only an
+    # optional "-" and ASCII digits spell one, not what else int() reads
+    for spec, field in (("K3:abc", "abc"), ("1,a,3,4", "a"),
+                        ("P2:1_0", "1_0"), ("P2:\uff11", "\uff11"),
+                        ("K3: 24", " 24"), ("P2:+3", "+3"), ("P2:-", "-"),
+                        ("1,2,3,4 ", "4 ")):
         assert invoke(["count", "--surface", spec, "--delta", "1"]) == (
             2, "", f"nodepoly: error: surface {spec!r}: expected an "
             f"integer, got {field!r}\n")

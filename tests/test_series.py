@@ -7,10 +7,12 @@ all-Fraction series are checked against the coefficient-ring recurrences
 they replaced, kept here as oracles; the exp, inverse and log oracles run
 over any coefficient ring, so they also serve as the polynomial-coefficient
 routes in the node-polynomial tests.  The Miller power kernel is checked
-against binary powering and exp(e*log), the routes it replaced.  At the
-orders the benchmark runs, log and reversion are checked by identities that
-use none of their kernels' formulas: D(log s) * s = D(s), exp(log s) = s and
-composition both ways with the reverted series.
+against binary powering and exp(e*log), the routes it replaced, and
+against the binomial series of (1 + c*q)^e.  At the orders the benchmark
+runs, log, powers and reversion are checked by identities that use none of
+their kernels' formulas: D(log s) * s = D(s), exp(log s) = s,
+s * D(s^e) = e * s^e * D(s) and composition both ways with the reverted
+series.
 """
 
 from fractions import Fraction
@@ -215,6 +217,12 @@ def test_reversion_matches_oracle():
         got = s.reversion()
         assert got == reversion_oracle(s)
         assert_fractions(got)
+    # a_1 = 3 and fractional coefficients: each Lagrange power has c = A_0
+    # != 1, so its running denominator is raised as it goes
+    s = PSeries([0, 3, F(-1, 2), F(2, 3), 0, F(-5, 7), 1], order=20)
+    got = s.reversion()
+    assert got == reversion_oracle(s)
+    assert_fractions(got)
 
 
 def test_reversion_of_dg2_at_order_28():
@@ -225,13 +233,19 @@ def test_reversion_of_dg2_at_order_28():
     assert rev.compose(s) == q
 
 
-@pytest.mark.parametrize("base", ["DG2/q", "Delta*D2G2/q^2"])
-def test_log_at_order_96(base):
+def base_at_order_96(base):
+    """One of the two bases whose logs and powers the closed form takes."""
     if base == "DG2/q":
         s = dg2_series(97).shift_down(1)
     else:
         s = (delta_series(98) * d2g2_series(98)).shift_down(2)
     assert s.order == 96 and s[0] == 1
+    return s
+
+
+@pytest.mark.parametrize("base", ["DG2/q", "Delta*D2G2/q^2"])
+def test_log_at_order_96(base):
+    s = base_at_order_96(base)
     log = s.log()
     assert log.qderiv() * s == s.qderiv()
     assert log.exp() == s
@@ -517,6 +531,48 @@ def test_pow_matches_oracle():
             got = s ** e
             assert got == pow_oracle(s, e)
             assert_fractions(got)
+    # the running denominator D = c^t of the Miller kernel, raised at about
+    # log2(N) of the N steps: c = 3 with outputs over powers of 3, and c = 4
+    # on a sparse unit base whose half power is over powers of 2
+    for s, e in ((PSeries([3, 1, 1], order=96), -7),
+                 (euler_product(96), F(1, 2))):
+        got = s ** e
+        assert got == pow_oracle(s, e)
+        assert_fractions(got)
+
+
+def generalized_binomials(e, c, order):
+    """binom(e, m) * c^m for m = 0 .. order: the coefficients of
+    (1 + c*q)^e, from binom(e, m) = binom(e, m-1) * (e - m + 1) / m."""
+    out = [F(1)]
+    for m in range(1, order + 1):
+        out.append(out[-1] * (e - m + 1) / m * c)
+    return out
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_pow_of_binomial_matches_closed_form(r):
+    # an independent oracle on two-term bases, where the running
+    # denominator of the Miller kernel is raised up to five times, between
+    # steps whose division is exact
+    for p in (-5, -1, 1, 2):
+        e = F(p, r)
+        for c in (F(1), F(2), F(6), F(-1, 3)):
+            got = PSeries([1, c], order=64) ** e
+            assert list(got.coeffs) == generalized_binomials(e, c, 64)
+            assert_fractions(got)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(-1, 2), F(2, 3), F(-5, 4)])
+@pytest.mark.parametrize("base", ["DG2/q", "Delta*D2G2/q^2"])
+def test_pow_at_order_96(base, alpha):
+    s = base_at_order_96(base)
+    got = s ** alpha
+    # s^alpha is the one series with constant term 1 and
+    # s * D(s^alpha) = alpha * s^alpha * D(s)
+    assert got[0] == 1
+    assert s * got.qderiv() == alpha * got * s.qderiv()
+    assert_fractions(got)
 
 
 def test_pow_zero_constant_term():
