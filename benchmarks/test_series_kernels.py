@@ -14,11 +14,22 @@ exponents of the workload, s**(1/2) and s**(2/3), and on three inputs
 whose running Miller denominator is raised most often for their size, the
 cost side of the power kernel: (1+q)^(1/2), (3+q+q^2)^(-7) and
 euler_product(96)^(1/2).
+The reversion also runs on DG2 at M = 40 and on three sparse inputs, and
+the inverse on two sparse bases at N = 96: the cost side of the dots that
+both kernels take over dense runs.  A sparse input has a dense integer
+log-derivative (that of 1+q is (-1)^(k-1)), so q+q^2 at M = 28, q-q^2 at
+M = 40 and 3q-q^2/2+q^3/3 at M = 24 pay for terms a loop skipping zero
+coefficients would not, as do (1+q)^(-1) and (3+q+q^2)^(-1).
 Inputs are built outside the timed call.  This directory is outside the
 tier-1 test paths; run it with pytest-benchmark installed:
 
     python -m pytest benchmarks                                # timings
     python -m pytest benchmarks --benchmark-disable -q         # one pass each
+
+To compare two versions, run each side from inside its own checkout:
+``pyproject.toml`` sets pytest's ``pythonpath = ["src"]``, which wins over
+``PYTHONPATH``, so pointing ``PYTHONPATH`` at another checkout's ``src``
+still times this checkout's code.
 """
 
 from fractions import Fraction
@@ -44,6 +55,16 @@ SLOW_POWERS = {
     "(1+q)^(1/2)": (lambda n: PSeries([1, 1], order=n), Fraction(1, 2)),
     "(3+q+q^2)^(-7)": (lambda n: PSeries([3, 1, 1], order=n), -7),
     "euler_product^(1/2)": (euler_product, Fraction(1, 2)),
+}
+SLOW_REVERSIONS = {
+    "q+q^2": (lambda m: PSeries([0, 1, 1], order=m), 28),
+    "q-q^2": (lambda m: PSeries([0, 1, -1], order=m), 40),
+    "3q-q^2/2+q^3/3": (lambda m: PSeries([0, 3, Fraction(-1, 2), Fraction(1, 3)],
+                                         order=m), 24),
+}
+SLOW_INVERSES = {
+    "1+q": lambda n: PSeries([1, 1], order=n),
+    "3+q+q^2": lambda n: PSeries([3, 1, 1], order=n),
 }
 KERNELS = {
     "mul": lambda s: s * s,
@@ -81,9 +102,24 @@ def test_pow_slow_side(benchmark, name):
     assert benchmark(pow, s, e).order == 96
 
 
-@pytest.mark.parametrize("m", REVERSION_ORDERS)
+@pytest.mark.parametrize("name", SLOW_INVERSES)
+def test_inverse_slow_side(benchmark, name):
+    s = SLOW_INVERSES[name](96)
+    benchmark.group = "inverse N=96"
+    assert benchmark(s.inverse).order == 96
+
+
+@pytest.mark.parametrize("m", REVERSION_ORDERS + (40,))
 def test_reversion(benchmark, m):
     s = dg2_series(m)
+    benchmark.group = f"reversion M={m}"
+    assert benchmark(s.reversion).order == m
+
+
+@pytest.mark.parametrize("name", SLOW_REVERSIONS)
+def test_reversion_slow_side(benchmark, name):
+    build, m = SLOW_REVERSIONS[name]
+    s = build(m)
     benchmark.group = f"reversion M={m}"
     assert benchmark(s.reversion).order == m
 

@@ -283,10 +283,9 @@ def _modular_series(name, order):
         return MODULAR_SERIES[key](built).truncate(order)
     if key.startswith("PARTITION_POWER(") and key.endswith(")"):
         arg = key[len("PARTITION_POWER("):-1]
-        try:
-            e = int(arg)
-        except ValueError:
-            e = 0
+        # ASCII digits only: int() would also take "3_0", "+3", " 3" and
+        # non-ASCII digits, and the name echoed would not be the series
+        e = int(arg) if arg.isdigit() and arg.isascii() else 0
         if not 1 <= e <= MAX_PARTITION_EXPONENT:
             raise ValueError(
                 f"PARTITION_POWER exponent {arg!r} is out of range: it must "

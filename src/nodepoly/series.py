@@ -13,23 +13,25 @@ freely with ``Fraction``.  Plain ``int`` coefficients are promoted to
 
 On all-``Fraction`` series the seven kernels -- product, composition
 (Horner's rule), inverse, log, exp, powers s**e (for an int or Fraction e,
-one Miller recurrence) and reversion (Lagrange inversion, each power by
-Miller's recurrence) -- clear denominators once, run in Python ints and
-build one Fraction per output coefficient.  Only the product has a generic
-loop for other coefficient rings; the other six raise TypeError on them.
-The exp keeps every coefficient over one running denominator that grows
-only when a new coefficient needs it, and takes each inner sum as one
-C-level ``sum(map(mul, ...))``: an exp with integer outputs, such as the
-counts of ``nodal``, multiplies integers of the size of its output.  The
-Miller recurrence of the powers and the reversion keeps its coefficients
-over one running denominator too, a power c^t of c = A_0 r^2 for e = p/r,
-raised to t = 2m only at a step m > t whose division is not exact: so a
-half-integer power of a q-series carries the denominators its output
-needs, not c^m at every step, with about log2(N) rescales.  The kernels
-other than the exp accumulate their inner sums in plain ``for`` loops, not
-``sum`` over a generator: at the orders the closed form needs (N <= 96)
-resuming a generator for each term costs about as much as the big-integer
-product it feeds.
+one Miller recurrence) and reversion (Lagrange inversion, every power
+from one shared integer log-derivative) -- clear denominators once, run in
+Python ints and build one Fraction per output coefficient.  Only the
+product has a generic loop for other coefficient rings; the other six
+raise TypeError on them.  The exp keeps every coefficient over one running
+denominator that grows only when a new coefficient needs it, and takes
+each inner sum as one C-level ``sum(map(mul, ...))``: an exp with integer
+outputs, such as the counts of ``nodal``, multiplies integers of the size
+of its output.  The inverse and the reversion take their inner sums as the
+same dot, which runs over zero coefficients too: sparse inputs pay for
+terms a loop would skip.  The Miller recurrence of the powers keeps its
+coefficients over one running denominator too, a power c^t of
+c = A_0 r^2 for e = p/r, raised to t = 2m only at a step m > t whose
+division is not exact: so a half-integer power of a q-series carries the
+denominators its output needs, not c^m at every step, with about log2(N)
+rescales.  The product, composition, log and Miller recurrences keep
+plain accumulating ``for`` loops: a dot measured no faster for the log,
+and 1.3-2x slower for Miller's recurrence, whose weights ((p+r)k - rm)
+change with every step m.
 """
 
 from fractions import Fraction
@@ -101,19 +103,15 @@ def _invert_fractions(a):
     """Reciprocal of an all-Fraction coefficient run, in integers.
 
     With a = A/d for integers A_j, 1/a = d * sum O_k q^k / A_0^(k+1) where
-    O_0 = 1 and O_k = -sum_{j=1..k} A_j * A_0^(j-1) * O_(k-j).
+    O_0 = 1 and O_k = -sum_{j=1..k} A_j * A_0^(j-1) * O_(k-j), one C-level
+    dot per coefficient.
     """
     d, num = _integer_run(a)
     a0 = num[0]
-    scaled = _scale_up(num, a0)
+    scaled = _scale_up(num, a0)[1:]
     o = [1]
-    for k in range(1, len(num)):
-        acc = 0
-        for j in range(1, k + 1):
-            x = scaled[j]
-            if x:
-                acc += x * o[k - j]
-        o.append(-acc)
+    for _ in range(1, len(num)):
+        o.append(-sum(map(mul, scaled, reversed(o))))
     if a0 == 1:
         return [Fraction(d * x) for x in o]
     out = []
@@ -124,23 +122,35 @@ def _invert_fractions(a):
     return out
 
 
-def _log_fractions(a):
-    """Logarithm of an all-Fraction run with a_0 = 1, in integers.
+def _log_derivative(num):
+    """L_0 .. L_(n-1) with L_k = k * l_k * A_0^k, for integers A_k with A_0
+    != 0 and log(A/A_0) = sum l_k q^k.
 
-    With a = A/d (so A_0 = d) and S_k = A_k * d^(k-1), the recurrence
-    n*l_n = n*a_n - sum_k k*l_k*a_(n-k) becomes l_n = L_n / (n * d^n) with
-    L_n = n*S_n - sum_(k=1..n-1) L_k * S_(n-k).
+    With S_k = A_k * A_0^(k-1), the recurrence n*l_n = n*a_n -
+    sum_k k*l_k*a_(n-k) for a = A/A_0 reads L_0 = 0 and
+    L_n = n*S_n - sum_(k=1..n-1) L_k * S_(n-k), all in integers: q -> A_0 q
+    takes A/A_0 into 1 + qZ[[q]].
     """
-    d, num = _integer_run(a)
-    scaled = _scale_up(num, d)
-    kl = [0]  # L_k = k * l_k * d^k
-    out = [Fraction(0)]
-    den = 1
+    scaled = _scale_up(num, num[0])
+    kl = [0]
     for n in range(1, len(num)):
         x = n * scaled[n]
         for k in range(1, n):
             x -= kl[k] * scaled[n - k]
         kl.append(x)
+    return kl
+
+
+def _log_fractions(a):
+    """Logarithm of an all-Fraction run with a_0 = 1, in integers.
+
+    With a = A/d (so A_0 = d), l_n = L_n / (n * d^n) for the L_n of
+    :func:`_log_derivative`.
+    """
+    d, num = _integer_run(a)
+    out = [Fraction(0)]
+    den = 1
+    for n, x in enumerate(_log_derivative(num)[1:], 1):
         den *= d
         out.append(Fraction(x, n * den))
     return out
@@ -266,18 +276,26 @@ def _compose_fractions(c, g):
 def _reversion_fractions(a):
     """Compositional inverse of an all-Fraction run with a_0 = 0 != a_1.
 
-    Lagrange inversion: g_m = [q^(m-1)] (s/q)^(-m) / m.  With s/q = A/d,
-    (s/q)^(-m) = (d/A_0)^m * sum B_j q^j / D for the B_j and D of
-    :func:`_miller` at exponent -m, so g_m = d^m B_(m-1) / (m A_0^m D).
+    Lagrange inversion: g_m = [q^(m-1)] (s/q)^(-m) / m.  With s/q = A/d and
+    U_0 = A_0, (s/q)^(-m) = (d/U_0)^m * exp(-m * log(A/U_0)), so
+    E_j = [q^j] (A/U_0)^(-m) * U_0^j solves j*E_j = -m * sum_k L_k E_(j-k)
+    from E_0 = 1, with the L_k of :func:`_log_derivative` shared by every m.
+    Each E_j is an integer (q -> U_0 q takes A/U_0 into 1 + qZ[[q]]), so
+    each costs one dot and one exact division, and
+    g_m = d^m * E_(m-1) / (m * U_0^(2m-1)).
     """
     d, num = _integer_run(a[1:])
+    kl = _log_derivative(num)[1:]
     out = [Fraction(0)]
-    top, bottom = 1, 1
+    top, bottom = 1, num[0]  # d^m and U_0^(2m-1)
+    square = bottom * bottom
     for m in range(1, len(a)):
-        b, den = _miller(num, -m, 1, m)
+        e = [1]
+        for j in range(1, m):
+            e.append(-m * sum(map(mul, kl, reversed(e))) // j)
         top *= d
-        bottom *= num[0]
-        out.append(Fraction(top * b[-1], m * bottom * den))
+        out.append(Fraction(top * e[-1], m * bottom))
+        bottom *= square
     return out
 
 
@@ -454,7 +472,9 @@ class PSeries:
         """Formal logarithm; requires constant term 1.
 
         One integer recurrence, n*l_n = n*s_n - sum k*l_k*s_(n-k) with the
-        denominators cleared once (so log s integrates D(s)/s).
+        denominators cleared once (so log s integrates D(s)/s).  Reversion
+        runs the same recurrence once and shares it across its Lagrange
+        powers.
         """
         a = self.coeffs
         _require_fractions(a, "log")
@@ -486,8 +506,9 @@ class PSeries:
 
         Requires constant term 0 and an invertible linear coefficient.
         Lagrange inversion: the q^m coefficient of g is [q^(m-1)] of
-        (self/q)^-m, over m, and each power is one integer Miller
-        recurrence carried only to q^(m-1).
+        (self/q)^-m, over m.  Every power is exp(-m * log(self/q)) up to a
+        constant, so one integer log-derivative of self/q serves every m,
+        and each power's coefficients to q^(m-1) cost one dot each.
         """
         if self.order < 1:
             raise ValueError("reversion needs order >= 1")

@@ -139,7 +139,9 @@ def test_series_partition_exponent_is_bounded():
     assert code == 0
     e = MAX_PARTITION_EXPONENT
     assert payload_of(out) == ["1", str(e), str(e * (e + 3) // 2)]
-    for arg in (0, -1, MAX_PARTITION_EXPONENT + 1, 10**30, "10^30", "x"):
+    # int() alone would read the last five as 30, 3, 3, 3 and 3
+    for arg in (0, -1, MAX_PARTITION_EXPONENT + 1, 10**30, "10^30", "x",
+                "3_0", "+3", " 3", "3 ", "\uff10\uff13"):
         code, out, err = invoke(["series", "--name", f"PARTITION_POWER({arg})",
                                  "--order", "500"])
         assert code == 2

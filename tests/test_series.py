@@ -157,6 +157,14 @@ def test_inverse_matches_generic_loop():
     for c0 in (F(-1), F(3), F(-7, 2), F(5, 49)):
         s = PSeries((c0,) + random_rational_series(rng, 20).coeffs[1:])
         assert s.inverse() == inverse_oracle(s)
+    # sparse bases at order 96: the inner dot runs over every scaled A_j,
+    # zeros included
+    for s in (PSeries([1, 1], order=96), PSeries([3, 1, 1], order=96),
+              PSeries([F(-2, 3), 0, 0, F(5, 7)], order=96),
+              euler_product(96)):
+        got = s.inverse()
+        assert got == inverse_oracle(s)
+        assert_fractions(got)
     # cleared constant term 1, so every output denominator is 1: a sparse
     # integer base, and one whose constant term is 1/d for the common d
     for s in (euler_product(48), PSeries([F(1, 6), F(1, 2), F(-2, 3), 5, 0])):
@@ -223,6 +231,31 @@ def test_reversion_matches_oracle():
     got = s.reversion()
     assert got == reversion_oracle(s)
     assert_fractions(got)
+
+
+def test_reversion_round_trip_dense_rational():
+    # a_1 = U_0 != 1 and dense rationals: every L_k of the shared
+    # log-derivative is nonzero and each g_m carries U_0^(2m-1)
+    rng = random.Random(79)
+    for order, a1 in ((32, F(-3)), (40, F(2, 5)), (48, F(7, 3))):
+        s = random_rational_series(rng, order, first=2, max_den=9)
+        s = PSeries((F(0), a1) + s.coeffs[2:])
+        rev = s.reversion()
+        q = PSeries.identity(order)
+        assert s.compose(rev) == q
+        assert rev.compose(s) == q
+        assert_fractions(rev)
+
+
+def test_reversion_of_delta_d2g2_at_order_28():
+    # s = q * (Delta*D2G2/q^2): U = s/q has U_0 = 1 like DG2/q, with other L_k
+    s = (delta_series(29) * d2g2_series(29)).shift_down(1)
+    assert s.order == 28 and s[0] == 0 and s[1] == 1
+    rev = s.reversion()
+    q = PSeries.identity(28)
+    assert s.compose(rev) == q
+    assert rev.compose(s) == q
+    assert_fractions(rev)
 
 
 def test_reversion_of_dg2_at_order_28():
@@ -419,6 +452,11 @@ def test_reversion_identity_and_catalan():
     assert rev == PSeries([0, 1, -1, 2, -5, 14])
     assert PSeries([0, 1, 1], order=5).compose(rev) == q
     assert rev.compose(PSeries([0, 1, 1], order=5)) == q
+    # to order 40: sum (-1)^(n-1) C_(n-1) q^n, C the Catalan numbers
+    rev = PSeries([0, 1, 1], order=40).reversion()
+    assert rev == PSeries([0] + [(-1) ** (n - 1) * comb(2 * n - 2, n - 1) // n
+                                 for n in range(1, 41)])
+    assert_fractions(rev)
 
 
 def test_reversion_round_trip_random():
