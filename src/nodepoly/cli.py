@@ -1,12 +1,15 @@
 """Command-line front end with exact-rational structured output.
 
-Every subcommand emits one JSON document (CSV for flat tables on request)
-wrapping the command name, its parameters and the payload.  Rationals go
-into it as Fractions, and the emitter prints each as the JSON string of its
-``str``: "numerator/denominator", or the numerator alone when the
-denominator is 1; a CSV cell is ``str`` of its value.  Polynomial
-coefficients are keyed by exponent tuples "a,b,c,d" over (L2, LK, K2, c2).
-Output is byte-identical across runs for identical inputs.
+Each subcommand's handler returns its payload, and ``run`` writes it as one
+JSON document (CSV for flat tables on request) of five keys: "command";
+"parameters", the options but --format (``inclexcl`` gives the k it read);
+"order", the value of the command's int option or null; "format", always
+"json"; and "payload".  Rationals go into it as Fractions, and the emitter
+prints each as the JSON string of its ``str``: "numerator/denominator", or
+the numerator alone when the denominator is 1; a CSV cell is ``str`` of its
+value.  Polynomial coefficients are keyed by exponent tuples "a,b,c,d" over
+(L2, LK, K2, c2).  Output is byte-identical across runs for identical
+inputs.
 
 The JSON layout is fixed: object keys sorted, two-space indent, a comma
 ending each line but an object's or array's last, ": " after each key,
@@ -58,10 +61,6 @@ MODULAR_SERIES = {"G2": g2_series, "DG2": dg2_series, "D2G2": d2g2_series,
 def fmt_poly(poly):
     # unsorted: _write_json sorts the keys
     return {",".join(map(str, exps)): c for exps, c in poly.terms.items()}
-
-
-def fmt_surface(s):
-    return {"name": s.name, "L2": s.L2, "LK": s.LK, "K2": s.K2, "c2": s.c2}
 
 
 class _Verbatim(str):
@@ -137,98 +136,74 @@ def emit_csv(header, rows, out):
         out.write(",".join(str(v) for v in row) + "\n")
 
 
-def document(command, parameters, order, fmt, payload):
-    return {"command": command, "parameters": parameters, "order": order,
-            "format": fmt, "payload": payload}
-
-
 # -- subcommand handlers ------------------------------------------------------
+# Each takes the parsed arguments and stdin and returns (payload, ok); under
+# --format csv the payload is the (header, rows) table.  ``run`` writes it.
 
-def cmd_node_polys(args, out):
+def cmd_node_polys(args, stdin):
     f = nodal.node_polynomials(args.max_delta)
-    payload = {str(d): fmt_poly(t) for d, t in enumerate(f)}
-    emit_json(document("node-polys", {"max_delta": args.max_delta},
-                       args.max_delta, "json", payload), out)
-    return 0
+    return {str(d): fmt_poly(t) for d, t in enumerate(f)}, True
 
 
-def cmd_count(args, out):
+def cmd_count(args, stdin):
     surface = parse_surface(args.surface)
     result = nodal.count_nodal(surface, args.delta)
-    payload = {
-        "surface": fmt_surface(surface),
+    return {
+        "surface": surface._asdict(),
         "delta": args.delta,
         "count": result.value,
         "validity": result.validity,
         "chi_L": surface.chi_L(),
         "dim_linear_system": surface.dim_linear_system(),
-    }
-    emit_json(document("count", {"surface": args.surface, "delta": args.delta},
-                       args.delta, "json", payload), out)
-    return 0
+    }, True
 
 
-def cmd_yau_zaslow(args, out):
+def cmd_yau_zaslow(args, stdin):
     report = nodal.yau_zaslow_check(args.max_delta)
     rows = [(r.delta, r.node_value, r.partition_value, r.equal)
             for r in report.rows]
     if args.format == "csv":
-        emit_csv(("delta", "node_polynomial_value", "partition_coefficient",
-                  "equal"), rows, out)
-    else:
-        payload = {
-            "rows": [{"delta": d, "node_polynomial_value": lhs,
-                      "partition_coefficient": rhs, "equal": eq}
-                     for d, lhs, rhs, eq in rows],
-            "all_equal": report.all_equal,
-        }
-        emit_json(document("yau-zaslow", {"max_delta": args.max_delta},
-                           args.max_delta, args.format, payload), out)
-    return 0 if report.all_equal else 1
+        return (("delta", "node_polynomial_value", "partition_coefficient",
+                 "equal"), rows), report.all_equal
+    return {
+        "rows": [{"delta": d, "node_polynomial_value": lhs,
+                  "partition_coefficient": rhs, "equal": eq}
+                 for d, lhs, rhs, eq in rows],
+        "all_equal": report.all_equal,
+    }, report.all_equal
 
 
-def cmd_blowup_check(args, out):
+def cmd_blowup_check(args, stdin):
     surface = parse_surface(args.surface)
     check = nodal.blowup_identity_check(surface, args.order)
-    payload = {
-        "surface": fmt_surface(surface),
-        "blowup": fmt_surface(surface.blowup()),
+    return {
+        "surface": surface._asdict(),
+        "blowup": surface.blowup()._asdict(),
         "lhs": list(check.lhs),
         "rhs": list(check.rhs),
         "holds": check.holds,
-    }
-    emit_json(document("blowup-check",
-                       {"surface": args.surface, "order": args.order},
-                       args.order, "json", payload), out)
-    return 0 if check.holds else 1
+    }, check.holds
 
 
-def cmd_rr_solve(args, out):
+def cmd_rr_solve(args, stdin):
     pairs = rr_example_pairs()
-    coeffs = solve_rr_coefficients(pairs)
-    payload = {
-        "A1": coeffs.A1, "A2": coeffs.A2, "A3": coeffs.A3, "A4": coeffs.A4,
-        "catalog": [{"surface": fmt_surface(s), "chi": chi}
-                    for s, chi in pairs],
-    }
-    emit_json(document("rr-solve", {}, None, "json", payload), out)
-    return 0
+    return {
+        **solve_rr_coefficients(pairs)._asdict(),
+        "catalog": [{"surface": s._asdict(), "chi": chi} for s, chi in pairs],
+    }, True
 
 
-def cmd_factorize(args, out):
+def cmd_factorize(args, stdin):
     form = nodal.factorize_generating_function(args.max_delta)
     ok = form.reassembles()
-    payload = {
+    return {
         "log_A1": list(form.log_a1),
         "log_A2": list(form.log_a2),
         "log_A3": list(form.log_a3),
         "log_A4": list(form.log_a4),
         "exponents": {"A1": "K2", "A2": "c2", "A3": "L2", "A4": "LK"},
         "reassembly_exact": ok,
-    }
-    emit_json(document("factorize", {"max_delta": args.max_delta},
-                       args.max_delta, "json", payload), out)
-    return 0 if ok else 1
+    }, ok
 
 
 # One table row as _write_json lays it out at document["payload"]["table"],
@@ -238,7 +213,7 @@ _ROW = ('{\n        "cardinality": %d,\n        "index_set": "%s",'
         '\n        "modified_cardinality": %d\n      }')
 
 
-def cmd_inclexcl(args, out, stdin):
+def cmd_inclexcl(args, stdin):
     import json
     try:
         data = json.load(stdin)
@@ -250,6 +225,7 @@ def cmd_inclexcl(args, out, stdin):
             or not all(isinstance(s, list) for s in data)):
         raise ValueError("input must be a JSON list of integer lists")
     system = inclexcl.SetSystem(data)
+    args.k = system.k
     plain, modified = table = inclexcl.modified_cardinalities(system)
     # the lists are in nonempty_index_sets order, which is the order of the
     # combinations of the index names by size
@@ -257,21 +233,15 @@ def cmd_inclexcl(args, out, stdin):
     labels = [ix for r in range(1, system.k + 1)
               for ix in map(",".join, combinations(names, r))]
     if args.format == "csv":
-        emit_csv(("index_set", "cardinality", "modified_cardinality"),
-                 zip(map('"%s"'.__mod__, labels), plain, modified), out)
-    else:
-        rows = map(_ROW.__mod__, zip(plain, labels, modified))
-        payload = {
-            "table": _Verbatim("[\n      " + ",\n      ".join(rows)
-                               + "\n    ]"),
-            "union_size": len(system.signatures),
-            "union_via_modified": inclexcl.union_via_modified(system, table),
-            "union_via_alternating": inclexcl.union_via_alternating(system,
-                                                                    table),
-        }
-        emit_json(document("inclexcl", {"k": system.k}, None, args.format,
-                           payload), out)
-    return 0
+        return (("index_set", "cardinality", "modified_cardinality"),
+                zip(map('"%s"'.__mod__, labels), plain, modified)), True
+    rows = map(_ROW.__mod__, zip(plain, labels, modified))
+    return {
+        "table": _Verbatim("[\n      " + ",\n      ".join(rows) + "\n    ]"),
+        "union_size": len(system.signatures),
+        "union_via_modified": inclexcl.union_via_modified(system, table),
+        "union_via_alternating": inclexcl.union_via_alternating(system, table),
+    }, True
 
 
 def _modular_series(name, order):
@@ -294,18 +264,15 @@ def _modular_series(name, order):
     raise ValueError(f"unknown series name {name!r}")
 
 
-def cmd_series(args, out):
+def cmd_series(args, stdin):
     if not 0 <= args.order <= MAX_SERIES_ORDER:
         raise ValueError(
             f"order {args.order} is out of range: series are emitted to "
             f"orders 0..{MAX_SERIES_ORDER}")
     series = _modular_series(args.name, args.order)
     if args.format == "csv":
-        emit_csv(("k", "coefficient"), enumerate(series), out)
-    else:
-        emit_json(document("series", {"name": args.name, "order": args.order},
-                           args.order, "json", list(series)), out)
-    return 0
+        return (("k", "coefficient"), enumerate(series)), True
+    return list(series), True
 
 
 # -- command line -------------------------------------------------------------
@@ -317,46 +284,53 @@ DEFAULT_ORDER = 5
 
 _FORMAT = ("--format", "format", None, ("json", "csv"), False, "json", None)
 
-# The one declaration of the command line, read by build_parser and by
-# read_args: each command with its help text and its options as
-# (option, dest, type, choices, required, default, help); a type of None
-# keeps the value a str.
+# The one declaration of the command line, read by build_parser, read_args
+# and run: each command with its help text, its options as
+# (option, dest, type, choices, required, default, help) and its handler; a
+# type of None keeps the value a str.  A command has at most one int option,
+# and its value is the document's "order".
 COMMANDS = (
     ("node-polys", "emit the universal node polynomials T_0..T_delta", (
         ("--max-delta", "max_delta", int, None, False, DEFAULT_ORDER, None),
-    )),
+    ), cmd_node_polys),
     ("count", "evaluate a node polynomial on a surface", (
         ("--surface", "surface", None, None, True, None,
          "P2:d, K3:l2, T4:l2 or explicit L2,LK,K2,c2"),
         ("--delta", "delta", int, None, True, None, None),
-    )),
+    ), cmd_count),
     ("yau-zaslow", "compare K3 counts with the partition power", (
         ("--max-delta", "max_delta", int, None, False, DEFAULT_ORDER, None),
         _FORMAT,
-    )),
+    ), cmd_yau_zaslow),
     ("blowup-check", "verify the one-point blowup identity", (
         ("--surface", "surface", None, None, True, None, None),
         ("--order", "order", int, None, False, DEFAULT_ORDER, None),
-    )),
-    ("rr-solve", "recover the Riemann-Roch coefficients from surfaces", ()),
+    ), cmd_blowup_check),
+    ("rr-solve", "recover the Riemann-Roch coefficients from surfaces", (),
+     cmd_rr_solve),
     ("factorize", "split log F into the four per-Chern-number series", (
         ("--max-delta", "max_delta", int, None, False, DEFAULT_ORDER, None),
-    )),
+    ), cmd_factorize),
     ("inclexcl", "modified cardinalities of a set system "
                  "(JSON list of integer lists on stdin)", (
         _FORMAT,
-    )),
+    ), cmd_inclexcl),
     ("series", "emit a named q-expansion", (
         ("--name", "name", None, None, True, None,
          "G2, DG2, D2G2, DELTA, B1, B2 or PARTITION_POWER(e)"),
         ("--order", "order", int, None, False, DEFAULT_ORDER, None),
         _FORMAT,
-    )),
+    ), cmd_series),
 )
 
 # command -> {option: its COMMANDS entry}
 _OPTIONS = {command: {entry[0]: entry for entry in options}
-            for command, _, options in COMMANDS}
+            for command, _, options, _ in COMMANDS}
+HANDLERS = {command: handler for command, _, _, handler in COMMANDS}
+# command -> the dest of its int option, or None
+_ORDER = {command: next((dest for _, dest, kind, *_ in options
+                         if kind is int), None)
+          for command, _, options, _ in COMMANDS}
 
 
 def build_parser():
@@ -368,7 +342,7 @@ def build_parser():
         description="Exact node-polynomial computations for algebraic "
                     "surfaces (all output is exact rational arithmetic).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text, options in COMMANDS:
+    for command, help_text, options, _ in COMMANDS:
         p = sub.add_parser(command, help=help_text)
         for option, dest, kind, choices, required, default, option_help \
                 in options:
@@ -416,19 +390,9 @@ def read_args(argv):
     return SimpleNamespace(**fields)
 
 
-HANDLERS = {
-    "node-polys": cmd_node_polys,
-    "count": cmd_count,
-    "yau-zaslow": cmd_yau_zaslow,
-    "blowup-check": cmd_blowup_check,
-    "rr-solve": cmd_rr_solve,
-    "factorize": cmd_factorize,
-    "series": cmd_series,
-}
-
-
 def run(argv=None, out=None, err=None, stdin=None):
-    """Dispatch a command line; returns the process exit code."""
+    """Dispatch a command line, write the handler's payload as the
+    command's document (or CSV table); returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     stdin = stdin if stdin is not None else sys.stdin
@@ -441,9 +405,16 @@ def run(argv=None, out=None, err=None, stdin=None):
         except SystemExit as exc:
             return exc.code if exc.code is not None else 2
     try:
-        if args.command == "inclexcl":
-            return cmd_inclexcl(args, out, stdin)
-        return HANDLERS[args.command](args, out)
+        payload, ok = HANDLERS[args.command](args, stdin)
+        if getattr(args, "format", "json") == "csv":
+            emit_csv(*payload, out)
+        else:
+            parameters = {dest: value for dest, value in vars(args).items()
+                          if dest not in ("command", "format")}
+            emit_json({"command": args.command, "parameters": parameters,
+                       "order": parameters.get(_ORDER[args.command]),
+                       "format": "json", "payload": payload}, out)
+        return 0 if ok else 1
     except (ValueError, ZeroDivisionError) as exc:
         err.write(f"nodepoly: error: {exc}\n")
         return 2

@@ -30,8 +30,8 @@ from math import comb, prod
 
 from nodepoly.chern import P2
 from nodepoly.modular import dg2_series
-from nodepoly.nodal import (B1_COEFFS, B2_COEFFS, count_nodal,
-                            discriminant_factor, dg2_normalized)
+from nodepoly.nodal import (B1_COEFFS, B2_COEFFS, _log_rows_in_t,
+                            count_nodal, discriminant_factor, dg2_normalized)
 from nodepoly.series import PSeries
 
 
@@ -144,6 +144,27 @@ def test_b_table_from_severi_degrees_to_q16():
     b1, b2 = b_series_from_pair(9, 16)
     assert b1 == PSeries(B1_COEFFS[:17])
     assert b2 == PSeries(B2_COEFFS[:17])
+
+
+def test_log_rows_from_severi_degrees():
+    # On P2 with L = dH, log F_d = d^2 l_0 - 3d l_1 + (9 l_2 + 3 l_3) is
+    # quadratic in d, so three consecutive degrees give l_0 (the second
+    # difference), l_1 (the first) and 9 l_2 + 3 l_3 (the rest) with no
+    # modular form and no B1/B2.  Degree d0 = ceil(M/2) + 1 meets
+    # Goettsche's threshold d >= delta/2 + 1 at every delta <= M; the
+    # proved range d >= delta (Kool-Shende-Thomas) would cost far more.
+    m = 12
+    d0 = -(-m // 2) + 1
+    g0, g1, g2 = (PSeries([severi_degree(d, delta)
+                           for delta in range(m + 1)]).log()
+                  for d in (d0, d0 + 1, d0 + 2))
+    l0 = (g2 - 2 * g1 + g0) * Fraction(1, 2)
+    l1 = ((2 * d0 + 1) * l0 - (g1 - g0)) * Fraction(1, 3)
+    rest = g0 - d0 * d0 * l0 + 3 * d0 * l1
+    rows = _log_rows_in_t(m)
+    assert l0 == rows[0]
+    assert l1 == rows[1]
+    assert rest == 9 * rows[2] + 3 * rows[3]
 
 
 def test_plane_counts_are_severi_degrees():

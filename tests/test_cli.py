@@ -540,7 +540,7 @@ READER_CORPUS = [
     ["no-such-command"],
     ["-h"],
     [],
-] + [[command, "-h"] for command, _, _ in cli.COMMANDS]
+] + [[command, "-h"] for command, _, _, _ in cli.COMMANDS]
 
 
 def reader_lines():
@@ -575,7 +575,7 @@ def test_benchmark_and_golden_lines_take_the_direct_path(monkeypatch):
 
 def test_bare_commands_default_to_order_5():
     assert DEFAULT_ORDER == 5
-    for command, _, options in cli.COMMANDS:
+    for command, _, options, _ in cli.COMMANDS:
         for option, _, kind, _, required, default, _ in options:
             if kind is int and not required:
                 assert default == DEFAULT_ORDER, (command, option)
@@ -585,7 +585,7 @@ def test_bare_commands_default_to_order_5():
 
 def test_internal_errors_exit_without_traceback(monkeypatch):
     def fails(exc):
-        def handler(args, out):
+        def handler(args, stdin):
             raise exc
         return handler
 

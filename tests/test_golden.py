@@ -4,8 +4,9 @@
 text fed to stdin for the ``inclexcl`` lines.  It was written by running
 this file as a script (``PYTHONPATH=src python tests/test_golden.py``) on a
 tree whose output was the reference, so the suite itself checks that a
-refactor leaves every byte of these commands as it was.  ``count`` is left
-out: its values are pinned against the table in ``test_nodal``.
+refactor leaves every byte of these commands as it was.  The ``count``
+lines all have delta at most dim|L|; ``count`` values past it are pinned
+against the table in ``test_nodal``.
 
 ``golden/deep_sha256.json`` pins the commands at delta 20, where stdout
 runs to a megabyte, by the sha256 of their stdout; the same script writes
@@ -48,6 +49,12 @@ CASES = [pytest.param(argv, None, id=" ".join(argv)) for argv in (
     + [["blowup-check", "--surface", s, "--order", "5"]
        for s in ("P2:3", "K3:4", "9,-9,9,3")]
     + [["rr-solve"]]
+    + [["count", "--surface", s, "--delta", d]
+       for s, d in (("P2:3", "2"), ("K3:8", "5"), ("T4:12", "5"),
+                    ("8,-8,8,4", "3"))]
+    + [["series", "--name", name, "--order", "5"]
+       for name in ("G2", "DG2", "DELTA", "B1", "PARTITION_POWER(24)")]
+    + [["series", "--name", "DELTA", "--order", "5", "--format", "csv"]]
 )] + [pytest.param(["inclexcl", "--format", fmt], text,
                    id=f"inclexcl --format {fmt} < {name}")
       for name, text in STDINS.items() for fmt in ("json", "csv")]

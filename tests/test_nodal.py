@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -307,6 +308,18 @@ def test_p2_matches_kleiman_piene_polynomials():
               + 525)
         assert f[2].evaluate(*P2(d).chern_tuple()) == t2
         assert f[3].evaluate(*P2(d).chern_tuple()) == t3
+
+
+def test_log_rows_have_kleiman_piene_integrality():
+    # Kleiman-Piene (arXiv:math/9903192) write F = exp(sum a_i t^i / i!)
+    # with every a_i an integer linear form in (L2, LK, K2, c2); a_1 is the
+    # classical T_1 = 3 L2 + 2 LK + c2.
+    rows = _log_rows_in_t(MAX_DELTA)
+    forms = [tuple(factorial(i) * row[i] for row in rows)
+             for i in range(MAX_DELTA + 1)]
+    assert forms[1] == (3, 2, 0, 1)
+    for i, form in enumerate(forms):
+        assert all(a.denominator == 1 for a in form), (i, form)
 
 
 def test_counts_are_integers_on_catalog():
