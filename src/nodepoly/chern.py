@@ -150,16 +150,27 @@ def parse_surface(spec):
     return SurfaceClass(f"custom({spec})", l2, lk, k2, c2)
 
 
+def parse_integer(text):
+    """The integer ``text`` spells: the one rule for every integer a user
+    types.  Only an optional "-" then ASCII digits is read; int() alone
+    would also take "1_0", "+2", non-ASCII digits and surrounding space,
+    and a name or value echoed from the text would not be the one used.
+    Raises ValueError for anything else (and, as int() does, past its
+    digit limit)."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _spec_integer(spec, field):
     """The integer one field of a surface spec spells, naming the spec if it
-    spells none.  Only an optional "-" then ASCII digits is read: int()
-    alone would also take "1_0", non-ASCII digits and surrounding space,
-    and the name built from the spec would not be the surface counted."""
-    digits = field[1:] if field[:1] == "-" else field
-    if not (digits.isdigit() and digits.isascii()):
+    spells none."""
+    try:
+        return parse_integer(field)
+    except ValueError:
         raise ValueError(f"surface {spec!r}: expected an integer, "
-                         f"got {field!r}")
-    return int(field)
+                         f"got {field!r}") from None
 
 
 def rr_example_pairs():

@@ -40,7 +40,8 @@ from itertools import combinations
 from types import SimpleNamespace
 
 from . import inclexcl, nodal
-from .chern import parse_surface, rr_example_pairs, solve_rr_coefficients
+from .chern import (parse_integer, parse_surface, rr_example_pairs,
+                    solve_rr_coefficients)
 from .modular import (d2g2_series, delta_series, dg2_series, g2_series,
                       partition_power_series)
 
@@ -253,9 +254,10 @@ def _modular_series(name, order):
         return MODULAR_SERIES[key](built).truncate(order)
     if key.startswith("PARTITION_POWER(") and key.endswith(")"):
         arg = key[len("PARTITION_POWER("):-1]
-        # ASCII digits only: int() would also take "3_0", "+3", " 3" and
-        # non-ASCII digits, and the name echoed would not be the series
-        e = int(arg) if arg.isdigit() and arg.isascii() else 0
+        try:
+            e = parse_integer(arg)
+        except ValueError:
+            e = 0
         if not 1 <= e <= MAX_PARTITION_EXPONENT:
             raise ValueError(
                 f"PARTITION_POWER exponent {arg!r} is out of range: it must "
@@ -287,8 +289,9 @@ _FORMAT = ("--format", "format", None, ("json", "csv"), False, "json", None)
 # The one declaration of the command line, read by build_parser, read_args
 # and run: each command with its help text, its options as
 # (option, dest, type, choices, required, default, help) and its handler; a
-# type of None keeps the value a str.  A command has at most one int option,
-# and its value is the document's "order".
+# type of None keeps the value a str, and int is read by chern.parse_integer.
+# A command has at most one int option, and its value is the document's
+# "order".
 COMMANDS = (
     ("node-polys", "emit the universal node polynomials T_0..T_delta", (
         ("--max-delta", "max_delta", int, None, False, DEFAULT_ORDER, None),
@@ -337,6 +340,15 @@ def build_parser():
     """The argparse parser of :data:`COMMANDS`: the reference for every
     command line, and the reader of those :func:`read_args` declines."""
     import argparse
+
+    def integer(value):
+        try:
+            return parse_integer(value)
+        except ValueError:
+            # the words argparse uses for a ValueError from type=int
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {value!r}") from None
+
     parser = argparse.ArgumentParser(
         prog="nodepoly",
         description="Exact node-polynomial computations for algebraic "
@@ -346,7 +358,8 @@ def build_parser():
         p = sub.add_parser(command, help=help_text)
         for option, dest, kind, choices, required, default, option_help \
                 in options:
-            p.add_argument(option, dest=dest, type=kind, choices=choices,
+            p.add_argument(option, dest=dest, choices=choices,
+                           type=integer if kind is int else kind,
                            required=required, default=default,
                            help=option_help)
     return parser
@@ -358,9 +371,10 @@ def read_args(argv):
 
     Well-formed means: option names spelled in full, each at most once; no
     value starting with "-" unless it is an ASCII "-[0-9]+"; int options
-    that ``int`` reads, values among the choices; every required option
-    given.  Whatever this declines (``-h``, abbreviations, ``--opt=value``,
-    repeats, bad values, usage errors) argparse reads, as before.
+    that :func:`~nodepoly.chern.parse_integer` reads, values among the
+    choices; every required option given.  Whatever this declines
+    (``-h``, abbreviations, ``--opt=value``, repeats, bad values, usage
+    errors) argparse reads, as before.
     """
     options = _OPTIONS.get(argv[0]) if argv else None
     if options is None or len(argv) % 2 == 0:
@@ -376,7 +390,7 @@ def read_args(argv):
             return None
         if kind is int:
             try:
-                value = int(value)
+                value = parse_integer(value)
             except ValueError:
                 return None
         if choices is not None and value not in choices:

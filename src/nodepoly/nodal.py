@@ -33,6 +33,7 @@ one-point blowup formula are checked too.
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .chern import CHI_L, CHI_O, K3, P2, T4
 from .chernpoly import ChernPoly
@@ -163,58 +164,42 @@ def _log_rows_in_t(order):
 
 def _exp_linear(rows):
     """exp(L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3) in integers, for four Fraction
-    series l_v: the only exp with polynomial coefficients.
+    series l_v with zero constant term: the only exp with polynomial
+    coefficients.
 
-    With the sum written a = sum_v x_v * l_v(t) over the Chern numbers x_v,
-    k * l_(v,k) = C_(k,v) / dc for one integer dc, and the t^n coefficient
-    of b = exp(a) written B_n / (n! * dc^n), the recurrence
-    n*b_n = sum_k k*a_k*b_(n-k) holds with integer polynomials B_n: B_0 = 1
-    and B_n = sum_(k,v) x_v * C_(k,v) * dc^(k-1) * (n-1)!/(n-k)! * B_(n-k).
-    Each B_n maps packed exponents (base order + 1, so x_v is the shift
-    base^v) to ints; one Fraction is built per term at the end.
-
-    The fixed n! * dc^n scale is kept on purpose, where the Fraction exp
-    keeps a running denominator: here dc = 1 (at delta 5, 12 and 20) and
-    the coefficient denominators of T_delta have lcm exactly delta!, so a
-    running denominator would grow at every step and save nothing.  A
-    separable exp, prod_v exp(x_v * l_v), is the way to speed this one up.
+    Each row carries one variable, so the x^a coefficient of F is the
+    product of the l_v^(a_v) / a_v!.  With one integer dc clearing every
+    denominator and integer rows R_v = dc * l_v, it is Q_a /
+    (dc^|a| * prod_v a_v!), where Q_0 = 1 and Q_a = Q_(a - e_v) * R_v,
+    truncated, for v the last index with a_v > 0: each monomial costs one
+    integer product from its parent.  Q_a starts at t^|a|, so it is held
+    from there, and only monomials with |a| <= order are built.
     """
     order = min(map(len, rows)) - 1
-    rows = [[k * c for k, c in enumerate(row)] for row in rows]
-    base = order + 1
+    rows = [row.coeffs[1:order + 1] for row in rows]
     dc = lcm(*(c.denominator for row in rows for c in row))
-    steps = [()]
-    p = 1
-    for k in range(1, order + 1):
-        steps.append([(base ** v, row[k].numerator * (dc // row[k].denominator) * p)
-                      for v, row in enumerate(rows) if row[k]])
-        p *= dc
-    b = [{0: 1}]
-    for n in range(1, order + 1):
-        acc = {}
-        falling = 1
-        for k in range(1, n + 1):
-            for shift, c in steps[k]:
-                w = c * falling
-                for mono, x in b[n - k].items():
-                    mono += shift
-                    acc[mono] = acc.get(mono, 0) + w * x
-            falling *= n - k
-        b.append(acc)
-    out = []
-    den = 1
-    for n, bn in enumerate(b):
-        if n:
-            den *= n * dc
-        poly = {}
-        for mono, x in bn.items():
-            exps = []
-            for _ in range(4):
-                mono, e = divmod(mono, base)
-                exps.append(e)
-            poly[tuple(exps)] = Fraction(x, den)
-        out.append(ChernPoly(poly))
-    return PSeries(out)
+    # R_v from t^order down to t^1: entry n + 1 of Q_a * R_v is q dotted
+    # with the last n + 1 of these, for q = Q_a from t^|a|
+    backs = [[c.numerator * (dc // c.denominator) for c in reversed(row)]
+             for row in rows]
+    coeffs = [{} for _ in range(order + 1)]
+    stack = [((0, 0, 0, 0), 0, [1] + [0] * order, 1)]
+    while stack:
+        mono, last, q, den = stack.pop()
+        size = order + 1 - len(q)
+        for n, x in enumerate(q, size):
+            if x:
+                coeffs[n][mono] = Fraction(x, den)
+        if size == order:
+            continue
+        for v in range(last, 4):
+            back = backs[v]
+            child = [sum(map(mul, q, back[order - 1 - n:]))
+                     for n in range(len(q) - 1)]
+            exps = list(mono)
+            exps[v] += 1
+            stack.append((tuple(exps), v, child, den * dc * exps[v]))
+    return PSeries([ChernPoly(c) for c in coeffs])
 
 
 def _numeric_series(rows, point):

@@ -21,17 +21,23 @@ t^delta, as far as each N^{d,delta} is the universal count.  So
 R_d = F_d(DG2) * (DG2/q)^(-chi(L)) * (Delta*D2G2/q^2)^(1/2) equals
 B1^9 * B2^(-3d), and a pair of degrees (d, d+1) gives
 B2 = (R_d/R_(d+1))^(1/3) and B1 = (R_d * B2^(3d))^(1/9).
+
+The same recursion at a ruling of P1 x P1 (Vakil) gives the Severi degrees
+of the classes (a, b).  Since log F is linear in (L2, LK, K2, c2), three
+plane degrees and one class (a, b) determine all four log rows of the
+closed form with no modular form at all.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product, zip_longest
 from math import comb, prod
 
-from nodepoly.chern import P2
+from nodepoly.chern import P2, parse_surface
 from nodepoly.modular import dg2_series
-from nodepoly.nodal import (B1_COEFFS, B2_COEFFS, _log_rows_in_t,
-                            count_nodal, discriminant_factor, dg2_normalized)
+from nodepoly.nodal import (B1_COEFFS, B2_COEFFS, _exp_linear,
+                            _log_rows_in_t, count_nodal, discriminant_factor,
+                            dg2_normalized, node_polynomials)
 from nodepoly.series import PSeries
 
 
@@ -69,6 +75,33 @@ def multiplicity_vectors(m):
         yield trim(p.count(k) for k in range(1, m + 1))
 
 
+def recursion_sum(same, smaller, meet, delta, alpha, beta):
+    """The right side of the recursion at a divisor E: ``same(delta,
+    alpha, beta)`` counts the class itself, and ``smaller(delta', alpha',
+    beta')`` the class less E, whose curves meet E in ``meet`` points:
+    I alpha' + I beta' = meet and delta' = delta - meet + |beta' - beta|."""
+    total = 0
+    for k, b in enumerate(beta, 1):
+        if b:
+            total += k * same(delta, add(alpha, unit(k)),
+                              add(beta, unit(k, -1)))
+    for sub in product(*(range(a + 1) for a in alpha)):
+        binom_alpha = prod(map(comb, alpha, sub))
+        rest = meet - weight(sub) - weight(beta)
+        if rest < 0:
+            continue
+        for gamma in multiplicity_vectors(rest):
+            sub_delta = delta - meet + sum(gamma)
+            if sub_delta < 0:
+                continue
+            sup = add(beta, gamma)
+            total += (prod(k ** g for k, g in enumerate(gamma, 1))
+                      * binom_alpha
+                      * prod(map(comb, sup, beta))
+                      * smaller(sub_delta, trim(sub), sup))
+    return total
+
+
 @lru_cache(maxsize=None)
 def severi_ch(d, delta, alpha, beta):
     """N^{d,delta}(alpha, beta) by the Caporaso-Harris recursion."""
@@ -77,32 +110,42 @@ def severi_ch(d, delta, alpha, beta):
     genus = (d - 1) * (d - 2) // 2 - delta
     if 2 * d + genus - 1 + sum(beta) <= 0:
         return 0
-    total = 0
-    for k, b in enumerate(beta, 1):
-        if b:
-            total += k * severi_ch(d, delta, add(alpha, unit(k)),
-                                   add(beta, unit(k, -1)))
-    for sub in product(*(range(a + 1) for a in alpha)):
-        binom_alpha = prod(map(comb, alpha, sub))
-        rest = d - 1 - weight(sub) - weight(beta)
-        if rest < 0:
-            continue
-        for gamma in multiplicity_vectors(rest):
-            sub_delta = delta - (d - 1) + sum(gamma)
-            if sub_delta < 0:
-                continue
-            sup = add(beta, gamma)
-            total += (prod(k ** g for k, g in enumerate(gamma, 1))
-                      * binom_alpha
-                      * prod(map(comb, sup, beta))
-                      * severi_ch(d - 1, sub_delta, trim(sub), sup))
-    return total
+    return recursion_sum(partial(severi_ch, d), partial(severi_ch, d - 1),
+                         d - 1, delta, alpha, beta)
 
 
 def severi_degree(d, delta):
     """N^{d,delta}: degree-d plane curves with delta nodes through the
     right number of general points."""
     return severi_ch(d, delta, (), unit(1, d) if d else ())
+
+
+@lru_cache(maxsize=None)
+def severi_p1p1(a, b, delta, alpha, beta):
+    """N^{(a,b),delta}(alpha, beta) on P1 x P1, with tangency conditions to
+    a ruling E = (1, 0), which a curve of class (a, b) meets in b points.
+
+    Vakil's recursion (Counting curves on rational surfaces, Manuscripta
+    Math. 2000) has the shape of Caporaso-Harris with the class less E,
+    (a - 1, b), in place of degree d - 1.  Curves of class (0, b) are b
+    disjoint rulings (0, 1), each meeting E once: there is exactly one
+    through the b contact points, and it has no node.
+    """
+    if a == 0:
+        return int(delta == 0 and len(alpha) <= 1 and len(beta) <= 1
+                   and weight(alpha) + weight(beta) == b)
+    genus = (a - 1) * (b - 1) - delta
+    if 2 * a + b + genus - 1 + sum(beta) <= 0:
+        return 0
+    return recursion_sum(partial(severi_p1p1, a, b),
+                         partial(severi_p1p1, a - 1, b), b, delta, alpha,
+                         beta)
+
+
+def severi_degree_p1p1(a, b, delta):
+    """N^{(a,b),delta}: curves of class (a, b) on P1 x P1 with delta nodes
+    through the right number of general points."""
+    return severi_p1p1(a, b, delta, (), unit(1, b) if b else ())
 
 
 def r_series(d, order):
@@ -146,25 +189,71 @@ def test_b_table_from_severi_degrees_to_q16():
     assert b2 == PSeries(B2_COEFFS[:17])
 
 
-def test_log_rows_from_severi_degrees():
-    # On P2 with L = dH, log F_d = d^2 l_0 - 3d l_1 + (9 l_2 + 3 l_3) is
-    # quadratic in d, so three consecutive degrees give l_0 (the second
-    # difference), l_1 (the first) and 9 l_2 + 3 l_3 (the rest) with no
-    # modular form and no B1/B2.  Degree d0 = ceil(M/2) + 1 meets
-    # Goettsche's threshold d >= delta/2 + 1 at every delta <= M; the
-    # proved range d >= delta (Kool-Shende-Thomas) would cost far more.
-    m = 12
+def plane_log_rows(m):
+    """l_0, l_1 and 9 l_2 + 3 l_3 to t^m from plane Severi degrees alone.
+
+    On P2 with L = dH, log F_d = d^2 l_0 - 3d l_1 + (9 l_2 + 3 l_3) is
+    quadratic in d, so three consecutive degrees give l_0 (the second
+    difference), l_1 (the first) and 9 l_2 + 3 l_3 (the rest) with no
+    modular form and no B1/B2.  Degree d0 = ceil(M/2) + 1 meets
+    Goettsche's threshold d >= delta/2 + 1 at every delta <= M; the
+    proved range d >= delta (Kool-Shende-Thomas) would cost far more.
+    """
     d0 = -(-m // 2) + 1
     g0, g1, g2 = (PSeries([severi_degree(d, delta)
                            for delta in range(m + 1)]).log()
                   for d in (d0, d0 + 1, d0 + 2))
     l0 = (g2 - 2 * g1 + g0) * Fraction(1, 2)
     l1 = ((2 * d0 + 1) * l0 - (g1 - g0)) * Fraction(1, 3)
-    rest = g0 - d0 * d0 * l0 + 3 * d0 * l1
-    rows = _log_rows_in_t(m)
+    return l0, l1, g0 - d0 * d0 * l0 + 3 * d0 * l1
+
+
+def test_log_rows_from_severi_degrees():
+    l0, l1, rest = plane_log_rows(12)
+    rows = _log_rows_in_t(12)
     assert l0 == rows[0]
     assert l1 == rows[1]
     assert rest == 9 * rows[2] + 3 * rows[3]
+
+
+def test_p1p1_severi_degree_anchors():
+    # a (1, 1) curve with a node is the two rulings through the two points;
+    # each Severi degree at delta = 1 is T_1 = 3 L2 + 2 LK + c2
+    assert severi_degree_p1p1(1, 1, 1) == 2
+    assert severi_degree_p1p1(2, 2, 1) == 12
+
+
+def test_p1p1_counts_are_severi_degrees():
+    # O(a, b) with a <= b, whose (L2, LK, K2, c2) is (2ab, -2(a + b), 8, 4),
+    # is a-very ample (Di Rocco), so delta <= a is the range where
+    # Kool-Shende-Thomas prove the universal count right
+    cases = [(a, b, delta) for a in range(1, 7) for b in range(a, 7)
+             for delta in range(a + 1)]
+    assert len(cases) == 77
+    for a, b, delta in cases:
+        surface = parse_surface(f"{2 * a * b},{-2 * (a + b)},8,4")
+        assert count_nodal(surface, delta).value == \
+            severi_degree_p1p1(a, b, delta), (a, b, delta)
+
+
+def test_all_four_log_rows_from_severi_degrees():
+    # On O(a, b), log F = 2ab l_0 - 2(a + b) l_1 + (8 l_2 + 4 l_3).  With
+    # l_0 and l_1 from the plane, the class (7, 7) gives 8 l_2 + 4 l_3, and
+    # with the plane's 9 l_2 + 3 l_3 that solves for all four rows (the
+    # determinant is 12): the closed form from enumerative data alone.
+    # Only delta <= 7 is a theorem on (7, 7) (7-very ample, Kool-Shende-
+    # Thomas); delta 8..12 rest on the Goettsche-type threshold
+    # min(a, b) >= delta/2 + 1, as the plane degrees do.
+    m = 12
+    l0, l1, plane = plane_log_rows(m)
+    g = PSeries([severi_degree_p1p1(7, 7, delta)
+                 for delta in range(m + 1)]).log()
+    ruled = g - 98 * l0 + 28 * l1
+    l2 = (4 * plane - 3 * ruled) * Fraction(1, 12)
+    l3 = (9 * ruled - 8 * plane) * Fraction(1, 12)
+    rows = (l0, l1, l2, l3)
+    assert rows == _log_rows_in_t(m)
+    assert _exp_linear(rows) == node_polynomials(m)
 
 
 def test_plane_counts_are_severi_degrees():

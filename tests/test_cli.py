@@ -438,6 +438,24 @@ def test_usage_errors_exit_2():
             f"integer, got {field!r}\n")
 
 
+@pytest.mark.parametrize("value", ["1_0", "+2", "\uff12", " 2", "2 ", "0_3",
+                                   "two"])
+@pytest.mark.parametrize("argv", [
+    ["node-polys", "--max-delta"],
+    ["count", "--surface", "P2:3", "--delta"],
+    ["series", "--name", "DELTA", "--order"],
+], ids=lambda argv: argv[0])
+def test_int_options_take_only_an_optional_minus_and_ascii_digits(argv,
+                                                                 value):
+    # int() alone reads all but "two", and the run would echo the value
+    # it read, not the one typed
+    assert read_args(argv + [value]) is None
+    code, out, err = captured_run(argv + [value], "")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {argv[-1]}: invalid int value: "
+                        f"{value!r}\n")
+
+
 # every subcommand, with usage errors and --help in between
 SHARED_PARSER_LINES = [
     (["node-polys", "--max-delta", "2"], ""),
@@ -532,6 +550,7 @@ READER_CORPUS = [
     ["count", "--delta", "-5", "--surface", "K3:2"],
     ["count", "--surface", "K3:2", "--delta", "2", "extra"],
     ["node-polys", "--max-delta", "2.0"],  # bad int
+    ["node-polys", "--max-delta", "1_0"],  # int() reads 10
     ["node-polys", "--max-delta", "9" * 5000],  # past int's digit limit
     ["yau-zaslow", "--format", "xml"],  # bad choice
     ["series", "--order", "3"],  # no --name

@@ -495,6 +495,12 @@ def test_integer_exp_matches_oracle_on_random_terms():
     for order in range(13):
         rows = [random_row(rng, order) for _ in range(4)]
         assert _exp_linear(rows) == linear_exp_oracle(rows), order
+    # rows of unequal length: the exp is truncated to the shortest
+    for order in range(13):
+        orders = [order, order + 1, order + 2, order + 5]
+        rng.shuffle(orders)
+        rows = [random_row(rng, n) for n in orders]
+        assert _exp_linear(rows) == linear_exp_oracle(rows), orders
     # all-zero rows
     assert _exp_linear([PSeries.zero(4)] * 4) == PSeries.one(4)
 
