@@ -20,23 +20,24 @@ rows of the ``inclexcl`` table, up to 1023 of them, are the one exception
 to the generic emitter: each is filled into a fixed row template laid out
 at its depth, held by the tests to the same ``json.dumps`` contract.
 
-A command line of the form ``<command> (--option value)*`` whose values
-all pass is read directly from the command table (``read_args``), without
-importing argparse; any other, ``--help`` and every usage error included,
-goes to an argparse parser built from the same table for that line.
-Only ``inclexcl`` imports the json package, for its stdin.
+The command table ``COMMANDS`` declares each option once, as (option,
+type, choices, default, help); an option whose default is None is
+required.  A command line ``<command> (--option value)*`` whose values all
+pass is read directly from that table (``read_args``), without importing
+argparse; any other -- ``--help``, a str value starting with "-" and every
+usage error included -- goes to an argparse parser built from the same
+table for that line.  Only ``inclexcl`` imports the json package.
 
 Exit codes: 0 success (and exact equality for the comparison commands),
 1 mathematical mismatch or failed internal check, 2 the input was rejected:
 a ValueError from the library (the delta cap in ``nodal``, a malformed
-surface or set system) or from the CLI's own bounds, or a division by zero
-the input asked for.  Errors are one line on stderr.
+surface or set system) or from the CLI's own bounds (the int-string digit
+limit too), or a division by zero the input asked for.  One line on stderr.
 """
 
 import sys
 from _json import encode_basestring_ascii
 from fractions import Fraction
-from itertools import combinations
 from types import SimpleNamespace
 
 from . import inclexcl, nodal
@@ -132,9 +133,8 @@ def emit_json(doc, out):
 
 
 def emit_csv(header, rows, out):
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(str(v) for v in row) + "\n")
+    out.write("".join(",".join(map(str, row)) + "\n"
+                      for row in (header, *rows)))
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -161,17 +161,14 @@ def cmd_count(args, stdin):
 
 def cmd_yau_zaslow(args, stdin):
     report = nodal.yau_zaslow_check(args.max_delta)
+    header = ("delta", "node_polynomial_value", "partition_coefficient",
+              "equal")
     rows = [(r.delta, r.node_value, r.partition_value, r.equal)
             for r in report.rows]
     if args.format == "csv":
-        return (("delta", "node_polynomial_value", "partition_coefficient",
-                 "equal"), rows), report.all_equal
-    return {
-        "rows": [{"delta": d, "node_polynomial_value": lhs,
-                  "partition_coefficient": rhs, "equal": eq}
-                 for d, lhs, rhs, eq in rows],
-        "all_equal": report.all_equal,
-    }, report.all_equal
+        return (header, rows), report.all_equal
+    return {"rows": [dict(zip(header, row)) for row in rows],
+            "all_equal": report.all_equal}, report.all_equal
 
 
 def cmd_blowup_check(args, stdin):
@@ -216,23 +213,25 @@ _ROW = ('{\n        "cardinality": %d,\n        "index_set": "%s",'
 
 def cmd_inclexcl(args, stdin):
     import json
+    text = stdin.read()
     try:
-        data = json.load(stdin)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"stdin is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError("stdin JSON is nested too deeply") from exc
+    except ValueError as exc:  # int() past its digit limit
+        raise ValueError(f"stdin holds an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, the "
+                         f"limit for reading one") from exc
     if (not isinstance(data, list)
             or not all(isinstance(s, list) for s in data)):
         raise ValueError("input must be a JSON list of integer lists")
     system = inclexcl.SetSystem(data)
     args.k = system.k
     plain, modified = table = inclexcl.modified_cardinalities(system)
-    # the lists are in nonempty_index_sets order, which is the order of the
-    # combinations of the index names by size
     names = [str(i) for i in range(system.k)]
-    labels = [ix for r in range(1, system.k + 1)
-              for ix in map(",".join, combinations(names, r))]
+    labels = map(",".join, inclexcl.nonempty_combinations(names))
     if args.format == "csv":
         return (("index_set", "cardinality", "modified_cardinality"),
                 zip(map('"%s"'.__mod__, labels), plain, modified)), True
@@ -284,56 +283,59 @@ def cmd_series(args, stdin):
 # bare command as it is.
 DEFAULT_ORDER = 5
 
-_FORMAT = ("--format", "format", None, ("json", "csv"), False, "json", None)
+_FORMAT = ("--format", None, ("json", "csv"), "json", None)
 
 # The one declaration of the command line, read by build_parser, read_args
-# and run: each command with its help text, its options as
-# (option, dest, type, choices, required, default, help) and its handler; a
-# type of None keeps the value a str, and int is read by chern.parse_integer.
-# A command has at most one int option, and its value is the document's
-# "order".
+# and run: each command with its help text, its options as (option, type,
+# choices, default, help) and its handler.  The dest is the option name with
+# "_" for "-", as argparse derives it; an option whose default is None is
+# required.  A type of None keeps a str value, which read_args declines to
+# argparse if it starts with "-"; int is read by chern.parse_integer.  A
+# command has at most one int option, whose value is the document's "order".
 COMMANDS = (
     ("node-polys", "emit the universal node polynomials T_0..T_delta", (
-        ("--max-delta", "max_delta", int, None, False, DEFAULT_ORDER, None),
+        ("--max-delta", int, None, DEFAULT_ORDER, None),
     ), cmd_node_polys),
     ("count", "evaluate a node polynomial on a surface", (
-        ("--surface", "surface", None, None, True, None,
+        ("--surface", None, None, None,
          "P2:d, K3:l2, T4:l2 or explicit L2,LK,K2,c2"),
-        ("--delta", "delta", int, None, True, None, None),
+        ("--delta", int, None, None, None),
     ), cmd_count),
     ("yau-zaslow", "compare K3 counts with the partition power", (
-        ("--max-delta", "max_delta", int, None, False, DEFAULT_ORDER, None),
+        ("--max-delta", int, None, DEFAULT_ORDER, None),
         _FORMAT,
     ), cmd_yau_zaslow),
     ("blowup-check", "verify the one-point blowup identity", (
-        ("--surface", "surface", None, None, True, None, None),
-        ("--order", "order", int, None, False, DEFAULT_ORDER, None),
+        ("--surface", None, None, None, None),
+        ("--order", int, None, DEFAULT_ORDER, None),
     ), cmd_blowup_check),
     ("rr-solve", "recover the Riemann-Roch coefficients from surfaces", (),
      cmd_rr_solve),
     ("factorize", "split log F into the four per-Chern-number series", (
-        ("--max-delta", "max_delta", int, None, False, DEFAULT_ORDER, None),
+        ("--max-delta", int, None, DEFAULT_ORDER, None),
     ), cmd_factorize),
     ("inclexcl", "modified cardinalities of a set system "
                  "(JSON list of integer lists on stdin)", (
         _FORMAT,
     ), cmd_inclexcl),
     ("series", "emit a named q-expansion", (
-        ("--name", "name", None, None, True, None,
+        ("--name", None, None, None,
          "G2, DG2, D2G2, DELTA, B1, B2 or PARTITION_POWER(e)"),
-        ("--order", "order", int, None, False, DEFAULT_ORDER, None),
+        ("--order", int, None, DEFAULT_ORDER, None),
         _FORMAT,
     ), cmd_series),
 )
 
-# command -> {option: its COMMANDS entry}
-_OPTIONS = {command: {entry[0]: entry for entry in options}
+# command -> {option: (dest, type, choices, default)}
+_OPTIONS = {command: {option: (option[2:].replace("-", "_"), kind, choices,
+                               default)
+                      for option, kind, choices, default, _ in options}
             for command, _, options, _ in COMMANDS}
 HANDLERS = {command: handler for command, _, _, handler in COMMANDS}
 # command -> the dest of its int option, or None
-_ORDER = {command: next((dest for _, dest, kind, *_ in options
+_ORDER = {command: next((dest for dest, kind, _, _ in options.values()
                          if kind is int), None)
-          for command, _, options, _ in COMMANDS}
+          for command, options in _OPTIONS.items()}
 
 
 def build_parser():
@@ -356,11 +358,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text, options, _ in COMMANDS:
         p = sub.add_parser(command, help=help_text)
-        for option, dest, kind, choices, required, default, option_help \
-                in options:
-            p.add_argument(option, dest=dest, choices=choices,
+        for option, kind, choices, default, option_help in options:
+            p.add_argument(option, choices=choices,
                            type=integer if kind is int else kind,
-                           required=required, default=default,
+                           required=default is None, default=default,
                            help=option_help)
     return parser
 
@@ -369,12 +370,11 @@ def read_args(argv):
     """The attributes ``build_parser().parse_args(argv)`` would set, for a
     well-formed ``<command> (--option value)*``; None for any other argv.
 
-    Well-formed means: option names spelled in full, each at most once; no
-    value starting with "-" unless it is an ASCII "-[0-9]+"; int options
-    that :func:`~nodepoly.chern.parse_integer` reads, values among the
-    choices; every required option given.  Whatever this declines
-    (``-h``, abbreviations, ``--opt=value``, repeats, bad values, usage
-    errors) argparse reads, as before.
+    Well-formed means: option names spelled in full, each at most once; int
+    values that :func:`~nodepoly.chern.parse_integer` reads, str values not
+    starting with "-", values among the choices; every required option
+    given.  Whatever this declines (``-h``, abbreviations, ``--opt=value``,
+    repeats, bad values, usage errors) argparse reads, as before.
     """
     options = _OPTIONS.get(argv[0]) if argv else None
     if options is None or len(argv) % 2 == 0:
@@ -382,26 +382,23 @@ def read_args(argv):
     fields = {"command": argv[0]}
     for option, value in zip(argv[1::2], argv[2::2]):
         entry = options.get(option)
-        if entry is None or entry[1] in fields:
+        if entry is None or entry[0] in fields:
             return None
-        _, dest, kind, choices, _, _, _ = entry
-        if value[:1] == "-" and not (value[1:].isdigit()
-                                     and value.isascii()):
-            return None
+        dest, kind, choices, _ = entry
         if kind is int:
             try:
                 value = parse_integer(value)
             except ValueError:
                 return None
+        elif value[:1] == "-":
+            return None
         if choices is not None and value not in choices:
             return None
         fields[dest] = value
-    for _, dest, _, _, required, default, _ in options.values():
-        if dest not in fields:
-            if required:
-                return None
-            fields[dest] = default
-    return SimpleNamespace(**fields)
+    for dest, _, _, default in options.values():
+        fields.setdefault(dest, default)
+    # a required option, whose default is None, is missing
+    return None if None in fields.values() else SimpleNamespace(**fields)
 
 
 def run(argv=None, out=None, err=None, stdin=None):
@@ -420,14 +417,19 @@ def run(argv=None, out=None, err=None, stdin=None):
             return exc.code if exc.code is not None else 2
     try:
         payload, ok = HANDLERS[args.command](args, stdin)
-        if getattr(args, "format", "json") == "csv":
-            emit_csv(*payload, out)
-        else:
-            parameters = {dest: value for dest, value in vars(args).items()
-                          if dest not in ("command", "format")}
-            emit_json({"command": args.command, "parameters": parameters,
-                       "order": parameters.get(_ORDER[args.command]),
-                       "format": "json", "payload": payload}, out)
+        try:
+            if getattr(args, "format", "json") == "csv":
+                emit_csv(*payload, out)
+            else:
+                parameters = {dest: value for dest, value in vars(args).items()
+                              if dest not in ("command", "format")}
+                emit_json({"command": args.command, "parameters": parameters,
+                           "order": parameters.get(_ORDER[args.command]),
+                           "format": "json", "payload": payload}, out)
+        except ValueError as exc:  # str() past the int digit limit
+            raise ValueError(f"the result holds an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits, the "
+                             f"limit for writing one") from exc
         return 0 if ok else 1
     except (ValueError, ZeroDivisionError) as exc:
         err.write(f"nodepoly: error: {exc}\n")

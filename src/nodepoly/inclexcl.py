@@ -28,7 +28,7 @@ Index sets are 0-based throughout, matching the input list positions.
 """
 
 from collections import namedtuple
-from itertools import combinations, compress, islice
+from itertools import chain, combinations, compress, islice, repeat
 from math import comb
 from operator import add
 
@@ -151,24 +151,23 @@ class SetSystem(namedtuple("SetSystem", "k signatures")):
         return frozenset(self.signatures)
 
 
+def nonempty_combinations(items):
+    """The nonempty combinations of the sequence ``items`` by size, each size
+    in ``itertools.combinations`` order: the order of every index-set list."""
+    return chain.from_iterable(map(combinations, repeat(items),
+                                   range(1, len(items) + 1)))
+
+
 def nonempty_index_sets(k):
     """All nonempty subsets of {0..k-1}, as frozensets, smallest first."""
-    for size in range(1, k + 1):
-        for combo in combinations(range(k), size):
-            yield frozenset(combo)
+    return map(frozenset, nonempty_combinations(range(k)))
 
 
 def intersection_table(system):
     """Exact intersections over every nonempty index set."""
     sets = system.sets
-    table = {}
-    for index_set in nonempty_index_sets(system.k):
-        it = iter(index_set)
-        acc = set(sets[next(it)])
-        for i in it:
-            acc &= sets[i]
-        table[index_set] = frozenset(acc)
-    return table
+    return {ix: frozenset.intersection(*map(sets.__getitem__, ix))
+            for ix in nonempty_index_sets(system.k)}
 
 
 def modified_cardinalities(system):
@@ -195,8 +194,7 @@ def modified_cardinalities(system):
             for s in range(b, size, step):
                 plain[s - b:s] = map(add, plain[s - b:s], plain[s:s + b])
     bits = [1 << i for i in range(system.k)]
-    masks = [mask for r in range(1, system.k + 1)
-             for mask in map(sum, combinations(bits, r))]
+    masks = list(map(sum, nonempty_combinations(bits)))
     return [plain[m] for m in masks], [modified[m] for m in masks]
 
 

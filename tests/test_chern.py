@@ -68,6 +68,8 @@ def test_builtin_constructors():
     assert T4(2).chern_tuple() == (2, 0, 0, 0)
     catalog = builtin_catalog()
     assert catalog["P2"](2).chern_tuple() == (4, -6, 9, 3)
+    with pytest.raises(ValueError, match="P2 degree must be >= 0"):
+        P2(-1)
 
 
 def test_rr_example_pairs_chi_consistency():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,8 @@ def test_count_invariant_violation():
     code, _, err = invoke(["count", "--surface", "1,0,0,24", "--delta", "1"])
     assert code == 2
     assert "odd" in err
+    assert invoke(["count", "--surface", "P2:-1", "--delta", "1"]) == (
+        2, "", "nodepoly: error: P2 degree must be >= 0\n")
 
 
 def test_count_unparsable_surface():
@@ -367,6 +370,32 @@ def test_inclexcl_rejects_deep_nesting():
                             stdin_text="[" * depth + "]" * depth)
     assert (code, out) == (2, "")
     assert err == "nodepoly: error: stdin JSON is nested too deeply\n"
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's int-string digit limit, pinned at its default."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_result_past_the_digit_limit_is_a_cli_error(digit_limit):
+    # at delta 20 the count on a K3 class with L2 = 10^230 has about 4600
+    # digits
+    argv = ["count", "--surface", "K3:1" + "0" * 230, "--delta", "20"]
+    assert invoke(argv) == (
+        2, "", f"nodepoly: error: the result holds an integer of more than "
+        f"{digit_limit} digits, the limit for writing one\n")
+
+
+def test_stdin_past_the_digit_limit_is_a_cli_error(digit_limit):
+    text = "[[" + "9" * 5000 + "]]"
+    for fmt in ("json", "csv"):
+        assert invoke(["inclexcl", "--format", fmt], stdin_text=text) == (
+            2, "", f"nodepoly: error: stdin holds an integer of more than "
+            f"{digit_limit} digits, the limit for reading one\n")
 
 
 def inclexcl_expected(sets, fmt, doc=None):
@@ -547,6 +576,8 @@ READER_CORPUS = [
     ["count", "--surface", "K3:2", "--delta", "-\u0663"],
     ["count", "--surface", "K3:2", "--delta", "\u00b2"],  # superscript 2
     ["count", "--surface", "-h", "--delta", "1"],
+    ["count", "--surface", "-5", "--delta", "1"],  # str values to argparse
+    ["series", "--name", "-3"],
     ["count", "--delta", "-5", "--surface", "K3:2"],
     ["count", "--surface", "K3:2", "--delta", "2", "extra"],
     ["node-polys", "--max-delta", "2.0"],  # bad int
@@ -595,8 +626,8 @@ def test_benchmark_and_golden_lines_take_the_direct_path(monkeypatch):
 def test_bare_commands_default_to_order_5():
     assert DEFAULT_ORDER == 5
     for command, _, options, _ in cli.COMMANDS:
-        for option, _, kind, _, required, default, _ in options:
-            if kind is int and not required:
+        for option, kind, _, default, _ in options:
+            if kind is int and default is not None:
                 assert default == DEFAULT_ORDER, (command, option)
     assert invoke(["node-polys"])[1] == \
         invoke(["node-polys", "--max-delta", "5"])[1]

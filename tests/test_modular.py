@@ -194,6 +194,7 @@ def test_euler_product_is_pentagonal():
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         partition_power_series(0, 4)
-    with pytest.raises(ValueError):
-        g2_series(-1)
+    for builder in (g2_series, dg2_series, d2g2_series):
+        with pytest.raises(ValueError):
+            builder(-1)
 

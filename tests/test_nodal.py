@@ -171,6 +171,8 @@ def test_closed_form_blowup_ratio_is_universal():
 def test_closed_form_order_cap():
     with pytest.raises(ValueError):
         closed_form_series(P2(3), MAX_DELTA + 1)
+    with pytest.raises(ValueError):
+        discriminant_factor(-1)
 
 
 # -- closed form, symbolic ---------------------------------------------------------
@@ -204,6 +206,7 @@ def test_table_basics():
     assert f[1] == 3 * chernpoly.L2 + 2 * chernpoly.LK + chernpoly.C2
     for delta in range(6):
         assert f[delta].total_degree() <= delta
+    assert ChernPoly().total_degree() == -1
     with pytest.raises(IndexError):
         f[6]
     assert node_polynomials(0)[0] == ChernPoly.constant(1)

@@ -329,6 +329,12 @@ def test_order_and_padding():
         assert_fractions(PSeries(coeffs, order=0))
     with pytest.raises(ValueError):
         PSeries([])
+    with pytest.raises(ValueError, match="truncation order"):
+        PSeries([1], order=-1)
+    with pytest.raises(ValueError, match="order >= 1"):
+        PSeries.identity(0)
+    with pytest.raises(ValueError, match="cannot extend order 3"):
+        s.truncate(4)
     with pytest.raises(TypeError):
         PSeries([1.5])
 
@@ -707,12 +713,22 @@ def test_shift_up_down():
         assert_fractions(s.shift_down(m))
     with pytest.raises(ValueError):
         PSeries([1, 1], order=3).shift_down(1)
+    for shift in (s.shift_down, s.shift_up):
+        with pytest.raises(ValueError, match="shift must be >= 0"):
+            shift(-1)
+    with pytest.raises(ValueError, match="order too small"):
+        s.shift_down(4)
 
 
 def test_scalar_mixing():
     s = PSeries([1, 2], order=2)
     assert 1 + s == PSeries([2, 2], order=2)
     assert s - 1 == PSeries([0, 2], order=2)
+    assert 1 - s == PSeries([0, -2], order=2)
     assert 3 * s == PSeries([3, 6], order=2)
     assert s / 2 == PSeries([F(1, 2), 1], order=2)
     assert 1 / PSeries([1, -1], order=3) == PSeries([1, 1, 1, 1])
+    x = ChernPoly.variable(0)
+    assert 1 - x == -x + 1 == ChernPoly({(0, 0, 0, 0): 1, (1, 0, 0, 0): -1})
+    with pytest.raises(TypeError):
+        ChernPoly({(0, 0, 0, 0): 1.5})
