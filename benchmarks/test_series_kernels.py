@@ -15,11 +15,13 @@ whose running Miller denominator is raised most often for their size, the
 cost side of the power kernel: (1+q)^(1/2), (3+q+q^2)^(-7) and
 euler_product(96)^(1/2).
 The reversion also runs on DG2 at M = 40 and on three sparse inputs, and
-the inverse on two sparse bases at N = 96: the cost side of the dots that
-both kernels take over dense runs.  A sparse input has a dense integer
-log-derivative (that of 1+q is (-1)^(k-1)), so q+q^2 at M = 28, q-q^2 at
-M = 40 and 3q-q^2/2+q^3/3 at M = 24 pay for terms a loop skipping zero
-coefficients would not, as do (1+q)^(-1) and (3+q+q^2)^(-1).
+the product and the inverse on two sparse bases each at N = 96, (1+q)^2
+and euler_product(96)^2, (1+q)^(-1) and (3+q+q^2)^(-1): the cost side of
+the dots these kernels take over dense runs.  A sparse input has a dense
+integer log-derivative (that of 1+q is (-1)^(k-1)), so q+q^2 at M = 28,
+q-q^2 at M = 40 and 3q-q^2/2+q^3/3 at M = 24 pay for terms a loop
+skipping zero coefficients would not, as do the sparse products and
+inverses.
 Inputs are built outside the timed call.  This directory is outside the
 tier-1 test paths; run it with pytest-benchmark installed:
 
@@ -62,6 +64,10 @@ SLOW_REVERSIONS = {
     "3q-q^2/2+q^3/3": (lambda m: PSeries([0, 3, Fraction(-1, 2), Fraction(1, 3)],
                                          order=m), 24),
 }
+SLOW_MULS = {
+    "1+q": lambda n: PSeries([1, 1], order=n),
+    "euler_product": euler_product,
+}
 SLOW_INVERSES = {
     "1+q": lambda n: PSeries([1, 1], order=n),
     "3+q+q^2": lambda n: PSeries([3, 1, 1], order=n),
@@ -100,6 +106,13 @@ def test_pow_slow_side(benchmark, name):
     s = build(96)
     benchmark.group = "pow N=96"
     assert benchmark(pow, s, e).order == 96
+
+
+@pytest.mark.parametrize("name", SLOW_MULS)
+def test_mul_slow_side(benchmark, name):
+    s = SLOW_MULS[name](96)
+    benchmark.group = "mul N=96"
+    assert benchmark(KERNELS["mul"], s).order == 96
 
 
 @pytest.mark.parametrize("name", SLOW_INVERSES)

@@ -18,6 +18,7 @@ namedtuple subclasses, not dataclasses: importing ``dataclasses`` pulls in
 ``inspect`` and ``ast`` and would cost a CLI run more than its computation.
 """
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -165,10 +166,16 @@ def parse_integer(text):
 
 def _spec_integer(spec, field):
     """The integer one field of a surface spec spells, naming the spec if it
-    spells none."""
+    spells none.  A field longer than the int-string digit limit (0 means
+    none) is not echoed: it names the limit instead."""
     try:
         return parse_integer(field)
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < len(field):
+            raise ValueError(f"surface spec holds a field of more than "
+                             f"{limit} characters, the int-string digit "
+                             f"limit") from None
         raise ValueError(f"surface {spec!r}: expected an integer, "
                          f"got {field!r}") from None
 

@@ -8,8 +8,9 @@ Everything here is an exact ``PSeries`` over ``Fraction``:
 * ``delta_series``      the discriminant cusp form q*prod(1-q^n)^24
 * ``partition_power_series``   prod(1-q^k)^(-e)
 
-The derivative series are computed directly from divisor sums rather than
-through ``qderiv`` so the identity dg2 = D(g2) stays a two-route check.
+The three divisor-sum series come from one builder, and the derivative
+series are computed directly from divisor sums rather than through
+``qderiv`` so the identity dg2 = D(g2) stays a two-route check.
 """
 
 from fractions import Fraction
@@ -35,28 +36,24 @@ def sigma1(k):
     return total
 
 
-def g2_series(order):
+def _divisor_sums(order, power, constant):
+    """constant + sum_k k^power * sigma_1(k) q^k, truncated at the order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs = [Fraction(-1, 24)]
-    coeffs.extend(sigma1(k) for k in range(1, order + 1))
-    return PSeries(coeffs)
+    return PSeries([constant] + [k ** power * sigma1(k)
+                                 for k in range(1, order + 1)])
+
+
+def g2_series(order):
+    return _divisor_sums(order, 0, Fraction(-1, 24))
 
 
 def dg2_series(order):
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    coeffs = [0]
-    coeffs.extend(k * sigma1(k) for k in range(1, order + 1))
-    return PSeries(coeffs, order=order)
+    return _divisor_sums(order, 1, 0)
 
 
 def d2g2_series(order):
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    coeffs = [0]
-    coeffs.extend(k * k * sigma1(k) for k in range(1, order + 1))
-    return PSeries(coeffs, order=order)
+    return _divisor_sums(order, 2, 0)
 
 
 def euler_product(order):

@@ -32,14 +32,12 @@ one-point blowup formula are checked too.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
-from operator import mul
 
 from .chern import CHI_L, CHI_O, K3, P2, T4
 from .chernpoly import ChernPoly
 from .modular import (d2g2_series, delta_series, dg2_series,
                       partition_power_series)
-from .series import PSeries
+from .series import PSeries, _integer_run, _truncated_product
 
 # B1 and B2 to q^20 (Goettsche, alg-geom/9711012, gives them to q^5).  They
 # are derived from Severi degrees of plane curves by the Caporaso-Harris
@@ -172,16 +170,16 @@ def _exp_linear(rows):
     denominator and integer rows R_v = dc * l_v, it is Q_a /
     (dc^|a| * prod_v a_v!), where Q_0 = 1 and Q_a = Q_(a - e_v) * R_v,
     truncated, for v the last index with a_v > 0: each monomial costs one
-    integer product from its parent.  Q_a starts at t^|a|, so it is held
-    from there, and only monomials with |a| <= order are built.
+    :func:`~nodepoly.series._truncated_product` from its parent, with R_v
+    reversed once per call.  Q_a starts at t^|a|, so it is held from
+    there, and only monomials with |a| <= order are built.
     """
     order = min(map(len, rows)) - 1
-    rows = [row.coeffs[1:order + 1] for row in rows]
-    dc = lcm(*(c.denominator for row in rows for c in row))
-    # R_v from t^order down to t^1: entry n + 1 of Q_a * R_v is q dotted
-    # with the last n + 1 of these, for q = Q_a from t^|a|
-    backs = [[c.numerator * (dc // c.denominator) for c in reversed(row)]
-             for row in rows]
+    dc, flat = _integer_run([c for row in rows
+                             for c in row.coeffs[1:order + 1]])
+    # R_v reversed, from t^order down to t^1: Q_a * R_v from t^(|a| + 1) is
+    # the truncated product of Q_a from t^|a| with R_v / t
+    backs = [flat[v * order:(v + 1) * order][::-1] for v in range(4)]
     coeffs = [{} for _ in range(order + 1)]
     stack = [((0, 0, 0, 0), 0, [1] + [0] * order, 1)]
     while stack:
@@ -193,9 +191,7 @@ def _exp_linear(rows):
         if size == order:
             continue
         for v in range(last, 4):
-            back = backs[v]
-            child = [sum(map(mul, q, back[order - 1 - n:]))
-                     for n in range(len(q) - 1)]
+            child = _truncated_product(q, backs[v], len(q) - 1)
             exps = list(mono)
             exps[v] += 1
             stack.append((tuple(exps), v, child, den * dc * exps[v]))

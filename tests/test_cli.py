@@ -390,6 +390,22 @@ def test_result_past_the_digit_limit_is_a_cli_error(digit_limit):
         f"{digit_limit} digits, the limit for writing one\n")
 
 
+def test_surface_field_past_the_digit_limit_is_a_cli_error(digit_limit):
+    twos = "2" * 5000
+    for spec in ("K3:" + twos, "1,2,3," + twos):
+        code, out, err = invoke(["count", "--surface", spec, "--delta", "1"])
+        assert (code, out) == (2, "")
+        assert err == (f"nodepoly: error: surface spec holds a field of more "
+                       f"than {digit_limit} characters, the int-string digit "
+                       f"limit\n")
+        assert len(err.encode()) < 200
+    sys.set_int_max_str_digits(0)  # no limit: the field is read
+    code, out, err = invoke(["count", "--surface", "K3:" + twos,
+                             "--delta", "1"])
+    assert (code, err) == (0, "")
+    assert payload_of(out)["count"] == str(3 * int(twos) + 24)
+
+
 def test_stdin_past_the_digit_limit_is_a_cli_error(digit_limit):
     text = "[[" + "9" * 5000 + "]]"
     for fmt in ("json", "csv"):

@@ -24,6 +24,7 @@ import pytest
 from nodepoly.chernpoly import ChernPoly
 from nodepoly.modular import (d2g2_series, delta_series, dg2_series,
                                euler_product, partition_power_series)
+from nodepoly.nodal import node_polynomials
 from nodepoly.series import PSeries
 
 F = Fraction
@@ -374,6 +375,25 @@ def test_mul_difference_of_squares():
     assert a * b == PSeries([1, 0, -1], order=4)
     s = PSeries([3, 1, 4, 1, 5])
     assert PSeries.one(4) * s == s
+    # the truncated integer product against the Fraction oracle: the dense
+    # bases of the closed form, sparse factors, mixed denominators and
+    # factors of unequal order (the product keeps the smaller)
+    dg2 = dg2_series(97).shift_down(1)
+    disc = (delta_series(98) * d2g2_series(98)).shift_down(2)
+    one_plus = PSeries([1, 1], order=96)
+    euler = euler_product(96)
+    mixed = PSeries([F(1, 2), F(-1, 3), F(5, 6), F(-7, 4), F(2, 9)])
+    pairs = [(dg2, dg2), (disc, disc), (dg2, disc), (one_plus, one_plus),
+             (euler, euler), (one_plus, euler),
+             (mixed, PSeries([F(2, 5), F(-1, 7), F(3, 11), 0, F(1, 13)])),
+             (mixed, PSeries([3, F(1, 2), -1, 0, 0, 0, 7, F(1, 5)])),
+             (PSeries([F(1, 3)] * 10), mixed)]
+    for x, y in pairs:
+        n = min(x.order, y.order)
+        product = x * y
+        assert_fractions(product)
+        assert product == PSeries(poly_mul(x.coeffs, y.coeffs, n))
+        assert product.order == n
 
 
 def test_inverse_geometric_series():
@@ -730,5 +750,14 @@ def test_scalar_mixing():
     assert 1 / PSeries([1, -1], order=3) == PSeries([1, 1, 1, 1])
     x = ChernPoly.variable(0)
     assert 1 - x == -x + 1 == ChernPoly({(0, 0, 0, 0): 1, (1, 0, 0, 0): -1})
+    # a coefficient that is a sum of terms is parenthesized, and only such
+    lk = ChernPoly.variable(1)
+    assert str(PSeries([0, x - lk * F(1, 2)])) == "(-1/2*LK + L2)*q + O(q^2)"
+    assert str(PSeries([-lk, -x, x * lk, F(-1, 2) * lk])) == \
+        "-LK - L2*q + L2*LK*q^2 - 1/2*LK*q^3 + O(q^4)"
+    assert str(node_polynomials(2)) == (
+        "1 + (c2 + 2*LK + 3*L2)*q + (-7/2*c2 - 3*K2 - 39/2*LK - 21*L2"
+        " + 1/2*c2^2 + 2*LK*c2 + 2*LK^2 + 3*L2*c2 + 6*L2*LK + 9/2*L2^2)*q^2"
+        " + O(q^3)")
     with pytest.raises(TypeError):
         ChernPoly({(0, 0, 0, 0): 1.5})
