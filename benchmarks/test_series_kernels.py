@@ -39,14 +39,15 @@ from math import factorial
 
 import pytest
 
-from nodepoly.modular import d2g2_series, delta_series, dg2_series, euler_product
+from nodepoly.modular import dg2_series, euler_product
+from nodepoly.nodal import dg2_normalized, discriminant_factor
 from nodepoly.series import PSeries
 
 ORDERS = (48, 64, 96)
 REVERSION_ORDERS = (16, 20, 28)
 BASES = {
-    "DG2/q": lambda n: dg2_series(n + 1).shift_down(1),
-    "Delta*D2G2/q^2": lambda n: (delta_series(n + 2) * d2g2_series(n + 2)).shift_down(2),
+    "DG2/q": dg2_normalized,
+    "Delta*D2G2/q^2": discriminant_factor,
 }
 FACTORIAL_EXPS = {
     "q+q^2/3": lambda n: PSeries([0, 1, Fraction(1, 3)], order=n),

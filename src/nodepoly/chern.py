@@ -164,10 +164,20 @@ def parse_integer(text):
     return int(text)
 
 
+def _abridge(text, limit=200):
+    """``text``, past ``limit`` characters cut to its head and tail around
+    "...": the one bound on the user text an error message echoes."""
+    if len(text) <= limit:
+        return text
+    tail = (limit - 3) // 2
+    return f"{text[:limit - 3 - tail]}...{text[-tail:]}"
+
+
 def _spec_integer(spec, field):
     """The integer one field of a surface spec spells, naming the spec if it
     spells none.  A field longer than the int-string digit limit (0 means
-    none) is not echoed: it names the limit instead."""
+    none) is not echoed: it names the limit instead.  Both quotes are
+    abridged, so the reason between them survives the CLI's bound."""
     try:
         return parse_integer(field)
     except ValueError:
@@ -176,8 +186,8 @@ def _spec_integer(spec, field):
             raise ValueError(f"surface spec holds a field of more than "
                              f"{limit} characters, the int-string digit "
                              f"limit") from None
-        raise ValueError(f"surface {spec!r}: expected an integer, "
-                         f"got {field!r}") from None
+        raise ValueError(f"surface {_abridge(repr(spec), 80)}: expected an "
+                         f"integer, got {_abridge(repr(field), 80)}") from None
 
 
 def rr_example_pairs():

@@ -14,10 +14,13 @@ end of ``nodal._exp_linear``.  It is not an exponent type: the exponents of
 the closed form are the Fraction matrix ``nodal.EXPONENTS``.  The class
 implements enough ring structure to serve as a coefficient ring for the
 sums and products of :class:`nodepoly.series.PSeries`, which is how the
-tests' polynomial-coefficient oracles use it.
+tests' polynomial-coefficient oracles use it.  It prints its sorted terms
+through ``series._signed_sum``, the rule ``PSeries`` prints by.
 """
 
 from fractions import Fraction
+
+from .series import _signed_sum
 
 VAR_NAMES = ("L2", "LK", "K2", "c2")
 NVARS = 4
@@ -151,25 +154,10 @@ class ChernPoly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(VAR_NAMES, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+        return _signed_sum(
+            (str(c), "*".join(name if e == 1 else f"{name}^{e}"
+                              for name, e in zip(VAR_NAMES, exps) if e))
+            for exps, c in self.sorted_terms())
 
     def __repr__(self):
         return f"ChernPoly({self.terms!r})"

@@ -32,7 +32,8 @@ Exit codes: 0 success (and exact equality for the comparison commands),
 1 mathematical mismatch or failed internal check, 2 the input was rejected:
 a ValueError from the library (the delta cap in ``nodal``, a malformed
 surface or set system) or from the CLI's own bounds (the int-string digit
-limit too), or a division by zero the input asked for.  One line on stderr.
+limit too), or a division by zero the input asked for.  One line on stderr,
+its message cut to head and tail past 200 characters (``chern._abridge``).
 """
 
 import sys
@@ -41,8 +42,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import inclexcl, nodal
-from .chern import (parse_integer, parse_surface, rr_example_pairs,
-                    solve_rr_coefficients)
+from .chern import (_abridge, parse_integer, parse_surface,
+                    rr_example_pairs, solve_rr_coefficients)
 from .modular import (d2g2_series, delta_series, dg2_series, g2_series,
                       partition_power_series)
 
@@ -432,10 +433,11 @@ def run(argv=None, out=None, err=None, stdin=None):
                              f"limit for writing one") from exc
         return 0 if ok else 1
     except (ValueError, ZeroDivisionError) as exc:
-        err.write(f"nodepoly: error: {exc}\n")
+        err.write(f"nodepoly: error: {_abridge(str(exc))}\n")
         return 2
     except AssertionError as exc:
-        err.write(f"nodepoly: error: internal check failed: {exc}\n")
+        err.write(f"nodepoly: error: internal check failed: "
+                  f"{_abridge(str(exc))}\n")
         return 1
 
 

@@ -32,6 +32,8 @@ plain accumulating loops: through the product, Horner's steps were x1.2
 slower (each rebuilds its run and multiplies by G_0 = 0), and a dot was
 no faster for the log and 1.3-2x slower for Miller, whose weights
 ((p+r)k - rm) change with every step m.
+
+A series prints its terms c*q^k through ``_signed_sum``, as ``ChernPoly`` does.
 """
 
 from fractions import Fraction
@@ -293,6 +295,16 @@ def _reversion_fractions(a):
     return out
 
 
+def _signed_sum(terms):
+    """The printed sum of (coefficient text, monomial text) terms, the
+    monomial "" for a constant: a coefficient 1 or -1 before a monomial
+    prints as its sign, "+ -" reads "- " and the empty sum is "0"."""
+    parts = [cs if not mono else
+             {"1": mono, "-1": f"-{mono}"}.get(cs, f"{cs}*{mono}")
+             for cs, mono in terms]
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
 class PSeries:
     """An exact power series truncated at a fixed order."""
 
@@ -414,9 +426,7 @@ class PSeries:
         o = _promote(other)
         return PSeries([c * o for c in self.coeffs])
 
-    def __rmul__(self, other):
-        o = _promote(other)
-        return PSeries([o * c for c in self.coeffs])
+    __rmul__ = __mul__
 
     def inverse(self):
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -550,22 +560,10 @@ class PSeries:
         return f"PSeries({list(self.coeffs)!r})"
 
     def __str__(self):
-        parts = []
+        terms = []
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            cs = str(c)
-            if " " in cs:  # a sum of terms
-                cs = f"({cs})"
-            if k == 0:
-                parts.append(cs)
-            else:
-                q = "q" if k == 1 else f"q^{k}"
-                if cs == "1":
-                    parts.append(q)
-                elif cs == "-1":
-                    parts.append(f"-{q}")
-                else:
-                    parts.append(f"{cs}*{q}")
-        body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-        return f"{body} + O(q^{self.order + 1})"
+            if c != 0:
+                cs = str(c)
+                terms.append((f"({cs})" if " " in cs else cs,  # a sum of terms
+                              "" if k == 0 else "q" if k == 1 else f"q^{k}"))
+        return f"{_signed_sum(terms)} + O(q^{self.order + 1})"

@@ -9,8 +9,7 @@ import random
 import time
 
 from nodepoly import chernpoly
-from nodepoly.chern import (K3, P2, SurfaceClass, T4, rr_example_pairs,
-                            solve_rr_coefficients)
+from nodepoly.chern import K3, P2, T4, rr_example_pairs, solve_rr_coefficients
 from nodepoly.chernpoly import ChernPoly
 from nodepoly.inclexcl import (SetSystem, modified_cardinalities,
                                nonempty_index_sets, union_via_alternating,
@@ -21,6 +20,7 @@ from nodepoly.nodal import (b1_series, b2_series, blowup_identity_check,
                             dg2_normalized, discriminant_factor,
                             factorize_generating_function, node_polynomials)
 from nodepoly.series import PSeries
+from test_chern import random_surface
 from test_nodal import linear_exp_oracle
 from test_series import log_oracle, poly_compose
 
@@ -34,14 +34,6 @@ def report(number, ok, elapsed, bound, text):
     assert ok, f"criterion {number} failed: {text}"
     assert elapsed < bound, \
         f"criterion {number} exceeded its time bound: {elapsed:.4f}s >= {bound}s"
-
-
-def random_surface(rng, span=6):
-    k2 = rng.randint(-span, span)
-    c2 = rng.randint(-span // 2, span // 2) * 12 - k2
-    lk = rng.randint(-span, span)
-    l2 = lk + 2 * rng.randint(-span, span)
-    return SurfaceClass(f"rand({l2},{lk},{k2},{c2})", l2, lk, k2, c2)
 
 
 CATALOG_SURFACES = ([P2(d) for d in range(5)]

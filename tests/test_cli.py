@@ -406,6 +406,31 @@ def test_surface_field_past_the_digit_limit_is_a_cli_error(digit_limit):
     assert payload_of(out)["count"] == str(3 * int(twos) + 24)
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["count", "--surface", "x,2,3," + "2" * 5000, "--delta", "1"],
+     "expected an integer"),
+    (["count", "--surface", "y" * 5000 + ":1", "--delta", "1"],
+     "unknown surface family"),
+    (["count", "--surface", "1,2,3," + "4" * 4000, "--delta", "1"],
+     "not divisible by 12"),
+    (["count", "--surface", "K3:" + "x" * 4000, "--delta", "1"],
+     "expected an integer"),
+    (["blowup-check", "--surface", "1,2,3," + "4" * 4000],
+     "not divisible by 12"),
+    (["series", "--name", "PARTITION_POWER(" + "9" * 5000 + ")",
+      "--order", "3"], "out of range"),
+    (["series", "--name", "Z" * 5000, "--order", "3"],
+     "unknown series name"),
+], ids=["spec-beside-a-bad-field", "family", "noether", "spec-and-field",
+        "blowup-noether", "partition-exponent", "series-name"])
+def test_error_line_is_bounded_and_keeps_its_reason(argv, reason,
+                                                    digit_limit):
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 300
+    assert reason in err
+
+
 def test_stdin_past_the_digit_limit_is_a_cli_error(digit_limit):
     text = "[[" + "9" * 5000 + "]]"
     for fmt in ("json", "csv"):

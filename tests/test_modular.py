@@ -13,6 +13,7 @@ from nodepoly.modular import (d2g2_series, delta_series, dg2_series,
                               euler_product, g2_series, partition_power_series,
                               sigma1)
 from nodepoly.series import PSeries
+from test_series import poly_mul
 
 F = Fraction
 
@@ -23,16 +24,8 @@ def sigma1_oracle(k):
     return sum(d for d in range(1, k + 1) if k % d == 0)
 
 
-def poly_mul(a, b, order):
-    out = [0] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        for j, y in enumerate(b[: order + 1 - i]):
-            out[i + j] += x * y
-    return out
-
-
 def product_oracle(exponent, order):
-    """prod_{n=1..order} (1 - q^n)^exponent on plain integer lists."""
+    """prod_{n=1..order} (1 - q^n)^exponent on plain coefficient lists."""
     out = [1] + [0] * order
     for n in range(1, order + 1):
         factor = [0] * (order + 1)

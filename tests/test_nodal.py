@@ -20,16 +20,9 @@ from nodepoly.nodal import (CHECK_SURFACES, EXPONENTS, IN_RANGE, MAX_DELTA,
                             factorize_generating_function, node_polynomials,
                             validity_range, yau_zaslow_check)
 from nodepoly.series import PSeries
+from test_chern import random_surface
 from test_series import (exp_oracle, log_oracle, poly_compose,
                          random_rational_series)
-
-
-def random_surface(rng, span=6):
-    k2 = rng.randint(-span, span)
-    c2 = rng.randint(-span // 2, span // 2) * 12 - k2
-    lk = rng.randint(-span, span)
-    l2 = lk + 2 * rng.randint(-span, span)
-    return SurfaceClass(f"rand({l2},{lk},{k2},{c2})", l2, lk, k2, c2)
 
 
 # chi(L) and -chi(O)/2 as polynomials, stated here apart from chern's forms

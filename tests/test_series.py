@@ -755,6 +755,17 @@ def test_scalar_mixing():
     assert str(PSeries([0, x - lk * F(1, 2)])) == "(-1/2*LK + L2)*q + O(q^2)"
     assert str(PSeries([-lk, -x, x * lk, F(-1, 2) * lk])) == \
         "-LK - L2*q + L2*LK*q^2 - 1/2*LK*q^3 + O(q^4)"
+    # -1 prints as a sign before a monomial, and in full as a constant
+    assert str(PSeries([-1, -1])) == "-1 - q + O(q^2)"
+    assert str(PSeries.zero(3)) == "0 + O(q^4)"
+    assert str(PSeries([F(-1, 2), F(-1, 2)])) == "-1/2 - 1/2*q + O(q^2)"
+    minus_one = ChernPoly({(0, 0, 0, 0): -1, (1, 0, 0, 0): -1,
+                           (0, 1, 0, 1): -1})
+    assert str(minus_one) == "-1 - L2 - LK*c2"
+    assert str(PSeries([ChernPoly.constant(-1), minus_one])) == \
+        "-1 + (-1 - L2 - LK*c2)*q + O(q^2)"
+    assert str(F(-1, 2) * lk) == "-1/2*LK"
+    assert str(ChernPoly()) == "0"
     assert str(node_polynomials(2)) == (
         "1 + (c2 + 2*LK + 3*L2)*q + (-7/2*c2 - 3*K2 - 39/2*LK - 21*L2"
         " + 1/2*c2^2 + 2*LK*c2 + 2*LK^2 + 3*L2*c2 + 6*L2*LK + 9/2*L2^2)*q^2"
