@@ -34,6 +34,9 @@ a ValueError from the library (the delta cap in ``nodal``, a malformed
 surface or set system) or from the CLI's own bounds (the int-string digit
 limit too), or a division by zero the input asked for.  One line on stderr,
 its message cut to head and tail past 200 characters (``chern._abridge``).
+A usage error is argparse's usage line plus one error line, cut by the same
+bound.  ``run`` writes every byte the CLI prints to its ``out`` and ``err``,
+argparse's help and usage errors included.
 """
 
 import sys
@@ -352,7 +355,12 @@ def build_parser():
             raise argparse.ArgumentTypeError(
                 f"invalid int value: {value!r}") from None
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # subparsers are built with the class of their parent
+        def error(self, message):
+            super().error(_abridge(message))
+
+    parser = Parser(
         prog="nodepoly",
         description="Exact node-polynomial computations for algebraic "
                     "surfaces (all output is exact rational arithmetic).")
@@ -412,8 +420,10 @@ def run(argv=None, out=None, err=None, stdin=None):
         argv = sys.argv[1:]
     args = read_args(argv)
     if args is None:
+        from contextlib import redirect_stderr, redirect_stdout
         try:
-            args = build_parser().parse_args(argv)
+            with redirect_stdout(out), redirect_stderr(err):
+                args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if exc.code is not None else 2
     try:

@@ -62,8 +62,10 @@ def unit(k, sign=1):
     return (0,) * (k - 1) + (sign,)
 
 
+@lru_cache(maxsize=None)
 def multiplicity_vectors(m):
-    """Every gamma with I gamma = m, as trimmed tangency vectors."""
+    """Every gamma with I gamma = m, as (gamma, |gamma|, I^gamma) with
+    gamma a trimmed tangency vector."""
     def parts(m, largest):
         if m == 0:
             yield ()
@@ -71,8 +73,8 @@ def multiplicity_vectors(m):
         for k in range(min(m, largest), 0, -1):
             for rest in parts(m - k, k):
                 yield (k,) + rest
-    for p in parts(m, m):
-        yield trim(p.count(k) for k in range(1, m + 1))
+    return tuple((trim(p.count(k) for k in range(1, m + 1)), len(p), prod(p))
+                 for p in parts(m, m))
 
 
 def recursion_sum(same, smaller, meet, delta, alpha, beta):
@@ -85,20 +87,20 @@ def recursion_sum(same, smaller, meet, delta, alpha, beta):
         if b:
             total += k * same(delta, add(alpha, unit(k)),
                               add(beta, unit(k, -1)))
+    room = meet - weight(beta)
     for sub in product(*(range(a + 1) for a in alpha)):
-        binom_alpha = prod(map(comb, alpha, sub))
-        rest = meet - weight(sub) - weight(beta)
+        rest = room - weight(sub)
         if rest < 0:
             continue
-        for gamma in multiplicity_vectors(rest):
-            sub_delta = delta - meet + sum(gamma)
+        binom_alpha = prod(map(comb, alpha, sub))
+        sub = trim(sub)
+        for gamma, size, i_gamma in multiplicity_vectors(rest):
+            sub_delta = delta - meet + size
             if sub_delta < 0:
                 continue
             sup = add(beta, gamma)
-            total += (prod(k ** g for k, g in enumerate(gamma, 1))
-                      * binom_alpha
-                      * prod(map(comb, sup, beta))
-                      * smaller(sub_delta, trim(sub), sup))
+            total += (i_gamma * binom_alpha * prod(map(comb, sup, beta))
+                      * smaller(sub_delta, sub, sup))
     return total
 
 
@@ -179,14 +181,15 @@ def test_b_series_from_severi_degrees():
     assert b2 == PSeries(B2_COEFFS[:6])
 
 
-def test_b_table_from_severi_degrees_to_q16():
-    # Degree ceil(M/2) + 1 = 9 meets Goettsche's threshold d >= delta/2 + 1
-    # at every delta <= M = 16, so the pair (9, 10) reproduces the table to
-    # q^16.  The pairs (11, 12) and (12, 13) give the whole table, to q^20,
-    # in about 10 s each, too slow for this suite.
-    b1, b2 = b_series_from_pair(9, 16)
-    assert b1 == PSeries(B1_COEFFS[:17])
-    assert b2 == PSeries(B2_COEFFS[:17])
+def test_b_table_from_severi_degrees_to_q20():
+    # Degree ceil(M/2) + 1 = 11 meets Goettsche's threshold d >= delta/2 + 1
+    # at every delta <= M = 20, so the pair (11, 12) reproduces the whole
+    # shipped table, to q^20.  No other source apart from the closed form
+    # reaches q^17..q^20: B1 and B2 drop out of the K3 and T4 counts.
+    assert len(B1_COEFFS) == len(B2_COEFFS) == 21
+    b1, b2 = b_series_from_pair(11, 20)
+    assert b1 == PSeries(B1_COEFFS)
+    assert b2 == PSeries(B2_COEFFS)
 
 
 def plane_log_rows(m):

@@ -1,6 +1,5 @@
 """CLI behavior: payload correctness, exit codes, determinism."""
 
-import contextlib
 import io
 import json
 import random
@@ -421,13 +420,20 @@ def test_surface_field_past_the_digit_limit_is_a_cli_error(digit_limit):
       "--order", "3"], "out of range"),
     (["series", "--name", "Z" * 5000, "--order", "3"],
      "unknown series name"),
+    # argparse's usage errors: its usage line, then the bounded error line
+    (["node-polys", "--max-delta", "x" * 5000], "invalid int value"),
+    (["series", "--name", "G2", "--format", "x" * 5000], "invalid choice"),
+    (["x" * 5000], "invalid choice"),
+    (["rr-solve", "x" * 5000], "unrecognized arguments"),
 ], ids=["spec-beside-a-bad-field", "family", "noether", "spec-and-field",
-        "blowup-noether", "partition-exponent", "series-name"])
+        "blowup-noether", "partition-exponent", "series-name",
+        "usage-int", "usage-choice", "usage-command", "usage-extra"])
 def test_error_line_is_bounded_and_keeps_its_reason(argv, reason,
                                                     digit_limit):
     code, out, err = invoke(argv)
     assert (code, out) == (2, "")
-    assert len(err.encode()) < 300
+    assert all(len(line.encode()) < 300 for line in err.splitlines())
+    assert len(err.encode()) < 400
     assert reason in err
 
 
@@ -493,7 +499,7 @@ def test_usage_errors_exit_2():
     assert code == 2
     # argparse takes a value starting with "-" for an option; "=" joins it
     argv = ["count", "--surface", "-1,1,8,4", "--delta", "1"]
-    code, _, err = captured_run(argv, "")
+    code, _, err = invoke(argv)
     assert code == 2 and "expected one argument" in err
     code, out, _ = invoke(["count", "--surface=-1,1,8,4", "--delta", "1"])
     assert code == 0 and payload_of(out)["count"] == "3"
@@ -520,7 +526,7 @@ def test_int_options_take_only_an_optional_minus_and_ascii_digits(argv,
     # int() alone reads all but "two", and the run would echo the value
     # it read, not the one typed
     assert read_args(argv + [value]) is None
-    code, out, err = captured_run(argv + [value], "")
+    code, out, err = invoke(argv + [value])
     assert (code, out) == (2, "")
     assert err.endswith(f"error: argument {argv[-1]}: invalid int value: "
                         f"{value!r}\n")
@@ -549,15 +555,6 @@ SHARED_PARSER_LINES = [
 ]
 
 
-def captured_run(argv, stdin_text):
-    """Exit code, stdout and stderr of one run, argparse's own writes to
-    sys.stdout and sys.stderr included."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(list(argv), stdin=io.StringIO(stdin_text))
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_shared_parser_keeps_no_state(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     built = []
@@ -569,7 +566,7 @@ def test_shared_parser_keeps_no_state(monkeypatch):
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     fresh = {}
     for argv, stdin_text in SHARED_PARSER_LINES:
-        fresh[tuple(argv)] = captured_run(argv, stdin_text)
+        fresh[tuple(argv)] = invoke(argv, stdin_text)
     # a parser is built only for the lines read_args declines
     assert len(built) == 9 == sum(read_args(argv) is None
                                   for argv, _ in SHARED_PARSER_LINES)
@@ -582,7 +579,7 @@ def test_shared_parser_keeps_no_state(monkeypatch):
     lines = SHARED_PARSER_LINES * 3
     random.Random(13).shuffle(lines)
     for argv, stdin_text in lines:
-        assert captured_run(argv, stdin_text) == fresh[tuple(argv)], argv
+        assert invoke(argv, stdin_text) == fresh[tuple(argv)], argv
     # one parser per declined line, none kept between runs
     assert len(built) == 27
 
@@ -648,9 +645,21 @@ def test_reader_sets_what_argparse_sets(argv, monkeypatch):
         assert vars(args) == vars(build_parser().parse_args(argv))
     # and the run prints what the argparse path prints
     monkeypatch.setenv("COLUMNS", "80")
-    direct = captured_run(argv, "")
+    direct = invoke(argv)
     monkeypatch.setattr(cli, "read_args", lambda argv: None)
-    assert captured_run(argv, "") == direct
+    assert invoke(argv) == direct
+
+
+def test_run_writes_only_to_its_streams(capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["--help"], out=out, err=err) == 0
+    assert out.getvalue().startswith("usage: nodepoly ")
+    assert err.getvalue() == ""
+    # argparse's help and usage errors included
+    for argv, stdin_text in (SHARED_PARSER_LINES
+                             + [(argv, "") for argv in READER_CORPUS]):
+        invoke(argv, stdin_text)
+        assert capsys.readouterr() == ("", ""), argv
 
 
 def test_benchmark_and_golden_lines_take_the_direct_path(monkeypatch):
