@@ -156,12 +156,23 @@ def parse_integer(text):
     types.  Only an optional "-" then ASCII digits is read; int() alone
     would also take "1_0", "+2", non-ASCII digits and surrounding space,
     and a name or value echoed from the text would not be the one used.
-    Raises ValueError for anything else (and, as int() does, past its
-    digit limit)."""
+    Nor are more digits than the int-string digit limit (0 means none).
+    Raises ValueError, naming the limit (:func:`past_digit_limit`) or
+    quoting ``text`` cut to 80 characters."""
     digits = text[1:] if text[:1] == "-" else text
     if not (digits.isdigit() and digits.isascii()):
-        raise ValueError(f"expected an integer, got {text!r}")
+        raise ValueError(f"expected an integer, "
+                         f"got {_abridge(repr(text), 80)}")
+    if 0 < sys.get_int_max_str_digits() < len(digits):
+        raise ValueError(past_digit_limit("got"))
     return int(text)
+
+
+def past_digit_limit(holder):
+    """The one wording of an integer past the int-string digit limit:
+    ``holder`` ("stdin holds") then the limit, echoing no digit."""
+    return (f"{holder} an integer of more than {sys.get_int_max_str_digits()}"
+            f" digits, the int-string digit limit")
 
 
 def _abridge(text, limit=200):
@@ -174,20 +185,13 @@ def _abridge(text, limit=200):
 
 
 def _spec_integer(spec, field):
-    """The integer one field of a surface spec spells, naming the spec if it
-    spells none.  A field longer than the int-string digit limit (0 means
-    none) is not echoed: it names the limit instead.  Both quotes are
-    abridged, so the reason between them survives the CLI's bound."""
+    """The integer one field of a surface spec spells; else parse_integer's
+    error after the spec, quoted cut to 80 characters."""
     try:
         return parse_integer(field)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if 0 < limit < len(field):
-            raise ValueError(f"surface spec holds a field of more than "
-                             f"{limit} characters, the int-string digit "
-                             f"limit") from None
-        raise ValueError(f"surface {_abridge(repr(spec), 80)}: expected an "
-                         f"integer, got {_abridge(repr(field), 80)}") from None
+    except ValueError as exc:
+        raise ValueError(f"surface {_abridge(repr(spec), 80)}: "
+                         f"{exc}") from None
 
 
 def rr_example_pairs():

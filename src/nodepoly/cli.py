@@ -31,9 +31,11 @@ table for that line.  Only ``inclexcl`` imports the json package.
 Exit codes: 0 success (and exact equality for the comparison commands),
 1 mathematical mismatch or failed internal check, 2 the input was rejected:
 a ValueError from the library (the delta cap in ``nodal``, a malformed
-surface or set system) or from the CLI's own bounds (the int-string digit
-limit too), or a division by zero the input asked for.  One line on stderr,
-its message cut to head and tail past 200 characters (``chern._abridge``).
+surface or set system) or from the CLI's own bounds, or a division by zero
+the input asked for.  An integer past the int-string digit limit (typed,
+on stdin or in a result) is one: its message names the limit, not the
+digits (``chern.past_digit_limit``).  One line on stderr, its message cut
+to head and tail past 200 characters (``chern._abridge``).
 A usage error is argparse's usage line plus one error line, cut by the same
 bound.  ``run`` writes every byte the CLI prints to its ``out`` and ``err``,
 argparse's help and usage errors included.
@@ -45,7 +47,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import inclexcl, nodal
-from .chern import (_abridge, parse_integer, parse_surface,
+from .chern import (_abridge, parse_integer, parse_surface, past_digit_limit,
                     rr_example_pairs, solve_rr_coefficients)
 from .modular import (d2g2_series, delta_series, dg2_series, g2_series,
                       partition_power_series)
@@ -225,9 +227,7 @@ def cmd_inclexcl(args, stdin):
     except RecursionError as exc:
         raise ValueError("stdin JSON is nested too deeply") from exc
     except ValueError as exc:  # int() past its digit limit
-        raise ValueError(f"stdin holds an integer of more than "
-                         f"{sys.get_int_max_str_digits()} digits, the "
-                         f"limit for reading one") from exc
+        raise ValueError(past_digit_limit("stdin holds")) from exc
     if (not isinstance(data, list)
             or not all(isinstance(s, list) for s in data)):
         raise ValueError("input must be a JSON list of integer lists")
@@ -259,8 +259,8 @@ def _modular_series(name, order):
         arg = key[len("PARTITION_POWER("):-1]
         try:
             e = parse_integer(arg)
-        except ValueError:
-            e = 0
+        except ValueError as exc:
+            raise ValueError(f"PARTITION_POWER exponent: {exc}") from None
         if not 1 <= e <= MAX_PARTITION_EXPONENT:
             raise ValueError(
                 f"PARTITION_POWER exponent {arg!r} is out of range: it must "
@@ -350,10 +350,8 @@ def build_parser():
     def integer(value):
         try:
             return parse_integer(value)
-        except ValueError:
-            # the words argparse uses for a ValueError from type=int
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {value!r}") from None
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     class Parser(argparse.ArgumentParser):
         # subparsers are built with the class of their parent
@@ -438,9 +436,7 @@ def run(argv=None, out=None, err=None, stdin=None):
                            "order": parameters.get(_ORDER[args.command]),
                            "format": "json", "payload": payload}, out)
         except ValueError as exc:  # str() past the int digit limit
-            raise ValueError(f"the result holds an integer of more than "
-                             f"{sys.get_int_max_str_digits()} digits, the "
-                             f"limit for writing one") from exc
+            raise ValueError(past_digit_limit("the result holds")) from exc
         return 0 if ok else 1
     except (ValueError, ZeroDivisionError) as exc:
         err.write(f"nodepoly: error: {_abridge(str(exc))}\n")

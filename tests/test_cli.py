@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -139,14 +140,18 @@ def test_series_partition_exponent_is_bounded():
     assert code == 0
     e = MAX_PARTITION_EXPONENT
     assert payload_of(out) == ["1", str(e), str(e * (e + 3) // 2)]
-    # int() alone would read the last five as 30, 3, 3, 3 and 3
-    for arg in (0, -1, MAX_PARTITION_EXPONENT + 1, 10**30, "10^30", "x",
-                "3_0", "+3", " 3", "3 ", "\uff10\uff13"):
+    for arg in (0, -1, MAX_PARTITION_EXPONENT + 1, 10**30):
         code, out, err = invoke(["series", "--name", f"PARTITION_POWER({arg})",
                                  "--order", "500"])
-        assert code == 2
-        assert out == ""
+        assert (code, out) == (2, "")
         assert "out of range" in err
+    # int() alone would read the last five as 30, 3, 3, 3 and 3
+    for arg in ("10^30", "x", "3_0", "+3", " 3", "3 ", "\uff10\uff13"):
+        code, out, err = invoke(["series", "--name", f"PARTITION_POWER({arg})",
+                                 "--order", "500"])
+        assert (code, out) == (2, "")
+        assert err == (f"nodepoly: error: PARTITION_POWER exponent: expected "
+                       f"an integer, got {arg.upper()!r}\n")
 
 
 def test_node_polys_t1():
@@ -380,29 +385,55 @@ def digit_limit():
     sys.set_int_max_str_digits(old)
 
 
-def test_result_past_the_digit_limit_is_a_cli_error(digit_limit):
+NINES = "9" * 5000
+TWOS = "2" * 5000
+
+# Every way an integer reaches the CLI, each past the int-string digit
+# limit: (argv, stdin, and once the limit is lifted, the exit code and a
+# piece of the output).  Without the limit the value is read, and the run
+# goes on to a result or to the range bound on that value.
+PAST_THE_DIGIT_LIMIT = [
+    pytest.param(line + [NINES], "", 2, "out of range",
+                 id=line[0] + line[-1])
+    for line in (["node-polys", "--max-delta"], ["yau-zaslow", "--max-delta"],
+                 ["factorize", "--max-delta"],
+                 ["count", "--surface", "K3:2", "--delta"],
+                 ["blowup-check", "--surface", "P2:3", "--order"],
+                 ["series", "--name", "G2", "--order"])
+] + [
+    pytest.param(["count", "--surface", "K3:" + TWOS, "--delta", "1"], "", 0,
+                 '"L2": ' + TWOS, id="surface-K3"),
+    pytest.param(["count", "--surface", TWOS + ",0,0,24", "--delta", "1"], "",
+                 0, '"L2": ' + TWOS, id="surface-explicit"),
+    pytest.param(["series", "--name", f"PARTITION_POWER({NINES})", "--order",
+                  "3"], "", 2, "out of range", id="partition-exponent"),
+    pytest.param(["inclexcl"], f"[[{NINES}]]", 0, '"union_size": 1',
+                 id="stdin-json"),
+    pytest.param(["inclexcl", "--format", "csv"], f"[[{NINES}]]", 0,
+                 '"0",1,1', id="stdin-csv"),
     # at delta 20 the count on a K3 class with L2 = 10^230 has about 4600
     # digits
-    argv = ["count", "--surface", "K3:1" + "0" * 230, "--delta", "20"]
-    assert invoke(argv) == (
-        2, "", f"nodepoly: error: the result holds an integer of more than "
-        f"{digit_limit} digits, the limit for writing one\n")
+    pytest.param(["count", "--surface", "K3:1" + "0" * 230, "--delta", "20"],
+                 "", 0, '"delta": 20', id="result"),
+]
 
 
-def test_surface_field_past_the_digit_limit_is_a_cli_error(digit_limit):
-    twos = "2" * 5000
-    for spec in ("K3:" + twos, "1,2,3," + twos):
-        code, out, err = invoke(["count", "--surface", spec, "--delta", "1"])
-        assert (code, out) == (2, "")
-        assert err == (f"nodepoly: error: surface spec holds a field of more "
-                       f"than {digit_limit} characters, the int-string digit "
-                       f"limit\n")
-        assert len(err.encode()) < 200
-    sys.set_int_max_str_digits(0)  # no limit: the field is read
-    code, out, err = invoke(["count", "--surface", "K3:" + twos,
-                             "--delta", "1"])
-    assert (code, err) == (0, "")
-    assert payload_of(out)["count"] == str(3 * int(twos) + 24)
+@pytest.mark.parametrize("argv, stdin_text, unlimited_code, unlimited_text",
+                         PAST_THE_DIGIT_LIMIT)
+def test_integer_past_the_digit_limit_is_one_bounded_cli_error(
+        argv, stdin_text, unlimited_code, unlimited_text, digit_limit):
+    code, out, err = invoke(argv, stdin_text)
+    assert (code, out) == (2, "")
+    assert all(len(line.encode()) < 300 for line in err.splitlines())
+    assert f"more than {digit_limit} digits, the int-string digit limit\n" \
+        in err
+    # no run of the integer's digits: a surface spec is quoted cut to 80
+    assert re.search(r"\d{80}", err) is None
+    sys.set_int_max_str_digits(0)  # no limit: the integer is read
+    code, out, err = invoke(argv, stdin_text)
+    assert code == unlimited_code
+    assert unlimited_text in (err if code else out)
+    assert "digit limit" not in err
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -417,11 +448,11 @@ def test_surface_field_past_the_digit_limit_is_a_cli_error(digit_limit):
     (["blowup-check", "--surface", "1,2,3," + "4" * 4000],
      "not divisible by 12"),
     (["series", "--name", "PARTITION_POWER(" + "9" * 5000 + ")",
-      "--order", "3"], "out of range"),
+      "--order", "3"], "int-string digit limit"),
     (["series", "--name", "Z" * 5000, "--order", "3"],
      "unknown series name"),
     # argparse's usage errors: its usage line, then the bounded error line
-    (["node-polys", "--max-delta", "x" * 5000], "invalid int value"),
+    (["node-polys", "--max-delta", "x" * 5000], "expected an integer"),
     (["series", "--name", "G2", "--format", "x" * 5000], "invalid choice"),
     (["x" * 5000], "invalid choice"),
     (["rr-solve", "x" * 5000], "unrecognized arguments"),
@@ -435,14 +466,6 @@ def test_error_line_is_bounded_and_keeps_its_reason(argv, reason,
     assert all(len(line.encode()) < 300 for line in err.splitlines())
     assert len(err.encode()) < 400
     assert reason in err
-
-
-def test_stdin_past_the_digit_limit_is_a_cli_error(digit_limit):
-    text = "[[" + "9" * 5000 + "]]"
-    for fmt in ("json", "csv"):
-        assert invoke(["inclexcl", "--format", fmt], stdin_text=text) == (
-            2, "", f"nodepoly: error: stdin holds an integer of more than "
-            f"{digit_limit} digits, the limit for reading one\n")
 
 
 def inclexcl_expected(sets, fmt, doc=None):
@@ -528,8 +551,8 @@ def test_int_options_take_only_an_optional_minus_and_ascii_digits(argv,
     assert read_args(argv + [value]) is None
     code, out, err = invoke(argv + [value])
     assert (code, out) == (2, "")
-    assert err.endswith(f"error: argument {argv[-1]}: invalid int value: "
-                        f"{value!r}\n")
+    assert err.endswith(f"error: argument {argv[-1]}: expected an integer, "
+                        f"got {value!r}\n")
 
 
 # every subcommand, with usage errors and --help in between

@@ -79,6 +79,8 @@ RECORDS = [
      "SetSystem(k=2, signatures={1: 1, 2: 1, 3: 2})"),
     (node_polynomials(0), node_polynomials(0), node_polynomials(1),
      "PSeries([ChernPoly({(0, 0, 0, 0): Fraction(1, 1)})])"),
+    (ChernPoly.variable(0), ChernPoly({(1, 0, 0, 0): 1}),
+     ChernPoly.variable(1), "ChernPoly({(1, 0, 0, 0): Fraction(1, 1)})"),
     (count_nodal(P2(3), 1), NodalCount(S, 1, Fraction(12), "in range"),
      count_nodal(P2(3), 0),
      "NodalCount(surface=SurfaceClass(name='P2:3', L2=9, LK=-9, K2=9, c2=3), "
@@ -105,8 +107,8 @@ RECORDS = [
      "log_a2=PSeries([Fraction(0, 1)]), log_a3=PSeries([Fraction(0, 1)]), "
      "log_a4=PSeries([Fraction(0, 1)]))"),
 ]
-# these are or hold a PSeries, so they have no hash
-UNHASHABLE = (PSeries, BlowupCheck, FactorizedForm)
+# these are or hold a PSeries, or are a ChernPoly, so they have no hash
+UNHASHABLE = (PSeries, ChernPoly, BlowupCheck, FactorizedForm)
 # node_polynomials' table T_0..T_delta is the series F, so its id is the table
 IDS = ["NodePolynomialTable" if type(r[0]) is PSeries else type(r[0]).__name__
        for r in RECORDS]
@@ -131,7 +133,8 @@ def test_record_hashing(record, twin, other, text):
 
 @pytest.mark.parametrize("record, twin, other, text", RECORDS, ids=IDS)
 def test_record_immutability(record, twin, other, text):
-    # a record's first field leads its repr; a PSeries has one slot
+    # a record's first field leads its repr; a PSeries or a ChernPoly has
+    # one slot
     field = getattr(record, "_fields", type(record).__slots__)[0]
     value = getattr(record, field)
     with pytest.raises(AttributeError):
@@ -146,6 +149,15 @@ def test_record_copy_and_pickle_round_trip(record, twin, other, text):
     for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(copied) is type(record)
         assert copied == record and repr(copied) == text
+
+
+def test_chern_poly_declines_other_operands():
+    x = ChernPoly.variable(0)
+    assert (x == "x") is False and (x != "x") is True
+    with pytest.raises(TypeError):
+        x + "x"
+    with pytest.raises(TypeError):
+        x - "x"
 
 
 def test_series_and_polynomials_copy_and_pickle():
