@@ -29,8 +29,8 @@ usage error included -- goes to an argparse parser built from the same
 table for that line.  Only ``inclexcl`` imports the json package.
 
 Exit codes: 0 success (and exact equality for the comparison commands),
-1 mathematical mismatch or failed internal check, 2 the input was rejected:
-a ValueError from the library (the delta cap in ``nodal``, a malformed
+1 a mathematical mismatch and nothing else, 2 the input was rejected: a
+ValueError from the library (the delta cap in ``nodal``, a malformed
 surface or set system) or from the CLI's own bounds, or a division by zero
 the input asked for.  An integer past the int-string digit limit (typed,
 on stdin or in a result) is one: its message names the limit, not the
@@ -441,10 +441,6 @@ def run(argv=None, out=None, err=None, stdin=None):
     except (ValueError, ZeroDivisionError) as exc:
         err.write(f"nodepoly: error: {_abridge(str(exc))}\n")
         return 2
-    except AssertionError as exc:
-        err.write(f"nodepoly: error: internal check failed: "
-                  f"{_abridge(str(exc))}\n")
-        return 1
 
 
 def main():

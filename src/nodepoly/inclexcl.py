@@ -5,15 +5,17 @@ intersection over an index set I counts the elements lying in no strictly
 finer intersection.  That is exactly the number of union elements whose
 membership signature -- the set of indices of the sets containing them --
 is I.  A :class:`SetSystem` is stored as that signature map (element ->
-bitmask, bit i for A_i), built in the same pass over the input that checks
-each element, so the union is its key set.  The pass ORs each bit into a
-list indexed by element when the input is a list of lists whose largest
-element is at most about twice the number of listed elements, and into a
-dict otherwise.  The histogram of the masks is
+bitmask, bit i for A_i), built through a list or a dict (the rule is
+stated in :class:`SetSystem`) in the same pass over the input that checks
+each element, so the union is its key set.  The histogram of the masks is
 the modified table; a superset-sum (zeta) transform over the 2^k masks
 turns it into the plain intersection sizes:
 
     |inter_I| = sum of modified(J) over all J containing I
+
+The transform takes one bit per pass, k passes of two whole-list steps: an
+unshuffle that brings the bit to the top of every index, then the upper
+half of the list added into the lower half.
 
 The backward induction over the lattice (largest index sets first,
 modified(I) = |inter_I| - sum of modified(J) over J strictly containing I)
@@ -55,15 +57,7 @@ class _Signatures(dict):
 
 def _dense_top(sets):
     """The largest element of ``sets`` if its masks go in a list indexed
-    by element, else None.
-
-    That takes a list of lists, a max() over their elements that is an int,
-    and that top at most 2 * total + 64 for total listed elements: the list
-    of top + 1 slots then never holds more than twice the slots of the
-    input's own lists, plus 65.  Everything else -- generators, Python
-    sets, sparse or huge elements such as 10**30, input on which max()
-    fails -- keeps the dict, whose size is bounded by the input alone.
-    """
+    by element, else None: the rule :class:`SetSystem` states."""
     if type(sets) is not list or set(map(type, sets)) - {list}:
         return None
     try:
@@ -90,13 +84,15 @@ class SetSystem(namedtuple("SetSystem", "k signatures")):
     mask grows past ``MAX_SETS`` bits.
 
     The masks are built in one of two ways, chosen from the input alone.  A
-    list of lists whose largest element is at most about twice the number
-    of listed elements gets a list indexed by element, one ``masks[x] |=
-    bit`` per listed element, and the signature map is read off its nonzero
-    slots.  Any other input -- an iterator, Python sets, sparse or huge
-    elements, malformed elements -- gets a dict update per listed element,
-    the route whose memory is bounded by the input.  The checks and the
-    errors are the same on both.
+    list of lists, whose elements have an int max() top of at most 2 * total
+    + 64 for total listed elements, gets a list of top + 1 slots indexed by
+    element, one ``masks[x] |= bit`` per listed element, and the signature
+    map is read off its nonzero slots; that list never holds more than twice
+    the slots of the input's own lists, plus 65.  Any other input -- an
+    iterator, Python sets, sparse or huge elements such as 10**30, input on
+    which max() fails -- gets a dict update per listed element, the route
+    whose memory is bounded by the input alone.  The checks and the errors
+    are the same on both.
     """
     __slots__ = ()
 
@@ -182,17 +178,14 @@ def modified_cardinalities(system):
     modified = [0] * size
     for mask in system.signatures.values():
         modified[mask] += 1
-    # superset sums, a bit b at a time: b stride-2b slices while b * 2b <=
-    # size, else size / 2b contiguous runs of b masks, whichever is fewer
-    plain = modified[:]
-    for i in range(system.k):
-        b, step = 1 << i, 2 << i
-        if b * step <= size:
-            for j in range(b):
-                plain[j::step] = map(add, plain[j::step], plain[j + b::step])
-        else:
-            for s in range(b, size, step):
-                plain[s - b:s] = map(add, plain[s - b:s], plain[s:s + b])
+    # superset sums, one bit per pass: the unshuffle rotates every index
+    # right by one, so the bit just taken is the top one and the masks that
+    # hold it are the upper half, added into the lower half.  After k passes
+    # every index is back in place; the first unshuffle copies modified.
+    plain, half = modified, size >> 1
+    for _ in range(system.k):
+        plain = plain[::2] + plain[1::2]
+        plain[:half] = map(add, plain[:half], plain[half:])
     bits = [1 << i for i in range(system.k)]
     masks = list(map(sum, nonempty_combinations(bits)))
     return [plain[m] for m in masks], [modified[m] for m in masks]

@@ -136,11 +136,8 @@ def _regroup(logs):
     """Regroup sum_i e_i * log_i by Chern number: the row l_v weights the
     four base log-series by column v of EXPONENTS, so that
     sum_i e_i * log_i = L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3."""
-    return tuple(
-        PSeries([sum(row[v] * log[k] for row, log in zip(EXPONENTS, logs)
-                     if row[v])
-                 for k in range(len(logs[0]))])
-        for v in range(4))
+    return tuple(sum(row[v] * log for row, log in zip(EXPONENTS, logs))
+                 for v in range(4))
 
 
 def _log_rows(order):

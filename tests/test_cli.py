@@ -2,10 +2,13 @@
 
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -707,21 +710,33 @@ def test_bare_commands_default_to_order_5():
 
 
 def test_internal_errors_exit_without_traceback(monkeypatch):
-    def fails(exc):
-        def handler(args, stdin):
-            raise exc
-        return handler
+    def handler(args, stdin):
+        raise ZeroDivisionError("division by zero")
 
-    monkeypatch.setitem(cli.HANDLERS, "rr-solve",
-                        fails(AssertionError("values disagree")))
-    code, out, err = invoke(["rr-solve"])
-    assert (code, out) == (1, "")
-    assert err == "nodepoly: error: internal check failed: values disagree\n"
-    monkeypatch.setitem(cli.HANDLERS, "rr-solve",
-                        fails(ZeroDivisionError("division by zero")))
+    monkeypatch.setitem(cli.HANDLERS, "rr-solve", handler)
     code, out, err = invoke(["rr-solve"])
     assert (code, out) == (2, "")
     assert err == "nodepoly: error: division by zero\n"
+
+
+def test_module_entry_point_uses_the_process_streams():
+    # python -m nodepoly.cli runs main(): run() with argv=None reads
+    # sys.argv and writes to sys.stdout/sys.stderr, and the exit code
+    # leaves through SystemExit
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def console(*argv):
+        proc = subprocess.run([sys.executable, "-m", "nodepoly.cli", *argv],
+                              capture_output=True, env=env,
+                              stdin=subprocess.DEVNULL)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, _ = invoke(["node-polys", "--max-delta", "2"])
+    assert console("node-polys", "--max-delta", "2") == \
+        (code, out.encode(), b"")
+    assert code == 0
+    assert console("node-polys", "--max-delta", "21") == \
+        (2, b"", f"nodepoly: error: {cap_message(21)}\n".encode())
 
 
 def test_output_is_deterministic():

@@ -171,8 +171,8 @@ def test_slice_transform_matches_naive_loop():
     # A seeded histogram over the 2^k masks, realised as a set system with
     # counts[m] elements of signature m; the plain list must equal the naive
     # superset sums read in nonempty_index_sets order.  Every k = 1..10
-    # runs the stride slices for the low bits and the contiguous runs for
-    # the high ones (k = 1 only the stride, k = 2 one of each).
+    # runs k unshuffle-and-halve passes, k = 1 the one where the unshuffle
+    # leaves the list as it is.
     rng = random.Random(71)
     for k in range(1, 11):
         counts = [0] + [rng.choice((0, 0, 1, 2, 5)) for _ in range(1, 2 ** k)]
