@@ -722,21 +722,49 @@ def test_internal_errors_exit_without_traceback(monkeypatch):
 def test_module_entry_point_uses_the_process_streams():
     # python -m nodepoly.cli runs main(): run() with argv=None reads
     # sys.argv and writes to sys.stdout/sys.stderr, and the exit code
-    # leaves through SystemExit
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    # leaves through SystemExit; every case is a process of its own, as
+    # main() freezes the heap of the process it ends.  Without
+    # PYTHONUNBUFFERED stdout is block-buffered, as under a shell's pipe.
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
 
-    def console(*argv):
-        proc = subprocess.run([sys.executable, "-m", "nodepoly.cli", *argv],
+    def console(*argv, entry=("-m", "nodepoly.cli")):
+        proc = subprocess.run([sys.executable, *entry, *argv],
                               capture_output=True, env=env,
                               stdin=subprocess.DEVNULL)
         return proc.returncode, proc.stdout, proc.stderr
 
-    code, out, _ = invoke(["node-polys", "--max-delta", "2"])
-    assert console("node-polys", "--max-delta", "2") == \
-        (code, out.encode(), b"")
-    assert code == 0
+    for argv, expected in ((["node-polys", "--max-delta", "2"], 0),
+                           (["--help"], 0), (["count", "--delta", "1"], 2)):
+        code, out, err = invoke(argv)
+        assert console(*argv) == (code, out.encode(), err.encode())
+        assert code == expected
     assert console("node-polys", "--max-delta", "21") == \
         (2, b"", f"nodepoly: error: {cap_message(21)}\n".encode())
+
+    # shutdown is the interpreter's own: an atexit handler registered
+    # before main() runs, after main() froze the heap, and what it prints
+    # is flushed after the document
+    code, out, _ = invoke(["node-polys", "--max-delta", "2"])
+    assert console("node-polys", "--max-delta", "2", entry=(
+        "-c", "import atexit, gc; atexit.register(lambda: print("
+              "'frozen:', gc.get_freeze_count() > 0)); "
+              "from nodepoly.cli import main; main()")) == \
+        (code, (out + "frozen: True\n").encode(), b"")
+
+    # a reader that closed stdout: status 141 and an empty stderr, whether
+    # the write inside run() fails (delta 20, 1.1 MB, past a pipe buffer)
+    # or only main's flush (delta 2)
+    for delta in ("20", "2"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nodepoly.cli", "node-polys",
+             "--max-delta", delta], stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        with proc.stderr:
+            stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (141, b"")
 
 
 def test_output_is_deterministic():
