@@ -5,11 +5,13 @@ records its membership signature -- followed by ``modified_cardinalities``,
 on seeded inputs of the two regimes of the ``inclexcl`` command: k = 6 sets
 over 20000 elements (element-bound) and k = 10 over 2000 (lattice-bound),
 each element joining each set with probability 1/2.  Both are dense, so
-``SetSystem`` records their masks in a list indexed by element; a third
-shape spreads the k = 6 elements by a 10**9 stride, which sends them down
-the dict path.  The lists are built outside the timed call.  A lattice-only
-case times ``modified_cardinalities`` alone on a prebuilt ``SetSystem``.  A
-last case times the whole command on the same inputs:
+``SetSystem`` records their masks in a list indexed by element and keeps
+that list as its signature map; a third shape spreads the k = 6 elements by
+a 10**9 stride, which sends them down the dict path.  The lists are built
+outside the timed call.  A build-only case times ``SetSystem(lists)``
+alone, and a lattice-only case ``modified_cardinalities`` alone on a
+prebuilt ``SetSystem``.  A last case times the whole command on the same
+inputs:
 ``cli.run(["inclexcl"])`` from the JSON text on stdin to the JSON document
 on stdout, parsing, counting and writing included.  Run it with
 pytest-benchmark installed:
@@ -50,6 +52,16 @@ def test_build_and_count(benchmark, shape):
     plain, modified = benchmark(build_and_count, sets)
     assert len(plain) == len(modified) == 2 ** k - 1
     assert sum(modified) == len(set().union(*sets))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_build_only(benchmark, shape):
+    k, universe, stride = SHAPES[shape]
+    sets = seeded_sets(k, universe, stride)
+    benchmark.group = f"inclexcl {shape}"
+    system = benchmark(SetSystem, sets)
+    assert system.k == k
+    assert len(system.signatures) == len(set().union(*sets))
 
 
 @pytest.mark.parametrize("shape", SHAPES)

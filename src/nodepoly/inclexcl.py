@@ -7,9 +7,11 @@ membership signature -- the set of indices of the sets containing them --
 is I.  A :class:`SetSystem` is stored as that signature map (element ->
 bitmask, bit i for A_i), built through a list or a dict (the rule is
 stated in :class:`SetSystem`) in the same pass over the input that checks
-each element, so the union is its key set.  The histogram of the masks is
-the modified table; a superset-sum (zeta) transform over the 2^k masks
-turns it into the plain intersection sizes:
+each element, so the union is its key set.  The list route keeps its list,
+indexed by element, as the map: at most 2 * total + 65 slots for total
+listed elements, held for the life of the system.  The histogram of the
+masks is the modified table; a superset-sum (zeta) transform over the 2^k
+masks turns it into the plain intersection sizes:
 
     |inter_I| = sum of modified(J) over all J containing I
 
@@ -30,7 +32,8 @@ Index sets are 0-based throughout, matching the input list positions.
 """
 
 from collections import namedtuple
-from itertools import chain, combinations, compress, islice, repeat
+from collections.abc import ItemsView, Mapping, ValuesView
+from itertools import chain, combinations, compress, count, islice, repeat
 from math import comb
 from operator import add
 
@@ -38,8 +41,9 @@ MAX_SETS = 10
 _BAD_ELEMENT = "set elements must be nonnegative integers"
 
 
-class _Signatures(dict):
-    """A read-only element -> mask map, hashable over its items."""
+class _ReadOnly:
+    """What the two signature maps share: each hashes over its items, reads
+    as the sorted dict it equals and refuses every change."""
     __slots__ = ()
 
     def __hash__(self):
@@ -53,6 +57,58 @@ class _Signatures(dict):
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
+
+
+class _Signatures(_ReadOnly, dict):
+    """The dict route's element -> mask map."""
+    __slots__ = ()
+
+
+class _MaskList(_ReadOnly, Mapping):
+    """The list route's element -> mask map: a view of the list indexed by
+    element, whose nonzero slots are the union elements."""
+    __slots__ = ("_masks",)
+
+    def __init__(self, masks):
+        self._masks = masks
+
+    def __getitem__(self, x):
+        # as in a dict, x finds the int key i when hash(x) == i and i == x,
+        # so True and 1.0 find 1; an int in 0..2**61 - 2 is its own hash
+        i = hash(x)
+        masks = self._masks
+        if 0 <= i < len(masks) and masks[i] and i == x:
+            return masks[i]
+        raise KeyError(x)
+
+    def __iter__(self):
+        return compress(count(), self._masks)
+
+    def __len__(self):
+        return len(self._masks) - self._masks.count(0)
+
+    def items(self):
+        return _MaskItems(self)
+
+    def values(self):
+        return _MaskValues(self)
+
+
+class _MaskItems(ItemsView):
+    """``_MaskList.items()``, read off the list, not by one lookup per key."""
+    __slots__ = ()
+
+    def __iter__(self):
+        masks = self._mapping._masks
+        return compress(enumerate(masks), masks)
+
+
+class _MaskValues(ValuesView):
+    """``_MaskList.values()``, read off the list, not by one lookup per key."""
+    __slots__ = ()
+
+    def __iter__(self):
+        return filter(None, self._mapping._masks)
 
 
 def _dense_top(sets):
@@ -86,13 +142,15 @@ class SetSystem(namedtuple("SetSystem", "k signatures")):
     The masks are built in one of two ways, chosen from the input alone.  A
     list of lists, whose elements have an int max() top of at most 2 * total
     + 64 for total listed elements, gets a list of top + 1 slots indexed by
-    element, one ``masks[x] |= bit`` per listed element, and the signature
-    map is read off its nonzero slots; that list never holds more than twice
-    the slots of the input's own lists, plus 65.  Any other input -- an
-    iterator, Python sets, sparse or huge elements such as 10**30, input on
-    which max() fails -- gets a dict update per listed element, the route
-    whose memory is bounded by the input alone.  The checks and the errors
-    are the same on both.
+    element, one ``masks[x] |= bit`` per listed element.  That list is
+    kept as the signature map, behind a read-only view whose keys are its
+    nonzero slots, and no per-element dict is built: at most 2 * total + 65
+    slots, twice the slots of the input's own lists plus 65, held for the
+    life of the system.  Any other input -- an iterator, Python sets, sparse
+    or huge elements such as 10**30, input on which max() fails -- gets a
+    dict update per listed element, the route whose memory is bounded by
+    the input alone.  The checks and the errors are the same on both, and
+    so are the two maps' lookups, equality, hash and repr.
     """
     __slots__ = ()
 
@@ -110,6 +168,7 @@ class SetSystem(namedtuple("SetSystem", "k signatures")):
                         raise ValueError(_BAD_ELEMENT)
                     signatures[x] = get(x, 0) | bit
                 k += 1
+            signatures = _Signatures(signatures)
         else:
             masks = [0] * (top + 1)
             try:
@@ -125,14 +184,14 @@ class SetSystem(namedtuple("SetSystem", "k signatures")):
                 # an int past top: max() was misled by the comparisons of
                 # a non-int element, which the dict path rejects too
                 raise ValueError(_BAD_ELEMENT) from None
-            signatures = compress(enumerate(masks), masks)
+            signatures = _MaskList(masks)
         if not k:
             raise ValueError("a set system needs at least one set")
         if k > MAX_SETS:
             raise ValueError(
                 f"{k} sets exceed the bound {MAX_SETS}: the "
                 f"lattice has 2^k - 1 index sets")
-        return super().__new__(cls, k, _Signatures(signatures))
+        return super().__new__(cls, k, signatures)
 
     def __getnewargs__(self):
         return (self.sets,)

@@ -16,7 +16,7 @@ from nodepoly import cli, nodal
 from nodepoly.cli import (DEFAULT_ORDER, MAX_PARTITION_EXPONENT,
                           MAX_SERIES_ORDER, build_parser, emit_json,
                           read_args, run)
-from nodepoly.inclexcl import SetSystem
+from nodepoly.inclexcl import SetSystem, _dense_top
 
 from test_golden import FIXTURE as GOLDEN_FIXTURE
 from test_inclexcl import backward_induction_oracle
@@ -505,17 +505,22 @@ def test_inclexcl_golden_output_k8():
 
 
 def test_inclexcl_output_sweep_matches_oracle():
+    # each system as given (the list route) and with every element x
+    # written as x * 10**9 + 7 (the dict route): the same stdout
     rng = random.Random(1999)
     for k in range(1, 11):
         for _ in range(2):
             p = rng.random()
             sets = [[x for x in range(rng.randrange(1, 80))
                      if rng.random() < p] for _ in range(k)]
-            text = json.dumps(sets)
+            spread = [[x * 10**9 + 7 for x in s] for s in sets]
+            assert _dense_top(sets) is not None
+            assert _dense_top(spread) is None
             for fmt in ("json", "csv"):
-                assert invoke(["inclexcl", "--format", fmt],
-                              stdin_text=text) == \
-                    (0, inclexcl_expected(sets, fmt), "")
+                for given in (sets, spread):
+                    assert invoke(["inclexcl", "--format", fmt],
+                                  stdin_text=json.dumps(given)) == \
+                        (0, inclexcl_expected(sets, fmt), "")
 
 
 def test_usage_errors_exit_2():

@@ -5,12 +5,15 @@ containing sets, one frozenset per element.  The backward-induction oracle
 builds every intersection and settles the lattice from the largest index
 sets down.  The histogram kernel must agree with both; its (plain, modified)
 lists are keyed by ``nonempty_index_sets`` to compare.  ``SetSystem``
-builds its signatures in an element-indexed list or, for sparse or
-malformed input, a dict; a per-element dict update is the oracle for both.
+builds its signatures in an element-indexed list, kept as the map, or, for
+sparse or malformed input, a dict; a per-element dict update is the oracle
+for both, and the dict route's map is the oracle for how the list route's
+map reads.
 """
 
 import random
 import tracemalloc
+from itertools import count
 
 import pytest
 
@@ -277,6 +280,33 @@ def test_validation():
     assert SetSystem([[]]).k == 1 and SetSystem([[]]).union() == frozenset()
 
 
+def assert_reads_as(signatures, oracle):
+    """``signatures`` reads as the dict-route map ``oracle``: length, repr,
+    keys, items, and membership, ``get`` and ``[]`` on a present element,
+    the first absent one (a gap, or one past the top), -1 and -2 (-1 hashes
+    as -2), one past the top, an int that hashes as the present element,
+    and the keys a dict would match with 1 or miss."""
+    assert len(signatures) == len(oracle)
+    assert repr(signatures) == repr(oracle)
+    assert set(signatures) == set(oracle)
+    assert dict(signatures.items()) == oracle
+    assert sorted(signatures.values()) == sorted(oracle.values())
+    top = max(oracle, default=0)
+    present = min(oracle, default=0)
+    absent = next(x for x in count() if x not in oracle)
+    # ints are hashed modulo the prime 2**61 - 1
+    alias = present + 2**61 - 1
+    assert hash(alias) == hash(present)
+    for x in (present, absent, -1, -2, top + 1, alias, True, 1.0, "1"):
+        assert (x in signatures) == (x in oracle), x
+        assert signatures.get(x) == oracle.get(x), x
+        if x in oracle:
+            assert signatures[x] == oracle[x], x
+        else:
+            with pytest.raises(KeyError):
+                signatures[x]
+
+
 def test_signatures_match_per_element_oracle_on_both_paths():
     # seeded dense systems take the list path, the same spread by a 10**12
     # stride the dict path; duplicates, empty sets and element order vary
@@ -297,6 +327,7 @@ def test_signatures_match_per_element_oracle_on_both_paths():
                 assert system.signatures == per_element_signatures(sets)
                 as_sets = SetSystem([set(s) for s in sets])
                 assert system == as_sets and hash(system) == hash(as_sets)
+                assert_reads_as(system.signatures, as_sets.signatures)
 
 
 def test_sparse_elements_allocate_no_element_indexed_list():
@@ -310,6 +341,23 @@ def test_sparse_elements_allocate_no_element_indexed_list():
         tracemalloc.stop()
     assert peak < 4096, peak
     assert system.signatures == {10**6: 1}
+
+
+def test_dense_elements_allocate_no_per_element_dict():
+    # The list path keeps its list indexed by element, 8 bytes a slot (156
+    # KB here), as the signature map; a dict read off it would add an entry
+    # and a 2-tuple per union element, 1.3 MB.
+    rng = random.Random(43)
+    sets = [[x for x in range(20000) if rng.random() < 0.5]
+            for _ in range(6)]
+    tracemalloc.start()
+    try:
+        system = SetSystem(sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 1024, peak
+    assert system.signatures == per_element_signatures(sets)
 
 
 def test_too_many_sets_rejected_with_narrow_masks():

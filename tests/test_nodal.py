@@ -309,11 +309,15 @@ def test_p2_matches_kleiman_piene_polynomials():
 def test_log_rows_have_kleiman_piene_integrality():
     # Kleiman-Piene (arXiv:math/9903192) write F = exp(sum a_i t^i / i!)
     # with every a_i an integer linear form in (L2, LK, K2, c2); a_1 is the
-    # classical T_1 = 3 L2 + 2 LK + c2.
+    # classical T_1 = 3 L2 + 2 LK + c2, and a_2 and a_3 are the next two
+    # forms they list.  Nothing past a_3 is pinned: it has not been checked
+    # against their list.
     rows = _log_rows_in_t(MAX_DELTA)
     forms = [tuple(factorial(i) * row[i] for row in rows)
              for i in range(MAX_DELTA + 1)]
     assert forms[1] == (3, 2, 0, 1)
+    assert forms[2] == (-42, -39, -6, -7)
+    assert forms[3] == (1380, 1576, 376, 138)
     for i, form in enumerate(forms):
         assert all(a.denominator == 1 for a in form), (i, form)
 

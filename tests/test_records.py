@@ -198,18 +198,20 @@ def test_set_system_sets_round_trip():
 
 
 def test_set_system_signatures_are_read_only():
-    signatures = SetSystem([[1], [1, 2]]).signatures
-    assert signatures == {1: 3, 2: 2}
-    for mutate in (lambda m: m.__setitem__(3, 1), lambda m: m.pop(1),
-                   lambda m: m.update({3: 1}), lambda m: m.clear(),
-                   lambda m: m.setdefault(3, 1), lambda m: m.popitem()):
+    # the list route's map and the dict route's
+    for signatures in (SetSystem([[1], [1, 2]]).signatures,
+                       SetSystem([{1}, {1, 2}]).signatures):
+        assert signatures == {1: 3, 2: 2}
+        for mutate in (lambda m: m.__setitem__(3, 1), lambda m: m.pop(1),
+                       lambda m: m.update({3: 1}), lambda m: m.clear(),
+                       lambda m: m.setdefault(3, 1), lambda m: m.popitem()):
+            with pytest.raises(TypeError):
+                mutate(signatures)
         with pytest.raises(TypeError):
-            mutate(signatures)
-    with pytest.raises(TypeError):
-        del signatures[1]
-    with pytest.raises(TypeError):
-        signatures |= {3: 1}
-    assert signatures == {1: 3, 2: 2}
+            del signatures[1]
+        with pytest.raises(TypeError):
+            signatures |= {3: 1}
+        assert signatures == {1: 3, 2: 2}
 
 
 def test_record_field_access():
