@@ -5,7 +5,7 @@ Universal node polynomials
 The number of delta-node nodal curves in a generic delta-dimensional
 linear subsystem is a universal polynomial T_delta in the four Chern
 numbers.  The closed-form generating function determines T_delta after the
-substitution t = DG2(q) is inverted by exact series reversion.  The B1/B2
+substitution t = DG2(q) is inverted by exact Lagrange inversion.  The B1/B2
 input data reach q^MAX_DELTA (20); this demo stops at delta = 5 only to
 keep its output short.
 """

@@ -3,7 +3,7 @@
 Counts delta-node nodal curves in generic delta-dimensional linear
 subsystems through universal polynomials in the four Chern numbers
 (c1(L)^2, c1(L).c1(K), c1(K)^2, c2), extracted from a quasi-modular
-closed-form generating function by exact power-series reversion.  All
+closed-form generating function by exact Lagrange-Buermann inversion.  All
 arithmetic is big-integer rational; there is no floating point anywhere.
 """
 

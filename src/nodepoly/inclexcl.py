@@ -63,6 +63,11 @@ class _Signatures(_ReadOnly, dict):
     """The dict route's element -> mask map."""
     __slots__ = ()
 
+    def __reduce__(self):
+        # copy and pickle through the constructor: the default route
+        # replays the items through the __setitem__ this map refuses
+        return (type(self), (dict(self),))
+
 
 class _MaskList(_ReadOnly, Mapping):
     """The list route's element -> mask map: a view of the list indexed by

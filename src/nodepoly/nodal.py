@@ -18,26 +18,39 @@ The four exponents are linear in (L2, LK, K2, c2) and are stated once, as
 the rows of the Fraction matrix :data:`EXPONENTS`, whose chi(L) and
 -chi(O)/2 rows are the Riemann-Roch forms of ``chern``.  So log F is
 linear in the Chern numbers: log F = L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3,
-where each l_v is a plain Fraction series, the log-series of the bases
-weighted by column v of the matrix, with q = DG2^{-1}(t) substituted.
-Counts are numeric: the Chern tuple is dotted with the four series and one
-Fraction series is exponentiated.  The polynomial ring appears only in the
-one integer exp, :func:`_exp_linear`, that turns the four series into F
-with polynomial coefficients, whose t^delta coefficient is T_delta; that
-PSeries is what :func:`node_polynomials` returns.  The same four series
-are the factorization of log F per Chern number, checked by
-:meth:`FactorizedForm.reassembles`; the Yau-Zaslow count on K3 and the
-one-point blowup formula are checked too.
+where each row l_v(q) is the log-series of the bases weighted by column v
+of the matrix, with q = DG2^{-1}(t) substituted.  The rows are built in
+integers: the bases are integer series with constant term 1, so each has
+an integer log-derivative, and the matrix cleared to integers (common
+denominator 24) weights those into l_v'(q).  The substitution is one
+Lagrange-Buermann pass,
+
+    [t^m] l_v(DG2^{-1}(t)) = [q^(m-1)] l_v'(q) * (q/DG2)^m / m,
+
+whose (q/DG2)^m runs serve all four rows, so building the rows takes no
+log, reversion or composition of Fraction series.  Counts are numeric:
+the Chern tuple is dotted with the four rows in integers and one Fraction
+series is exponentiated.  The polynomial ring appears only in the one
+integer exp, :func:`_exp_linear`, that turns the four rows into F with
+polynomial coefficients, whose t^delta coefficient is T_delta; that
+PSeries is what :func:`node_polynomials` returns.  The same four rows are the
+factorization of log F per Chern number, checked by
+:meth:`FactorizedForm.reassembles` against the closed form through
+composition with DG2; the Yau-Zaslow count on K3 and the one-point blowup
+formula are checked too.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .chern import CHI_L, CHI_O, K3, P2, T4
 from .chernpoly import ChernPoly
 from .modular import (d2g2_series, delta_series, dg2_series,
                       partition_power_series)
-from .series import PSeries, _integer_run, _truncated_product
+from .series import (PSeries, _integer_run, _lagrange_fractions,
+                     _log_derivative, _truncated_product)
 
 # B1 and B2 to q^20 (Goettsche, alg-geom/9711012, gives them to q^5).  They
 # are derived from Severi degrees of plane curves by the Caporaso-Harris
@@ -68,6 +81,11 @@ EXPONENTS = (
     tuple(map(Fraction, (0, 1, 0, 0))),
     tuple(-e / 2 for e in CHI_O),
 )
+# EXPONENTS cleared to integers once: EXPONENTS = _WEIGHTS / _WEIGHT_DEN,
+# with _WEIGHT_DEN = 24
+_WEIGHT_DEN = lcm(*[e.denominator for row in EXPONENTS for e in row])
+_WEIGHTS = tuple(tuple(e.numerator * _WEIGHT_DEN // e.denominator for e in row)
+                 for row in EXPONENTS)
 
 # Four independent Chern tuples (L2, LK, K2, c2): FactorizedForm.reassembles
 CHECK_SURFACES = (P2(1), P2(2), K3(2), T4(2))
@@ -132,29 +150,41 @@ def _closed_form(point, bases):
     return dg2 * b1 * b2 * disc
 
 
-def _regroup(logs):
-    """Regroup sum_i e_i * log_i by Chern number: the row l_v weights the
-    four base log-series by column v of EXPONENTS, so that
-    sum_i e_i * log_i = L2*l_0 + LK*l_1 + K2*l_2 + c2*l_3."""
-    return tuple(sum(row[v] * log for row, log in zip(EXPONENTS, logs))
-                 for v in range(4))
+def _derivative_rows(bases):
+    """The derivatives l_v'(q) over the :func:`_bases` of one order, as four
+    integer runs R_v with R_v,k = _WEIGHT_DEN * k * [q^k] l_v for k >= 1:
+    the integer log-derivatives of the bases weighted by column v of
+    :data:`_WEIGHTS`."""
+    logs = [_log_derivative([c.numerator for c in base])[1:]
+            for base in bases]
+    return tuple([sum(map(mul, column, ks)) for ks in zip(*logs)]
+                 for column in zip(*_WEIGHTS))
 
 
 def _log_rows(order):
-    """log of the closed form as four Fraction series in q, one per Chern
-    number (see :func:`_regroup`)."""
-    return _regroup([base.log() for base in _bases(order)])
+    """The rows l_v(q) as four Fraction series: :func:`_derivative_rows`
+    divided by _WEIGHT_DEN * k."""
+    return tuple(PSeries([0] + [Fraction(x, _WEIGHT_DEN * k)
+                                for k, x in enumerate(run, 1)])
+                 for run in _derivative_rows(_bases(order)))
 
 
 def _log_rows_in_t(order):
-    """The rows of :func:`_log_rows` with q = DG2^{-1}(t) substituted.
+    """The rows l_v(DG2^{-1}(t)) as four Fraction series to t^order, by the
+    Lagrange-Buermann pass of the module docstring over the base DG2/q."""
+    bases = _bases(order)
+    return tuple(map(PSeries, _lagrange_fractions(
+        bases[0].coeffs, _derivative_rows(bases), order, _WEIGHT_DEN)))
 
-    Truncated at t^0 the inverse of DG2 is the zero series, and reversion
-    needs order >= 1, so order 0 substitutes zero directly.
-    """
-    rows = _log_rows(order)
-    inverse = dg2_series(order).reversion() if order else PSeries.zero(0)
-    return tuple(row.compose(inverse) for row in rows)
+
+def _cleared(rows):
+    """Four Fraction series with zero constant term, to the order of the
+    shortest, as (dc, [R_0, .., R_3]): one integer dc and integer runs R_v
+    from t^1 with row v = R_v / dc."""
+    order = min(map(len, rows)) - 1
+    dc, flat = _integer_run([c for row in rows
+                             for c in row.coeffs[1:order + 1]])
+    return dc, [flat[v * order:(v + 1) * order] for v in range(4)]
 
 
 def _exp_linear(rows):
@@ -171,12 +201,11 @@ def _exp_linear(rows):
     reversed once per call.  Q_a starts at t^|a|, so it is held from
     there, and only monomials with |a| <= order are built.
     """
-    order = min(map(len, rows)) - 1
-    dc, flat = _integer_run([c for row in rows
-                             for c in row.coeffs[1:order + 1]])
+    dc, runs = _cleared(rows)
+    order = len(runs[0])
     # R_v reversed, from t^order down to t^1: Q_a * R_v from t^(|a| + 1) is
     # the truncated product of Q_a from t^|a| with R_v / t
-    backs = [flat[v * order:(v + 1) * order][::-1] for v in range(4)]
+    backs = [run[::-1] for run in runs]
     coeffs = [{} for _ in range(order + 1)]
     stack = [((0, 0, 0, 0), 0, [1] + [0] * order, 1)]
     while stack:
@@ -197,9 +226,12 @@ def _exp_linear(rows):
 
 def _numeric_series(rows, point):
     """F(t) at one point (L2, LK, K2, c2) from the rows of
-    :func:`_log_rows_in_t`: the point dotted with the rows, then one exp of
-    a Fraction series."""
-    return sum(x * row for x, row in zip(point, rows)).exp()
+    :func:`_log_rows_in_t`: the point dotted with the :func:`_cleared` rows
+    in integers, zero entries skipped, then one exp of a Fraction series."""
+    dc, runs = _cleared(rows)
+    terms = [(x, run) for x, run in zip(point, runs) if x]
+    return PSeries([0] + [Fraction(sum(x * run[k] for x, run in terms), dc)
+                          for k in range(len(runs[0]))]).exp()
 
 
 def closed_form_symbolic(order):

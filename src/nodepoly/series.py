@@ -13,11 +13,14 @@ freely with ``Fraction``.  Plain ``int`` coefficients are promoted to
 
 On all-``Fraction`` series the seven kernels -- product, composition
 (Horner's rule), inverse, log, exp, powers s**e (for an int or Fraction e,
-one Miller recurrence) and reversion (Lagrange inversion, every power
-from one shared integer log-derivative) -- clear denominators once, run in
-Python ints and build one Fraction per output coefficient.  Only the
-product has a generic loop for other coefficient rings; the other six
-raise TypeError on them.  The product (the one truncated integer product,
+one Miller recurrence) and reversion -- clear denominators once, run in
+Python ints and build one Fraction per output coefficient.  Reversion is
+the identity case h = q of one Lagrange-Buermann kernel,
+:func:`_lagrange_fractions`, which gives h(g) for the compositional
+inverse g of s and any h given by its integer derivative run, every power
+(s/q)^(-m) from one shared integer log-derivative; ``nodal`` runs it with
+four h at once.  Only the product has a generic loop for other
+coefficient rings; the other six raise TypeError on them.  The product (the one truncated integer product,
 which the polynomial exp of ``nodal`` also runs), inverse, exp and
 reversion take each inner sum as one C-level ``sum(map(mul, ...))``,
 zeros included: at N = 96 the product takes x0.68-0.85 the time of a
@@ -269,30 +272,42 @@ def _compose_fractions(c, g):
     return [Fraction(x, den) for x in r]
 
 
-def _reversion_fractions(a):
-    """Compositional inverse of an all-Fraction run with a_0 = 0 != a_1.
+def _lagrange_fractions(u, derivatives, n, den=1):
+    """Lagrange-Buermann: t^0 .. t^n of h(g(t)) for each h with h(0) = 0,
+    where g is the compositional inverse of s = q*u for an all-Fraction run
+    u with u_0 != 0, and h' = D/den for an integer run D of ``derivatives``.
 
-    Lagrange inversion: g_m = [q^(m-1)] (s/q)^(-m) / m.  With s/q = A/d and
+    [t^m] h(g) = [q^(m-1)] h'(q) * (s/q)^(-m) / m.  With u = A/d and
     U_0 = A_0, (s/q)^(-m) = (d/U_0)^m * exp(-m * log(A/U_0)), so
     E_j = [q^j] (A/U_0)^(-m) * U_0^j solves j*E_j = -m * sum_k L_k E_(j-k)
-    from E_0 = 1, with the L_k of :func:`_log_derivative` shared by every m.
-    Each E_j is an integer (q -> U_0 q takes A/U_0 into 1 + qZ[[q]]), so
-    each costs one dot and one exact division, and
-    g_m = d^m * E_(m-1) / (m * U_0^(2m-1)).
+    from E_0 = 1, with the L_k of :func:`_log_derivative` shared by every m
+    and every h.  Each E_j is an integer (q -> U_0 q takes A/U_0 into
+    1 + qZ[[q]]), so each costs one dot and one exact division, and
+    [t^m] h(g) = d^m * sum_j D_j U_0^j E_(m-1-j) / (den * m * U_0^(2m-1)),
+    one more dot per h.  The E run is held reversed, newest first, so both
+    dots read it as it stands.  Reversion is the case h = q: D = [1],
+    den = 1.  u needs n coefficients and each D n entries (a shorter D
+    reads as padded with zeros).
     """
-    d, num = _integer_run(a[1:])
-    kl = _log_derivative(num)[1:]
-    out = [Fraction(0)]
-    top, bottom = 1, num[0]  # d^m and U_0^(2m-1)
-    square = bottom * bottom
-    for m in range(1, len(a)):
-        e = [1]
+    d, num = _integer_run(u)
+    kl = [-x for x in _log_derivative(num)[1:]]
+    u0 = num[0]
+    if u0 != 1:
+        derivatives = [[x * u0 ** j for j, x in enumerate(dv)]
+                       for dv in derivatives]
+    outs = [[Fraction(0)] for _ in derivatives]
+    top, bottom = 1, den * u0  # d^m and den * U_0^(2m-1)
+    square = u0 * u0
+    for m in range(1, n + 1):
+        e = [1]  # E_(j-1), ..., E_0
         for j in range(1, m):
-            e.append(-m * sum(map(mul, kl, reversed(e))) // j)
+            e.insert(0, m * sum(map(mul, kl, e)) // j)
         top *= d
-        out.append(Fraction(top * e[-1], m * bottom))
+        q = m * bottom
+        for out, dv in zip(outs, derivatives):
+            out.append(Fraction(top * sum(map(mul, dv, e)), q))
         bottom *= square
-    return out
+    return outs
 
 
 def _signed_sum(terms):
@@ -509,10 +524,11 @@ class PSeries:
         """Compositional inverse: the series g with self(g) = g(self) = q.
 
         Requires constant term 0 and an invertible linear coefficient.
-        Lagrange inversion: the q^m coefficient of g is [q^(m-1)] of
-        (self/q)^-m, over m.  Every power is exp(-m * log(self/q)) up to a
-        constant, so one integer log-derivative of self/q serves every m,
-        and each power's coefficients to q^(m-1) cost one dot each.
+        Lagrange inversion, the case h = q of :func:`_lagrange_fractions`:
+        the q^m coefficient of g is [q^(m-1)] of (self/q)^-m, over m.  Every
+        power is exp(-m * log(self/q)) up to a constant, so one integer
+        log-derivative of self/q serves every m, and each power's
+        coefficients to q^(m-1) cost one dot each.
         """
         if self.order < 1:
             raise ValueError("reversion needs order >= 1")
@@ -522,7 +538,7 @@ class PSeries:
             raise ValueError("reversion needs constant term 0")
         if a[1] == 0:
             raise ValueError("linear coefficient is not invertible (zero)")
-        return PSeries(_reversion_fractions(a))
+        return PSeries(_lagrange_fractions(a[1:], [[1]], self.order)[0])
 
     # -- q-calculus --------------------------------------------------------
 

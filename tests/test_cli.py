@@ -287,9 +287,9 @@ def test_factorize_builds_no_polynomial(monkeypatch):
 
 
 def test_factorize_exits_one_on_wrong_rows(monkeypatch):
-    regroup = nodal._regroup
-    monkeypatch.setattr(nodal, "_regroup",
-                        lambda logs: swap_two_rows(regroup(logs)))
+    rows = nodal._derivative_rows
+    monkeypatch.setattr(nodal, "_derivative_rows",
+                        lambda bases: swap_two_rows(rows(bases)))
     code, out, _ = invoke(["factorize", "--max-delta", "5"])
     assert code == 1
     assert '"reassembly_exact": false' in out
@@ -745,8 +745,9 @@ def test_module_entry_point_uses_the_process_streams():
         code, out, err = invoke(argv)
         assert console(*argv) == (code, out.encode(), err.encode())
         assert code == expected
-    assert console("node-polys", "--max-delta", "21") == \
-        (2, b"", f"nodepoly: error: {cap_message(21)}\n".encode())
+    cap = nodal.MAX_DELTA + 1
+    assert console("node-polys", "--max-delta", str(cap)) == \
+        (2, b"", f"nodepoly: error: {cap_message(cap)}\n".encode())
 
     # shutdown is the interpreter's own: an atexit handler registered
     # before main() runs, after main() froze the heap, and what it prints

@@ -395,21 +395,23 @@ def swap_two_rows(rows):
 
 def _zero_c2_row(rows):
     l2, lk, k2, c2 = rows
-    return l2, lk, k2, PSeries.zero(c2.order)
+    return l2, lk, k2, [0] * len(c2)
 
 
 def _bump_k2_top(rows):
     l2, lk, k2, c2 = rows
-    return l2, lk, k2 + PSeries.one(k2.order).shift_up(k2.order), c2
+    return l2, lk, k2[:-1] + [k2[-1] + 1], c2
 
 
 @pytest.mark.parametrize("mutate", [swap_two_rows, _zero_c2_row,
                                     _bump_k2_top])
 def test_reassembly_catches_wrong_rows(monkeypatch, mutate):
     # node_polynomials reads the same mutated rows, so only a comparison
-    # with the closed form sees these
-    regroup = nodal._regroup
-    monkeypatch.setattr(nodal, "_regroup", lambda logs: mutate(regroup(logs)))
+    # with the closed form sees these; the mutations act on the integer
+    # log-derivative rows that the Lagrange-Buermann pass reads
+    rows = nodal._derivative_rows
+    monkeypatch.setattr(nodal, "_derivative_rows",
+                        lambda bases: mutate(rows(bases)))
     assert not factorize_generating_function(5).reassembles()
 
 
@@ -477,6 +479,73 @@ def test_integer_exp_matches_oracle_on_package_terms():
         assert form.reassembles()
         assert node_polynomials(n) == linear_exp_oracle(
             (form.log_a3, form.log_a4, form.log_a1, form.log_a2))
+
+
+# -- the integer log rows against the Fraction log/reversion/compose route ---
+# The product path builds the rows by one Lagrange-Buermann pass in
+# integers; these oracles are the route it replaced.
+
+def log_rows_oracle(order):
+    """PSeries.log of each base, regrouped by the columns of EXPONENTS."""
+    logs = [base.log() for base in nodal._bases(order)]
+    return tuple(sum(row[v] * log for row, log in zip(EXPONENTS, logs))
+                 for v in range(4))
+
+
+def log_rows_in_t_oracle(order):
+    """The oracle rows composed with the reversion of DG2; truncated at t^0
+    that reversion is the zero series."""
+    inverse = dg2_series(order).reversion() if order else PSeries.zero(0)
+    return tuple(row.compose(inverse) for row in log_rows_oracle(order))
+
+
+def numeric_series_oracle(rows, point):
+    """The point dotted with the rows as Fraction series, then one exp."""
+    return sum(x * row for x, row in zip(point, rows)).exp()
+
+
+# zeros in every position, the all-zero point and one huge point
+ORACLE_POINTS = ((0, 0, 0, 0), (0, 0, 0, 24), (9, -9, 9, 3), (1, 0, 0, 0),
+                 (0, 7, -3, 0), (0, 0, 1, 0),
+                 (10**60 + 1, -3 * 10**30, 10**45, -(10**50) + 7))
+
+
+def test_log_rows_match_log_and_regroup():
+    for order in range(MAX_DELTA + 1):
+        assert _log_rows(order) == log_rows_oracle(order), order
+
+
+def test_log_rows_in_t_match_reversion_and_compose():
+    for order in range(MAX_DELTA + 1):
+        rows = _log_rows_in_t(order)
+        assert rows == log_rows_in_t_oracle(order), order
+        assert all(len(row) == order + 1 for row in rows)
+
+
+def test_numeric_series_matches_fraction_sum():
+    for order in range(MAX_DELTA + 1):
+        rows = _log_rows_in_t(order)
+        for point in ORACLE_POINTS:
+            got = nodal._numeric_series(rows, point)
+            assert got == numeric_series_oracle(rows, point), (order, point)
+    assert nodal._numeric_series(_log_rows_in_t(5), (0, 0, 0, 0)) == \
+        PSeries.one(5)
+
+
+def test_product_paths_take_no_log_reversion_or_compose(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product path called a Fraction-route kernel")
+
+    for name in ("log", "reversion", "compose"):
+        monkeypatch.setattr(PSeries, name, refuse)
+    with pytest.raises(AssertionError):
+        dg2_series(3).reversion()
+    assert node_polynomials(5)[1] == \
+        3 * chernpoly.L2 + 2 * chernpoly.LK + chernpoly.C2
+    assert count_nodal(P2(4), 3).value == 675
+    assert yau_zaslow_check(5).all_equal
+    assert factorize_generating_function(5).max_delta == 5
+    assert closed_form_symbolic(3)[0] == ChernPoly.constant(1)
 
 
 def random_row(rng, order, max_den=50):

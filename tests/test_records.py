@@ -214,6 +214,16 @@ def test_set_system_signatures_are_read_only():
         assert signatures == {1: 3, 2: 2}
 
 
+def test_set_system_signatures_copy_and_pickle():
+    # both routes' maps, on their own, keep their type and equality
+    for signatures in (SetSystem([[1], [1, 2]]).signatures,
+                       SetSystem([{1}, {1, 2}]).signatures):
+        for copied in (copy.copy(signatures), copy.deepcopy(signatures),
+                       pickle.loads(pickle.dumps(signatures))):
+            assert type(copied) is type(signatures)
+            assert copied == signatures == {1: 3, 2: 2}
+
+
 def test_record_field_access():
     s = P2(3)
     assert (s.name, s.L2, s.LK, s.K2, s.c2) == ("P2:3", 9, -9, 9, 3)

@@ -25,7 +25,7 @@ from nodepoly.chernpoly import ChernPoly
 from nodepoly.modular import (d2g2_series, delta_series, dg2_series,
                                euler_product, partition_power_series)
 from nodepoly.nodal import node_polynomials
-from nodepoly.series import PSeries
+from nodepoly.series import PSeries, _integer_run, _lagrange_fractions
 
 F = Fraction
 
@@ -232,6 +232,26 @@ def test_reversion_matches_oracle():
     got = s.reversion()
     assert got == reversion_oracle(s)
     assert_fractions(got)
+
+
+def test_lagrange_substitution_matches_compose_with_reversion():
+    # h(g) for g the inverse of s, from the integer derivative run of h over
+    # one denominator; U_0 = s_1 != 1 and rational s scale both dots, and a
+    # zero h and the identity h = q ride along
+    rng = random.Random(89)
+    for order in (1, 2, 5, 12, 20):
+        s = random_rational_series(rng, order, first=2, max_den=9)
+        s = PSeries((F(0), F(rng.choice([1, -3, 5]), rng.choice([1, 2, 7])))
+                    + s.coeffs[2:])
+        hs = [random_rational_series(rng, order, first=1) for _ in range(3)]
+        hs += [PSeries.zero(order), PSeries.identity(order)]
+        den, flat = _integer_run([k * c for h in hs
+                                  for k, c in enumerate(h.coeffs) if k])
+        derivatives = [flat[i * order:(i + 1) * order]
+                       for i in range(len(hs))]
+        got = _lagrange_fractions(s.coeffs[1:], derivatives, order, den)
+        rev = s.reversion()
+        assert [PSeries(g) for g in got] == [h.compose(rev) for h in hs]
 
 
 def test_reversion_round_trip_dense_rational():
