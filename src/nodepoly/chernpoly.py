@@ -12,10 +12,13 @@ ChernPoly is the output ring: the node polynomials T_delta and the
 coefficients of the symbolic closed form are ChernPolys, built once at the
 end of ``nodal._exp_linear``.  It is not an exponent type: the exponents of
 the closed form are the Fraction matrix ``nodal.EXPONENTS``.  The class
-implements enough ring structure to serve as a coefficient ring for the
-sums and products of :class:`nodepoly.series.PSeries`, which is how the
-tests' polynomial-coefficient oracles use it.  It prints its sorted terms
-through ``series._signed_sum``, the rule ``PSeries`` prints by.
+implements enough ring structure, reflected operators with int and
+Fraction included, to serve as a coefficient ring for the sums and
+products of :class:`nodepoly.series.PSeries`: the product runs the same
+truncated product on ChernPoly coefficients as on integers, each sum
+starting from the int 0.  That is how the tests' polynomial-coefficient
+oracles use it.  It prints its sorted terms through
+``series._signed_sum``, the rule ``PSeries`` prints by.
 """
 
 from fractions import Fraction

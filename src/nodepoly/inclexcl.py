@@ -5,13 +5,13 @@ intersection over an index set I counts the elements lying in no strictly
 finer intersection.  That is exactly the number of union elements whose
 membership signature -- the set of indices of the sets containing them --
 is I.  A :class:`SetSystem` is stored as that signature map (element ->
-bitmask, bit i for A_i), built through a list or a dict (the rule is
-stated in :class:`SetSystem`) in the same pass over the input that checks
-each element, so the union is its key set.  The list route keeps its list,
-indexed by element, as the map: at most 2 * total + 65 slots for total
-listed elements, held for the life of the system.  The histogram of the
-masks is the modified table; a superset-sum (zeta) transform over the 2^k
-masks turns it into the plain intersection sizes:
+bitmask, bit i for A_i), built in a list or a dict (the rule is stated in
+:class:`SetSystem`) by one loop over the input that checks each element
+and ORs its bit in, so the union is the key set.  The list route keeps
+its list, indexed by element, as the map: at most 2 * total + 65 slots
+for total listed elements, held for the life of the system.  The
+histogram of the masks is the modified table; a superset-sum (zeta)
+transform over the 2^k masks turns it into the plain intersection sizes:
 
     |inter_I| = sum of modified(J) over all J containing I
 
@@ -31,7 +31,7 @@ sum per index-set size, is kept as a second route to the union count.
 Index sets are 0-based throughout, matching the input list positions.
 """
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import ItemsView, Mapping, ValuesView
 from itertools import chain, combinations, compress, count, islice, repeat
 from math import comb
@@ -144,52 +144,40 @@ class SetSystem(namedtuple("SetSystem", "k signatures")):
     the element 1.  Every element is checked before the bound on k, and no
     mask grows past ``MAX_SETS`` bits.
 
-    The masks are built in one of two ways, chosen from the input alone.  A
-    list of lists, whose elements have an int max() top of at most 2 * total
-    + 64 for total listed elements, gets a list of top + 1 slots indexed by
-    element, one ``masks[x] |= bit`` per listed element.  That list is
-    kept as the signature map, behind a read-only view whose keys are its
-    nonzero slots, and no per-element dict is built: at most 2 * total + 65
-    slots, twice the slots of the input's own lists plus 65, held for the
-    life of the system.  Any other input -- an iterator, Python sets, sparse
-    or huge elements such as 10**30, input on which max() fails -- gets a
-    dict update per listed element, the route whose memory is bounded by
-    the input alone.  The checks and the errors are the same on both, and
-    so are the two maps' lookups, equality, hash and repr.
+    The masks go in one of two containers, chosen from the input alone, and
+    one loop fills either: one check and one ``masks[x] |= bit`` per listed
+    element.  A list of lists, whose elements have an int max() top of at
+    most 2 * total + 64 for total listed elements, gets a list of top + 1
+    slots indexed by element, kept as the signature map behind a read-only
+    view whose keys are its nonzero slots; no per-element dict is built: at
+    most 2 * total + 65 slots, twice the slots of the input's own lists plus
+    65, held for the life of the system.  Any other input -- an iterator,
+    Python sets, sparse or huge elements such as 10**30, input on which
+    max() fails -- gets a ``defaultdict(int)``, the route whose memory is
+    bounded by the input alone.  The checks and the errors are the same on
+    both, and so are the two maps' lookups, equality, hash and repr.
     """
     __slots__ = ()
 
     def __new__(cls, sets):
         top = _dense_top(sets)
+        masks = defaultdict(int) if top is None else [0] * (top + 1)
         k = 0
-        if top is None:
-            signatures = {}
-            get = signatures.get
+        try:
             for s in sets:
                 # past the bound: checks only
                 bit = 1 << k if k < MAX_SETS else 0
                 for x in s:
+                    # checked before the index: masks[-1] is the last slot
                     if type(x) is not int or x < 0:
                         raise ValueError(_BAD_ELEMENT)
-                    signatures[x] = get(x, 0) | bit
+                    masks[x] |= bit
                 k += 1
-            signatures = _Signatures(signatures)
-        else:
-            masks = [0] * (top + 1)
-            try:
-                for s in sets:
-                    bit = 1 << k if k < MAX_SETS else 0
-                    for x in s:
-                        # checked before the index: masks[-1] is the last slot
-                        if type(x) is not int or x < 0:
-                            raise ValueError(_BAD_ELEMENT)
-                        masks[x] |= bit
-                    k += 1
-            except IndexError:
-                # an int past top: max() was misled by the comparisons of
-                # a non-int element, which the dict path rejects too
-                raise ValueError(_BAD_ELEMENT) from None
-            signatures = _MaskList(masks)
+        except IndexError:
+            # an int past top: max() was misled by the comparisons of
+            # a non-int element, which the dict route rejects too
+            raise ValueError(_BAD_ELEMENT) from None
+        signatures = _Signatures(masks) if top is None else _MaskList(masks)
         if not k:
             raise ValueError("a set system needs at least one set")
         if k > MAX_SETS:

@@ -9,7 +9,8 @@ Sums and products accept coefficients in any commutative ring containing
 the rationals that supports ``+``, ``-``, ``*`` and comparison with the
 scalars 0 and 1, such as :class:`nodepoly.chernpoly.ChernPoly`, mixed
 freely with ``Fraction``.  Plain ``int`` coefficients are promoted to
-``Fraction`` on construction so division never silently produces floats.
+``Fraction`` on construction so division never silently produces floats;
+numbers that are not rational (float, complex, Decimal) are rejected.
 
 On all-``Fraction`` series the seven kernels -- product, composition
 (Horner's rule), inverse, log, exp, powers s**e (for an int or Fraction e,
@@ -19,13 +20,16 @@ the identity case h = q of one Lagrange-Buermann kernel,
 :func:`_lagrange_fractions`, which gives h(g) for the compositional
 inverse g of s and any h given by its integer derivative run, every power
 (s/q)^(-m) from one shared integer log-derivative; ``nodal`` runs it with
-four h at once.  Only the product has a generic loop for other
-coefficient rings; the other six raise TypeError on them.  The product (the one truncated integer product,
-which the polynomial exp of ``nodal`` also runs), inverse, exp and
-reversion take each inner sum as one C-level ``sum(map(mul, ...))``,
-zeros included: at N = 96 the product takes x0.68-0.85 the time of a
-zero-skipping loop on the dense bases of the closed form, and x1.9-2.4
-on sparse input such as (1+q)^2, which no caller multiplies.  The exp and
+four h at once.  The product runs one truncated product,
+:func:`_truncated_product`, on every coefficient ring: on the integer runs
+of two all-Fraction factors, on the coefficients themselves otherwise
+(ChernPoly, alone or mixed with Fraction); the other six raise TypeError
+on other rings.  The product (whose integer form the polynomial exp of
+``nodal`` also runs), inverse, exp and reversion take each inner sum as
+one C-level ``sum(map(mul, ...))``, zeros included: at N = 96 the
+product takes x0.68-0.85 the time of a zero-skipping loop on the dense
+bases of the closed form, and x1.9-2.4 on sparse input such as (1+q)^2,
+which no caller multiplies.  The exp and
 Miller's recurrence hold their coefficients over one running denominator
 that grows only when a step needs it (so an exp with integer outputs,
 such as the counts of ``nodal``, works at the size of its output), for
@@ -41,14 +45,20 @@ A series prints its terms c*q^k through ``_signed_sum``, as ``ChernPoly`` does.
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Number, Rational
 from operator import mul
+
+
+def _inexact(c):
+    """True for a number that is not rational: a float, complex or Decimal."""
+    return isinstance(c, Number) and not isinstance(c, Rational)
 
 
 def _promote(c):
     """Coerce a coefficient into the exact ring (ints become Fractions)."""
     if isinstance(c, int):
         return Fraction(c)
-    if isinstance(c, float):
+    if _inexact(c):
         raise TypeError("floating-point coefficients are not allowed")
     return c
 
@@ -83,10 +93,11 @@ def _scale_up(num, base):
 
 
 def _truncated_product(a, back, n):
-    """c_0 .. c_(n-1) of the product of the integer runs a and b, with b
-    given reversed: back ends at b_0.  Each c_m = sum_i a_i * b_(m-i) is one
+    """c_0 .. c_(n-1) of the product of the runs a and b, with b given
+    reversed: back ends at b_0.  Each c_m = sum_i a_i * b_(m-i) is one
     C-level ``sum(map(mul, ...))`` over a and the last m + 1 entries of
-    back, zeros included."""
+    back, zeros included.  The entries may lie in any ring; the kernels
+    pass integers."""
     return [sum(map(mul, a, back[-1 - m:])) for m in range(n)]
 
 
@@ -386,7 +397,7 @@ class PSeries:
     def __eq__(self, other):
         if isinstance(other, PSeries):
             return self.coeffs == other.coeffs
-        if isinstance(other, float):
+        if _inexact(other):
             return NotImplemented  # never a coefficient, so never equal
         # scalar comparison: constant series of matching value
         o = _promote(other)
@@ -428,16 +439,7 @@ class PSeries:
             if all(type(c) is Fraction for c in a) \
                     and all(type(c) is Fraction for c in b):
                 return PSeries(_convolve_fractions(a, b, n))
-            out = [Fraction(0)] * (n + 1)
-            for i in range(n + 1):
-                x = a[i]
-                if x == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    y = b[j]
-                    if y != 0:
-                        out[i + j] = out[i + j] + x * y
-            return PSeries(out)
+            return PSeries(_truncated_product(a, b[::-1], n + 1))
         o = _promote(other)
         return PSeries([c * o for c in self.coeffs])
 

@@ -35,7 +35,7 @@ from math import comb, prod
 
 from nodepoly.chern import P2, parse_surface
 from nodepoly.modular import dg2_series
-from nodepoly.nodal import (B1_COEFFS, B2_COEFFS, _exp_linear,
+from nodepoly.nodal import (B1_COEFFS, B2_COEFFS, MAX_DELTA, _exp_linear,
                             _log_rows_in_t, count_nodal, discriminant_factor,
                             dg2_normalized, node_polynomials)
 from nodepoly.series import PSeries
@@ -181,13 +181,15 @@ def test_b_series_from_severi_degrees():
     assert b2 == PSeries(B2_COEFFS[:6])
 
 
-def test_b_table_from_severi_degrees_to_q20():
-    # Degree ceil(M/2) + 1 = 11 meets Goettsche's threshold d >= delta/2 + 1
-    # at every delta <= M = 20, so the pair (11, 12) reproduces the whole
-    # shipped table, to q^20.  No other source apart from the closed form
-    # reaches q^17..q^20: B1 and B2 drop out of the K3 and T4 counts.
-    assert len(B1_COEFFS) == len(B2_COEFFS) == 21
-    b1, b2 = b_series_from_pair(11, 20)
+def test_b_table_from_severi_degrees_to_max_delta():
+    # Degree d0 = ceil(M/2) + 1 meets Goettsche's threshold d >= delta/2 + 1
+    # at every delta <= M = MAX_DELTA, so the pair (d0, d0 + 1) reproduces
+    # the whole shipped table, to q^M.  No other source apart from the
+    # closed form reaches its top coefficients: B1 and B2 drop out of the K3
+    # and T4 counts.
+    m = MAX_DELTA
+    assert len(B1_COEFFS) == len(B2_COEFFS) == m + 1
+    b1, b2 = b_series_from_pair(-(-m // 2) + 1, m)
     assert b1 == PSeries(B1_COEFFS)
     assert b2 == PSeries(B2_COEFFS)
 

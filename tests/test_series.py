@@ -15,6 +15,7 @@ s * D(s^e) = e * s^e * D(s) and composition both ways with the reverted
 series.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 import random
@@ -356,21 +357,26 @@ def test_order_and_padding():
         PSeries.identity(0)
     with pytest.raises(ValueError, match="cannot extend order 3"):
         s.truncate(4)
-    with pytest.raises(TypeError):
-        PSeries([1.5])
+    for inexact in (1.5, 1j, 0.5j, Decimal("0.1")):
+        with pytest.raises(TypeError, match="floating-point"):
+            PSeries([inexact])
 
 
 def test_equality_with_a_float_is_false():
-    # a float is never a coefficient, so no series equals one; comparing
-    # must not raise the TypeError that constructing with a float does
+    # a float, complex or Decimal is never a coefficient, so no series
+    # equals one; comparing must not raise the TypeError that constructing
+    # or multiplying with one does
     s = PSeries([1, 2])
-    assert not s == 1.0
-    assert s != 1.0
-    assert PSeries([1]) != 1.0
-    assert s in [1.5, s]
+    for inexact in (1.0, 1j, 0.5j, Decimal("0.1")):
+        assert not s == inexact
+        assert s != inexact
+        assert PSeries([1]) != inexact
+        assert s in [inexact, s]
+        for make in (lambda: PSeries([inexact]), lambda: s * inexact,
+                     lambda: inexact * s):
+            with pytest.raises(TypeError, match="floating-point"):
+                make()
     assert PSeries([1]) == 1 and PSeries([1]) == F(1)
-    with pytest.raises(TypeError):
-        PSeries([1.0])
 
 
 def test_add_truncates_to_min_order():
@@ -414,6 +420,32 @@ def test_mul_difference_of_squares():
         assert_fractions(product)
         assert product == PSeries(poly_mul(x.coeffs, y.coeffs, n))
         assert product.order == n
+
+
+def test_mul_over_polynomial_coefficients():
+    # the truncated product serves every coefficient ring: ChernPoly and
+    # mixed Fraction/ChernPoly factors, zero coefficients of both kinds and
+    # unequal orders, each coefficient against a double sum written here
+    x, c2 = ChernPoly.variable(0), ChernPoly.variable(3)
+    zero = ChernPoly()
+    poly = PSeries([x + 1, zero, x * c2 - F(1, 2), 0, c2])
+    cases = [(poly, poly),
+             (poly, PSeries([F(2, 3), -1, 0, F(1, 5)])),
+             (PSeries([0, x, zero], order=6), poly),
+             (PSeries([F(1, 2), 0, c2 * c2]),
+              PSeries([zero, 3, x, F(-7, 4), c2, 1, x])),
+             (PSeries([zero] * 4), poly),
+             (PSeries([x]), PSeries([c2, x]))]
+    for a, b in cases:
+        n = min(a.order, b.order)
+        product = a * b
+        assert product.order == n
+        for m in range(n + 1):
+            expected = ChernPoly()
+            for i in range(m + 1):
+                expected = expected + a[i] * b[m - i]
+            assert product[m] == expected, (a, b, m)
+    assert str(PSeries([zero] * 4) * poly) == "0 + O(q^4)"
 
 
 def test_inverse_geometric_series():
