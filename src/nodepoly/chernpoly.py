@@ -22,6 +22,7 @@ oracles use it.  It prints its sorted terms through
 """
 
 from fractions import Fraction
+from operator import add
 
 from .series import _signed_sum
 
@@ -126,12 +127,8 @@ class ChernPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                c = c1 * c2
-                if e in terms:
-                    terms[e] += c
-                else:
-                    terms[e] = c
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
         return ChernPoly(terms)
 
     __rmul__ = __mul__

@@ -187,7 +187,7 @@ class SetSystem(namedtuple("SetSystem", "k signatures")):
         return super().__new__(cls, k, signatures)
 
     def __getnewargs__(self):
-        return (self.sets,)
+        return ([list(s) for s in self.sets],)
 
     @property
     def sets(self):

@@ -259,8 +259,8 @@ def validity_range(surface, delta):
 
     Kool-Shende-Thomas (arXiv:1010.3211) prove the count right for a
     delta-very ample L, and O(d) on P2 is d-very ample, so P2:d is in range
-    for d >= delta.  P2:d is recognised from its Chern data
-    (d^2, -3d, 9, 3), d >= 0: with L ample, LK < 0 and K2 = 9 force the
+    for d >= delta.  P2:d is recognised from its Chern data, those of
+    ``P2(d)`` for d = -LK/3 >= 0: with L ample, LK < 0 and K2 = 9 force the
     plane, and L2 = d^2 makes L = O(d).  On K3 and abelian surfaces the
     correction terms vanish for every polarization, so those are always in
     range; they stay keyed on the family name, because (l2, 0, 0, 0) also
@@ -268,7 +268,7 @@ def validity_range(surface, delta):
     """
     l2, lk, k2, c2 = surface.chern_tuple()
     d = -lk // 3
-    if (k2, c2) == (9, 3) and lk == -3 * d and d >= 0 and l2 == d * d:
+    if d >= 0 and P2(d).chern_tuple() == (l2, lk, k2, c2):
         return IN_RANGE if d >= delta else OUT_OF_RANGE
     if surface.name.partition(":")[0] in ("K3", "T4"):
         return IN_RANGE

@@ -25,19 +25,21 @@ four h at once.  The product runs one truncated product,
 of two all-Fraction factors, on the coefficients themselves otherwise
 (ChernPoly, alone or mixed with Fraction); the other six raise TypeError
 on other rings.  The product (whose integer form the polynomial exp of
-``nodal`` also runs), inverse, exp and reversion take each inner sum as
-one C-level ``sum(map(mul, ...))``, zeros included: at N = 96 the
-product takes x0.68-0.85 the time of a zero-skipping loop on the dense
-bases of the closed form, and x1.9-2.4 on sparse input such as (1+q)^2,
-which no caller multiplies.  The exp and
-Miller's recurrence hold their coefficients over one running denominator
-that grows only when a step needs it (so an exp with integer outputs,
-such as the counts of ``nodal``, works at the size of its output), for
-Miller as c^t with c = A_0 r^2 and e = p/r, t raised to 2m at an inexact
-step m > t: about log2(N) rescales.  Composition, log and Miller keep
-plain accumulating loops: through the product, Horner's steps were x1.2
-slower (each rebuilds its run and multiplies by G_0 = 0), and a dot was
-no faster for the log and 1.3-2x slower for Miller, whose weights
+``nodal`` and every Horner step of composition also run), inverse, exp
+and reversion take each inner sum as one C-level ``sum(map(mul, ...))``,
+zeros included: at N = 96 the product takes x0.68-0.85 the time of a
+zero-skipping loop on the dense bases of the closed form, and x1.9-2.4
+on sparse input such as (1+q)^2, which no caller multiplies.  The exp
+and Miller's recurrence hold their coefficients over one running
+denominator that grows only when a step needs it (so an exp with integer
+outputs, such as the counts of ``nodal``, works at the size of its
+output), for Miller as c^t with c = A_0 r^2 and e = p/r, t raised to 2m
+at an inexact step m > t: about log2(N) rescales.  Composition, which
+only ``factorize``'s check runs (four times, at n = max_delta), takes
+each Horner step as one truncated product with G/q (G_0 = 0): x1.1-1.3
+the time of an in-place triple loop at M = 5-40.  The log and Miller
+keep plain accumulating loops, the only hand-written inner loops: a dot
+was no faster for the log and 1.3-2x slower for Miller, whose weights
 ((p+r)k - rm) change with every step m.
 
 A series prints its terms c*q^k through ``_signed_sum``, as ``ChernPoly`` does.
@@ -225,10 +227,7 @@ def _power_fractions(a, e):
     p, r, n = e.numerator, e.denominator, len(a)
     num = _integer_run(a)[1]
     c, q0 = num[0] * r * r, num[0] * r
-    terms = []  # a loop, not a comprehension: cheaper on short runs in 3.11
-    for k in range(1, n):
-        if num[k]:
-            terms.append((k, (p + r) * k, num[k]))
+    terms = [(k, (p + r) * k, num[k]) for k in range(1, n) if num[k]]
     b, i, t = [1], 0, 0
     for m in range(1, n):
         if i < len(terms) and terms[i][0] == m:
@@ -263,22 +262,21 @@ def _compose_fractions(c, g):
 
     With c = C/dc and g = G/dg, Horner's rule scaled by dg^(n-k) reads
     R_n = C_n and R_k = R_(k+1) * G + C_k * dg^(n-k), so c(g) = R_0 /
-    (dc * dg^n).  As G_0 = 0, R_k is needed only to q^(n-k), and its q^t
-    coefficient reads R_(k+1) below q^t only: R is updated in place, top down.
+    (dc * dg^n).  As G_0 = 0, R_k is needed only to q^(n-k), and
+    R_(k+1) * G is q times the truncated product of R_(k+1) with G/q: one
+    :func:`_truncated_product` per step.  On log(DG2/q) composed with the
+    reversion of DG2 this takes x1.1-1.3 the time of an in-place triple
+    loop (M = 5-40), and no benchmark workload composes past n = 5.
     """
     n = len(c) - 1
     dc, num = _integer_run(c)
     dg, inner = _integer_run(g)
-    r = [num[n]] + [0] * n
+    back = inner[:0:-1]  # G/q, reversed
+    r = [num[n]]
     p = 1
     for k in range(n - 1, -1, -1):
         p *= dg
-        for t in range(n - k, 0, -1):
-            acc = 0
-            for i in range(t):
-                acc += r[i] * inner[t - i]
-            r[t] = acc
-        r[0] = num[k] * p
+        r = [num[k] * p] + _truncated_product(r, back, n - k)
     den = dc * p
     return [Fraction(x, den) for x in r]
 
@@ -303,9 +301,8 @@ def _lagrange_fractions(u, derivatives, n, den=1):
     d, num = _integer_run(u)
     kl = [-x for x in _log_derivative(num)[1:]]
     u0 = num[0]
-    if u0 != 1:
-        derivatives = [[x * u0 ** j for j, x in enumerate(dv)]
-                       for dv in derivatives]
+    derivatives = [[x * u0 ** j for j, x in enumerate(dv)]
+                   for dv in derivatives]
     outs = [[Fraction(0)] for _ in derivatives]
     top, bottom = 1, den * u0  # d^m and den * U_0^(2m-1)
     square = u0 * u0
@@ -410,7 +407,7 @@ class PSeries:
         invent unknown precision)."""
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} series to {order}")
-        return PSeries(self.coeffs[: order + 1])
+        return PSeries(self.coeffs, order)
 
     # -- ring operations ---------------------------------------------------
 

@@ -186,15 +186,19 @@ def test_set_system_equality_is_by_signature():
 
 
 def test_set_system_sets_round_trip():
+    # a copy keeps the route of a system given as lists: small elements
+    # the element-indexed list, a huge element the dict
     rng = random.Random(3)
-    for k in range(1, 6):
-        sets = [[rng.randrange(12) for _ in range(rng.randrange(6))]
-                for _ in range(k)]
+    systems = [[[rng.randrange(12) for _ in range(rng.randrange(6))]
+                for _ in range(k)] for k in range(1, 6)]
+    for sets in systems + [[[10**30, 1], [1]]]:
         system = SetSystem(sets)
         assert system.sets == tuple(frozenset(s) for s in sets)
         assert system.union() == frozenset().union(*system.sets)
-        assert pickle.loads(pickle.dumps(system)) == system
-        assert copy.deepcopy(system) == system
+        for copied in (pickle.loads(pickle.dumps(system)),
+                       copy.deepcopy(system)):
+            assert copied == system
+            assert type(copied.signatures) is type(system.signatures)
 
 
 def test_set_system_signatures_are_read_only():

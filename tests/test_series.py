@@ -357,6 +357,8 @@ def test_order_and_padding():
         PSeries.identity(0)
     with pytest.raises(ValueError, match="cannot extend order 3"):
         s.truncate(4)
+    with pytest.raises(ValueError, match="truncation order"):
+        s.truncate(-1)
     for inexact in (1.5, 1j, 0.5j, Decimal("0.1")):
         with pytest.raises(TypeError, match="floating-point"):
             PSeries([inexact])
@@ -504,11 +506,16 @@ def test_compose_random_against_brute_force():
 
 
 def test_compose_rational_against_brute_force():
-    # the integer Horner kernel clears each side to one denominator
+    # the integer Horner kernel clears each side to one denominator; each
+    # step multiplies by G/q, whose constant term g_1 is 0 for an inner
+    # series that starts at q^2
     rng = random.Random(8)
-    for n, m in ((0, 4), (4, 0), (6, 9), (9, 6), (10, 10)):
+    for n, m, first in ((0, 4, 1), (4, 0, 1), (6, 9, 1), (9, 6, 1),
+                        (10, 10, 1), (0, 0, 1), (1, 1, 1), (2, 2, 1),
+                        (16, 16, 1), (24, 24, 1), (1, 1, 2), (2, 2, 2),
+                        (16, 16, 2), (24, 24, 2)):
         outer = random_rational_series(rng, n, max_den=12)
-        inner = random_rational_series(rng, m, first=1, max_den=12)
+        inner = random_rational_series(rng, m, first=first, max_den=12)
         got = outer.compose(inner)
         k = min(n, m)
         assert got.order == k
