@@ -2,19 +2,18 @@
 
 One op is ``SetSystem(lists)`` -- the pass that checks each element and
 records its membership signature -- followed by ``modified_cardinalities``,
-on seeded inputs of the two regimes of the ``inclexcl`` command: k = 6 sets
-over 20000 elements (element-bound) and k = 10 over 2000 (lattice-bound),
-each element joining each set with probability 1/2.  Both are dense, so
-``SetSystem`` records their masks in a list indexed by element and keeps
-that list as its signature map; a third shape spreads the k = 6 elements by
-a 10**9 stride, which sends them down the dict path.  The lists are built
-outside the timed call.  A build-only case times ``SetSystem(lists)``
-alone, and a lattice-only case ``modified_cardinalities`` alone on a
-prebuilt ``SetSystem``.  A last case times the whole command on the same
-inputs:
-``cli.run(["inclexcl"])`` from the JSON text on stdin to the JSON document
-on stdout, parsing, counting and writing included.  Run it with
-pytest-benchmark installed:
+on seeded inputs of every op shape of the ``inclexcl-lattice`` workload:
+k = 6 sets over 20000 elements (element-bound), and k = 8 over 4000, k = 9
+over 3000 and k = 10 over 2000 (lattice-bound), each element joining each
+set with probability 1/2.  All are dense, so ``SetSystem`` records their
+masks in a list indexed by element and keeps that list as its signature
+map; a last shape spreads the k = 6 elements by a 10**9 stride, which sends
+them down the dict path.  The lists are built outside the timed call.  A
+build-only case times ``SetSystem(lists)`` alone, and a lattice-only case
+``modified_cardinalities`` alone on a prebuilt ``SetSystem``.  A last case
+times the whole command on the same inputs: ``cli.run(["inclexcl"])`` from
+the JSON text on stdin to the JSON document on stdout, parsing, counting
+and writing included.  Run it with pytest-benchmark installed:
 
     python -m pytest benchmarks/test_inclexcl.py                  # timings
     python -m pytest benchmarks --benchmark-disable -q            # one pass
@@ -30,7 +29,8 @@ from nodepoly.cli import run
 from nodepoly.inclexcl import SetSystem, modified_cardinalities
 
 # name -> (k, universe size, stride between elements)
-SHAPES = {"k=6/20000": (6, 20000, 1), "k=10/2000": (10, 2000, 1),
+SHAPES = {"k=6/20000": (6, 20000, 1), "k=8/4000": (8, 4000, 1),
+          "k=9/3000": (9, 3000, 1), "k=10/2000": (10, 2000, 1),
           "k=6/20000 sparse": (6, 20000, 10**9)}
 
 

@@ -67,6 +67,8 @@ class ChernPoly:
 
     @classmethod
     def variable(cls, i):
+        if not 0 <= i < NVARS:
+            raise ValueError(f"variable index must be in 0..{NVARS - 1}")
         exps = [0] * NVARS
         exps[i] = 1
         return cls({tuple(exps): 1})

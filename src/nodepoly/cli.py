@@ -17,8 +17,8 @@ strings ASCII-escaped (non-ASCII and control characters as \\uXXXX), and
 "{}" / "[]" for empty containers -- byte for byte what
 ``json.dumps(doc, indent=2, sort_keys=True, default=str)`` prints.  The
 rows of the ``inclexcl`` table, up to 1023 of them, are the one exception
-to the generic emitter: each is filled into a fixed row template laid out
-at its depth, held by the tests to the same ``json.dumps`` contract.
+to the generic emitter: each is written by one f-string laid out at its
+depth, held by the tests to the same ``json.dumps`` contract.
 
 The command table ``COMMANDS`` declares each option once, as (option,
 type, choices, default, help); an option whose default is None is
@@ -218,13 +218,6 @@ def cmd_factorize(args, stdin):
     }, ok
 
 
-# One table row as _write_json lays it out at document["payload"]["table"],
-# three levels down; the keys are in sorted order and the labels need no
-# escaping.
-_ROW = ('{\n        "cardinality": %d,\n        "index_set": "%s",'
-        '\n        "modified_cardinality": %d\n      }')
-
-
 def cmd_inclexcl(args, stdin):
     import json
     text = stdin.read()
@@ -247,7 +240,12 @@ def cmd_inclexcl(args, stdin):
     if args.format == "csv":
         return (("index_set", "cardinality", "modified_cardinality"),
                 zip(map('"%s"'.__mod__, labels), plain, modified)), True
-    rows = map(_ROW.__mod__, zip(plain, labels, modified))
+    # each row as _write_json lays it out at document["payload"]["table"],
+    # three levels down; the keys are in sorted order and the labels need
+    # no escaping
+    rows = [f'{{\n        "cardinality": {p},\n        "index_set": "{i}",'
+            f'\n        "modified_cardinality": {m}\n      }}'
+            for p, i, m in zip(plain, labels, modified)]
     return {
         "table": _Verbatim("[\n      " + ",\n      ".join(rows) + "\n    ]"),
         "union_size": len(system.signatures),

@@ -8,10 +8,12 @@ is I.  A :class:`SetSystem` is stored as that signature map (element ->
 bitmask, bit i for A_i), built in a list or a dict (the rule is stated in
 :class:`SetSystem`) by one loop over the input that checks each element
 and ORs its bit in, so the union is the key set.  The list route keeps
-its list, indexed by element, as the map: at most 2 * total + 65 slots
-for total listed elements, held for the life of the system.  The
-histogram of the masks is the modified table; a superset-sum (zeta)
-transform over the 2^k masks turns it into the plain intersection sizes:
+its list, indexed by element and grown by doubling as the loop meets
+larger elements, as the map: at most max(64, 2 * (top + 1)) slots for the
+largest element top, and never more than 2 * total + 65 for total listed
+elements, held for the life of the system.  The histogram of the masks is
+the modified table; a superset-sum (zeta) transform over the 2^k masks
+turns it into the plain intersection sizes:
 
     |inter_I| = sum of modified(J) over all J containing I
 
@@ -116,20 +118,6 @@ class _MaskValues(ValuesView):
         return filter(None, self._mapping._masks)
 
 
-def _dense_top(sets):
-    """The largest element of ``sets`` if its masks go in a list indexed
-    by element, else None: the rule :class:`SetSystem` states."""
-    if type(sets) is not list or set(map(type, sets)) - {list}:
-        return None
-    try:
-        top = max(map(max, filter(None, sets)), default=0)
-    except TypeError:
-        return None
-    if type(top) is not int or top > 2 * sum(map(len, sets)) + 64:
-        return None
-    return top
-
-
 class SetSystem(namedtuple("SetSystem", "k signatures")):
     """A finite list of k finite sets of nonnegative integers, held as its
     membership signatures: each union element maps to the bitmask of the
@@ -144,40 +132,51 @@ class SetSystem(namedtuple("SetSystem", "k signatures")):
     the element 1.  Every element is checked before the bound on k, and no
     mask grows past ``MAX_SETS`` bits.
 
-    The masks go in one of two containers, chosen from the input alone, and
-    one loop fills either: one check and one ``masks[x] |= bit`` per listed
-    element.  A list of lists, whose elements have an int max() top of at
-    most 2 * total + 64 for total listed elements, gets a list of top + 1
-    slots indexed by element, kept as the signature map behind a read-only
-    view whose keys are its nonzero slots; no per-element dict is built: at
-    most 2 * total + 65 slots, twice the slots of the input's own lists plus
-    65, held for the life of the system.  Any other input -- an iterator,
-    Python sets, sparse or huge elements such as 10**30, input on which
-    max() fails -- gets a ``defaultdict(int)``, the route whose memory is
-    bounded by the input alone.  The checks and the errors are the same on
-    both, and so are the two maps' lookups, equality, hash and repr.
+    The masks go in one of two containers, and one loop fills either: one
+    check and one ``masks[x] |= bit`` per listed element.  A list of lists
+    starts a list of 64 slots indexed by element, kept as the signature map
+    behind a read-only view whose keys are its nonzero slots; no
+    per-element dict is built.  An element past its end grows it to
+    max(x + 1, twice its length) slots, capped at 2 * total + 65 for total
+    listed elements, so the list route holds every input whose elements
+    are all at most 2 * total + 64, in a list of at most
+    max(64, 2 * (top + 1)) slots for its largest element top, for the life
+    of the system.  An element past that cap moves the masks into a
+    ``defaultdict(int)`` and the loop goes on there; so does any other
+    input -- an iterator, Python sets, sparse or huge elements such as
+    10**30 -- the route whose memory is bounded by the input alone.  The
+    checks and the errors are the same on both, and so are the two maps'
+    lookups, equality, hash and repr.
     """
     __slots__ = ()
 
     def __new__(cls, sets):
-        top = _dense_top(sets)
-        masks = defaultdict(int) if top is None else [0] * (top + 1)
+        if type(sets) is list and not set(map(type, sets)) - {list}:
+            bound = 2 * sum(map(len, sets)) + 65
+            masks = [0] * 64
+        else:
+            masks = defaultdict(int)
         k = 0
-        try:
-            for s in sets:
-                # past the bound: checks only
-                bit = 1 << k if k < MAX_SETS else 0
-                for x in s:
-                    # checked before the index: masks[-1] is the last slot
-                    if type(x) is not int or x < 0:
-                        raise ValueError(_BAD_ELEMENT)
+        for s in sets:
+            # past the bound: checks only
+            bit = 1 << k if k < MAX_SETS else 0
+            for x in s:
+                # checked before the index: masks[-1] is the last slot
+                if type(x) is not int or x < 0:
+                    raise ValueError(_BAD_ELEMENT)
+                try:
                     masks[x] |= bit
-                k += 1
-        except IndexError:
-            # an int past top: max() was misled by the comparisons of
-            # a non-int element, which the dict route rejects too
-            raise ValueError(_BAD_ELEMENT) from None
-        signatures = _Signatures(masks) if top is None else _MaskList(masks)
+                except IndexError:
+                    # only a list raises, and only past its end
+                    if x < bound:
+                        masks += repeat(0, min(max(x + 1, 2 * len(masks)),
+                                               bound) - len(masks))
+                    else:
+                        masks = defaultdict(int, zip(compress(count(), masks),
+                                                     filter(None, masks)))
+                    masks[x] |= bit
+            k += 1
+        signatures = (_MaskList if type(masks) is list else _Signatures)(masks)
         if not k:
             raise ValueError("a set system needs at least one set")
         if k > MAX_SETS:

@@ -16,7 +16,7 @@ from nodepoly import cli, nodal
 from nodepoly.cli import (DEFAULT_ORDER, MAX_PARTITION_EXPONENT,
                           MAX_SERIES_ORDER, build_parser, emit_json,
                           read_args, run)
-from nodepoly.inclexcl import SetSystem, _dense_top
+from nodepoly.inclexcl import SetSystem, _MaskList
 
 from test_golden import FIXTURE as GOLDEN_FIXTURE
 from test_inclexcl import backward_induction_oracle
@@ -514,8 +514,8 @@ def test_inclexcl_output_sweep_matches_oracle():
             sets = [[x for x in range(rng.randrange(1, 80))
                      if rng.random() < p] for _ in range(k)]
             spread = [[x * 10**9 + 7 for x in s] for s in sets]
-            assert _dense_top(sets) is not None
-            assert _dense_top(spread) is None
+            assert isinstance(SetSystem(sets).signatures, _MaskList)
+            assert not isinstance(SetSystem(spread).signatures, _MaskList)
             for fmt in ("json", "csv"):
                 for given in (sets, spread):
                     assert invoke(["inclexcl", "--format", fmt],

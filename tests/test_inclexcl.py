@@ -6,18 +6,21 @@ builds every intersection and settles the lattice from the largest index
 sets down.  The histogram kernel must agree with both; its (plain, modified)
 lists are keyed by ``nonempty_index_sets`` to compare.  ``SetSystem``
 builds its signatures in an element-indexed list, kept as the map, or, for
-sparse or malformed input, a dict; a per-element dict update is the oracle
-for both, and the dict route's map is the oracle for how the list route's
-map reads.
+sparse input or input that is not a list of lists, a dict; a per-element
+dict update is the oracle for both, and the dict route's map is the oracle
+for how the list route's map reads.
 """
 
+import io
+import json
 import random
 import tracemalloc
 from itertools import count
 
 import pytest
 
-from nodepoly.inclexcl import (SetSystem, _dense_top, intersection_table,
+from nodepoly.cli import run
+from nodepoly.inclexcl import (SetSystem, _MaskList, intersection_table,
                                modified_cardinalities, nonempty_index_sets,
                                union_via_alternating, union_via_modified)
 
@@ -233,8 +236,9 @@ def test_index_set_enumeration():
 
 
 class Contrary:
-    """Compares as both greater and less than anything: max() over
-    [20, Contrary(), 10] returns 10, and the list path meets 20 past it."""
+    """Compares as both greater and less than anything, so no ordering of
+    [20, Contrary(), 10] finds its largest element; it is rejected by its
+    type."""
 
     def __gt__(self, other):
         return True
@@ -251,14 +255,16 @@ REJECTED_ELEMENTS = [
 
 
 def with_huge(sets):
-    """``sets`` with 10**30 added to the first set, which sends any input
-    down the dict path."""
+    """``sets`` with 10**30 put first in the first set, which sends any
+    input down the dict path before the loop checks any other element."""
     if not sets:
         return sets
     first = sets[0]
-    first = first | {10**30} if isinstance(first, set) else first + [10**30]
-    assert _dense_top([first] + sets[1:]) is None
-    return [first] + sets[1:]
+    first = first | {10**30} if isinstance(first, set) else [10**30] + first
+    sets = [first] + sets[1:]
+    # past 2 * total + 64, the largest element the list route holds
+    assert 10**30 > 2 * sum(map(len, sets)) + 64
+    return sets
 
 
 def test_validation():
@@ -322,12 +328,66 @@ def test_signatures_match_per_element_oracle_on_both_paths():
                     rng.shuffle(s)
                 if k > 1:
                     sets[rng.randrange(k)] = []
-                assert (_dense_top(sets) is None) == (stride > 1)
                 system = SetSystem(sets)
+                assert isinstance(system.signatures, _MaskList) == \
+                    (stride == 1)
                 assert system.signatures == per_element_signatures(sets)
                 as_sets = SetSystem([set(s) for s in sets])
                 assert system == as_sets and hash(system) == hash(as_sets)
                 assert_reads_as(system.signatures, as_sets.signatures)
+
+
+def run_inclexcl(sets):
+    out = io.StringIO()
+    assert run(["inclexcl"], out=out, stdin=io.StringIO(json.dumps(sets))) \
+        == 0
+    return out.getvalue()
+
+
+def test_route_rule_holds_wherever_the_deciding_element_comes():
+    # With t listed elements, the list route holds every element up to
+    # 2t + 64 and grows by doubling; one element at 2t + 65 moves the masks
+    # into a dict, whether it comes first, in the middle of the last set
+    # (for k > 1, after earlier sets have grown the list) or last.
+    rng = random.Random(2039)
+    for k in (1, 2, 4):
+        base = [rng.sample(range(120), rng.randrange(20, 40))
+                for _ in range(k)]
+        t = sum(map(len, base)) + 1
+        for top, listed in ((2 * t + 64, True), (2 * t + 65, False)):
+            middle = (k - 1, len(base[-1]) // 2)
+            for i, j in ((0, 0), middle, (k - 1, len(base[-1]))):
+                sets = [list(s) for s in base]
+                sets[i].insert(j, top)
+                system = SetSystem(sets)
+                signatures = system.signatures
+                assert isinstance(signatures, _MaskList) == listed
+                if listed:
+                    assert len(signatures._masks) <= 2 * (top + 1)
+                assert signatures == per_element_signatures(sets)
+                assert_reads_as(signatures,
+                                SetSystem([set(s) for s in sets]).signatures)
+                ascending = SetSystem([sorted(s) for s in sets])
+                descending = SetSystem([sorted(s)[::-1] for s in sets])
+                assert ascending == descending == system
+                assert run_inclexcl([sorted(s) for s in sets]) == \
+                    run_inclexcl([sorted(s)[::-1] for s in sets])
+
+
+def test_held_list_stays_within_twice_the_top():
+    # the list grows to max(x + 1, twice its length) slots for an element
+    # x past its end, so it never holds more than max(64, 2 * (top + 1))
+    rng = random.Random(73)
+    for _ in range(200):
+        sizes = [rng.randrange(60) for _ in range(rng.randrange(1, 4))]
+        top = rng.randrange(2 * (sum(sizes) + 1) + 65)
+        sets = [[rng.randrange(top + 1) for _ in range(n)] for n in sizes]
+        sets[0].append(top)
+        rng.shuffle(sets[0])
+        signatures = SetSystem(sets).signatures
+        assert isinstance(signatures, _MaskList)
+        assert len(signatures._masks) <= max(64, 2 * (top + 1))
+        assert signatures == per_element_signatures(sets)
 
 
 def test_sparse_elements_allocate_no_element_indexed_list():

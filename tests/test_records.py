@@ -160,6 +160,18 @@ def test_chern_poly_declines_other_operands():
         x - "x"
 
 
+def test_chern_poly_variable_index_is_checked():
+    # a negative index would count from the end (-1 gave c2) and 4 would
+    # raise a bare IndexError
+    for i in range(4):
+        assert ChernPoly.variable(i).terms == {
+            tuple(int(j == i) for j in range(4)): 1}
+    for i in (-1, -4, 4, 10):
+        with pytest.raises(ValueError, match=r"^variable index must be in "
+                           r"0\.\.3$"):
+            ChernPoly.variable(i)
+
+
 def test_series_and_polynomials_copy_and_pickle():
     f = node_polynomials(2)
     assert type(f) is PSeries and f != node_polynomials(1)
