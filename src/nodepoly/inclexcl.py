@@ -185,8 +185,9 @@ class SetSystem(namedtuple("SetSystem", "k signatures")):
                 f"lattice has 2^k - 1 index sets")
         return super().__new__(cls, k, signatures)
 
-    def __getnewargs__(self):
-        return ([list(s) for s in self.sets],)
+    def __reduce__(self):
+        # the fields as they stand, not a rebuild from the deduplicated sets
+        return (tuple.__new__, (type(self), tuple(self)))
 
     @property
     def sets(self):

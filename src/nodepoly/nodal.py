@@ -11,8 +11,7 @@ where B1, B2 are power series derived from Severi degrees of plane curves,
 held here to q^20 (:data:`B1_COEFFS`, from the Caporaso-Harris recursion at
 the degree pairs (11, 12) and (12, 13)).  That data limit caps everything
 here at delta <= 20, :data:`MAX_DELTA`: the cap is a property of the
-inputs, not of the algorithms.  The tests re-derive B1 and B2 from the same
-recursion at the pair (11, 12), through q^20.
+inputs, not of the algorithms.  The tests re-derive B1 and B2 at both pairs.
 
 The four exponents are linear in (L2, LK, K2, c2) and are stated once, as
 the rows of the Fraction matrix :data:`EXPONENTS`, whose chi(L) and

@@ -3,17 +3,25 @@
 The Caporaso-Harris recursion (Counting plane curves of any genus, Invent.
 Math. 1998, Thm 1.1), written for possibly reducible curves with delta
 nodes, counts the degree-d curves N^{d,delta}(alpha, beta) with tangency
-conditions to a fixed line: alpha_k fixed and beta_k unfixed points of
-contact order k.  With Iv = sum k*v_k, |v| = sum v_k and I^v = prod k^(v_k),
+conditions to a fixed line E: alpha_k fixed and beta_k unfixed points of
+contact order k.  Vakil's recursion (Counting curves on rational surfaces,
+Manuscripta Math. 2000) has the same shape on P1 x P1, for the classes
+(a, b) and a ruling E = (1, 0).  Each is carried here as a run: one memo
+value per (class, alpha, beta) holds N(delta) for delta = 0..M.  With
+Iv = sum k*v_k, |v| = sum v_k, I^v = prod k^(v_k) and x^s the shift of a
+run up by s,
 
-    N^{d,delta}(alpha, beta)
-        = sum_(k: beta_k > 0) k * N^{d,delta}(alpha + e_k, beta - e_k)
-        + sum I^(beta'-beta) C(alpha, alpha') C(beta', beta)
-              * N^{d-1,delta'}(alpha', beta'),
+    N(alpha, beta)
+        = sum_k k * N(alpha + e_k, beta - e_k)
+        + sum I^gamma C(alpha, alpha') C(beta + gamma, beta)
+              * x^(meet - |gamma|) N_below(alpha', beta + gamma),
 
-the second sum over alpha' <= alpha and beta' >= beta with
-I alpha' + I beta' = d - 1 and delta' = delta - (d-1) + |beta'-beta| >= 0.
-The Severi degree is N^{d,delta}(0, d*e_1).
+the second sum over alpha' <= alpha and gamma with I alpha' + I beta +
+I gamma = meet.  Below is the class less E, d - 1 on the plane and
+(a - 1, b) on P1 x P1, which meets E in meet = d - 1 or b points.  A run
+stops at M and at the genus bound, where the Severi variety's dimension
+would be negative.  The Severi degree of a class meeting E in e points
+(e = d, or b) is N(delta) at alpha = 0, beta = e*e_1.
 
 With L = dH on P2 the closed form reads F_d(DG2) = (DG2/q)^chi(L) *
 B1^9 * B2^(-3d) / (Delta*D2G2/q^2)^(1/2) for F_d(t) = sum N^{d,delta}
@@ -22,16 +30,16 @@ R_d = F_d(DG2) * (DG2/q)^(-chi(L)) * (Delta*D2G2/q^2)^(1/2) equals
 B1^9 * B2^(-3d), and a pair of degrees (d, d+1) gives
 B2 = (R_d/R_(d+1))^(1/3) and B1 = (R_d * B2^(3d))^(1/9).
 
-The same recursion at a ruling of P1 x P1 (Vakil) gives the Severi degrees
-of the classes (a, b).  Since log F is linear in (L2, LK, K2, c2), three
-plane degrees and one class (a, b) determine all four log rows of the
-closed form with no modular form at all.
+Since log F is linear in (L2, LK, K2, c2), three plane degrees and one
+class (a, b) determine all four log rows of the closed form with no
+modular form at all.
 """
 
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import product, zip_longest
+from functools import lru_cache
+from itertools import product
 from math import comb, prod
+from operator import add
 
 from nodepoly.chern import P2, parse_surface
 from nodepoly.modular import dg2_series
@@ -46,26 +54,10 @@ def weight(v):
     return sum(k * x for k, x in enumerate(v, 1))
 
 
-def trim(v):
-    """v without its trailing zeros, the memo key of a tangency vector."""
-    v = list(v)
-    while v and not v[-1]:
-        v.pop()
-    return tuple(v)
-
-
-def add(u, w):
-    return trim(map(sum, zip_longest(u, w, fillvalue=0)))
-
-
-def unit(k, sign=1):
-    return (0,) * (k - 1) + (sign,)
-
-
 @lru_cache(maxsize=None)
-def multiplicity_vectors(m):
+def multiplicity_vectors(m, length):
     """Every gamma with I gamma = m, as (gamma, |gamma|, I^gamma) with
-    gamma a trimmed tangency vector."""
+    gamma a tangency vector of the given length, at least m."""
     def parts(m, largest):
         if m == 0:
             yield ()
@@ -73,87 +65,94 @@ def multiplicity_vectors(m):
         for k in range(min(m, largest), 0, -1):
             for rest in parts(m - k, k):
                 yield (k,) + rest
-    return tuple((trim(p.count(k) for k in range(1, m + 1)), len(p), prod(p))
+    return tuple((tuple(map(p.count, range(1, length + 1))), len(p), prod(p))
                  for p in parts(m, m))
 
 
-def recursion_sum(same, smaller, meet, delta, alpha, beta):
-    """The right side of the recursion at a divisor E: ``same(delta,
-    alpha, beta)`` counts the class itself, and ``smaller(delta', alpha',
-    beta')`` the class less E, whose curves meet E in ``meet`` points:
-    I alpha' + I beta' = meet and delta' = delta - meet + |beta' - beta|."""
-    total = 0
-    for k, b in enumerate(beta, 1):
-        if b:
-            total += k * same(delta, add(alpha, unit(k)),
-                              add(beta, unit(k, -1)))
-    room = meet - weight(beta)
-    for sub in product(*(range(a + 1) for a in alpha)):
-        rest = room - weight(sub)
-        if rest < 0:
-            continue
-        binom_alpha = prod(map(comb, alpha, sub))
-        sub = trim(sub)
-        for gamma, size, i_gamma in multiplicity_vectors(rest):
-            sub_delta = delta - meet + size
-            if sub_delta < 0:
-                continue
-            sup = add(beta, gamma)
-            total += (i_gamma * binom_alpha * prod(map(comb, sup, beta))
-                      * smaller(sub_delta, sub, sup))
-    return total
+def geometry(cls):
+    """(meet, the class less E, the genus bound at beta = 0) of the class
+    (d,) on the plane or (a, b) on P1 x P1."""
+    if len(cls) == 1:
+        d, = cls
+        return d - 1, (d - 1,), 2 * d - 1 + (d - 1) * (d - 2) // 2
+    a, b = cls
+    return b, (a - 1, b), 2 * a + b - 1 + (a - 1) * (b - 1)
 
 
 @lru_cache(maxsize=None)
-def severi_ch(d, delta, alpha, beta):
-    """N^{d,delta}(alpha, beta) by the Caporaso-Harris recursion."""
-    if d == 0:
-        return int(delta == 0 and not alpha and not beta)
-    genus = (d - 1) * (d - 2) // 2 - delta
-    if 2 * d + genus - 1 + sum(beta) <= 0:
-        return 0
-    return recursion_sum(partial(severi_ch, d), partial(severi_ch, d - 1),
-                         d - 1, delta, alpha, beta)
+def recursion_sum(cls, alpha, beta, m):
+    """The run N^{cls,delta}(alpha, beta), delta = 0..m, cut at the genus
+    bound: zero from delta = bound + |beta| on.  alpha and beta hold one
+    entry per contact order with E, as many as the class meets E in."""
+    if not cls[0]:
+        # degree 0, or class (0, b): b disjoint rulings (0, 1), one curve
+        # with no node if each meets E once
+        return () if any(alpha[1:] + beta[1:]) else (1,)
+    meet, below, bound = geometry(cls)
+    out = [0] * min(m + 1, bound + sum(beta))
+    if not out:
+        return ()
+    for k, b in enumerate(beta):
+        if b:
+            run = recursion_sum(
+                cls, alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:],
+                beta[:k] + (b - 1,) + beta[k + 1:], m)
+            for i, x in enumerate(run):
+                out[i] += (k + 1) * x
+    # room before beta is cut below: an entry past meet makes it negative
+    room = meet - weight(beta)
+    if room >= 0:
+        for sub in product(*(range(a + 1) for a in alpha[:meet])):
+            if weight(sub) <= room:
+                binom_alpha = prod(map(comb, alpha, sub))
+                for i, x in zip(range(len(out)),
+                                contains_e(below, sub, beta[:meet], m)):
+                    out[i] += binom_alpha * x
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def contains_e(below, alpha, beta, m):
+    """The second sum at alpha' = alpha, summed over gamma: the curves
+    E + C with C of class ``below``, which meets E in len(alpha) points
+    (with multiplicity) at alpha fixed and beta + gamma unfixed points.
+    Neither the alpha above nor its genus bound enters, so every alpha
+    above alpha' shares it."""
+    meet = len(alpha)
+    out = [0] * (m + 1)
+    for gamma, size, i_gamma in multiplicity_vectors(
+            meet - weight(alpha) - weight(beta), meet):
+        sup = tuple(map(add, beta, gamma))
+        coeff = i_gamma * prod(map(comb, sup, beta))
+        for i, x in zip(range(meet - size, m + 1),
+                        recursion_sum(below, alpha, sup, m)):
+            out[i] += coeff * x
+    return tuple(out)
+
+
+def severi_run(cls, m):
+    """N^{cls,delta}, delta = 0..m: curves of class (d,) on P2 or (a, b) on
+    P1 x P1 with delta nodes through the right number of general points.
+    The class meets E in e = cls[-1] points."""
+    e = cls[-1]
+    run = recursion_sum(cls, (0,) * e, (e,) + (0,) * (e - 1) if e else (), m)
+    return run + (0,) * (m + 1 - len(run))
 
 
 def severi_degree(d, delta):
-    """N^{d,delta}: degree-d plane curves with delta nodes through the
-    right number of general points."""
-    return severi_ch(d, delta, (), unit(1, d) if d else ())
-
-
-@lru_cache(maxsize=None)
-def severi_p1p1(a, b, delta, alpha, beta):
-    """N^{(a,b),delta}(alpha, beta) on P1 x P1, with tangency conditions to
-    a ruling E = (1, 0), which a curve of class (a, b) meets in b points.
-
-    Vakil's recursion (Counting curves on rational surfaces, Manuscripta
-    Math. 2000) has the shape of Caporaso-Harris with the class less E,
-    (a - 1, b), in place of degree d - 1.  Curves of class (0, b) are b
-    disjoint rulings (0, 1), each meeting E once: there is exactly one
-    through the b contact points, and it has no node.
-    """
-    if a == 0:
-        return int(delta == 0 and len(alpha) <= 1 and len(beta) <= 1
-                   and weight(alpha) + weight(beta) == b)
-    genus = (a - 1) * (b - 1) - delta
-    if 2 * a + b + genus - 1 + sum(beta) <= 0:
-        return 0
-    return recursion_sum(partial(severi_p1p1, a, b),
-                         partial(severi_p1p1, a - 1, b), b, delta, alpha,
-                         beta)
+    """N^{d,delta}: degree-d plane curves with delta nodes."""
+    return severi_run((d,), delta)[delta]
 
 
 def severi_degree_p1p1(a, b, delta):
-    """N^{(a,b),delta}: curves of class (a, b) on P1 x P1 with delta nodes
-    through the right number of general points."""
-    return severi_p1p1(a, b, delta, (), unit(1, b) if b else ())
+    """N^{(a,b),delta}: curves of class (a, b) on P1 x P1 with delta nodes."""
+    return severi_run((a, b), delta)[delta]
 
 
 def r_series(d, order):
     """R_d = F_d(DG2) * (DG2/q)^(-chi(L)) * (Delta*D2G2/q^2)^(1/2) to q^order,
     with chi(O(d)) = (d+1)(d+2)/2 stated here apart from ``chern``."""
-    f = PSeries([severi_degree(d, delta) for delta in range(order + 1)])
+    f = PSeries(severi_run((d,), order))
     chi = (d + 1) * (d + 2) // 2
     return (f.compose(dg2_series(order)) * dg2_normalized(order) ** -chi
             * discriminant_factor(order) ** Fraction(1, 2))
@@ -183,15 +182,16 @@ def test_b_series_from_severi_degrees():
 
 def test_b_table_from_severi_degrees_to_max_delta():
     # Degree d0 = ceil(M/2) + 1 meets Goettsche's threshold d >= delta/2 + 1
-    # at every delta <= M = MAX_DELTA, so the pair (d0, d0 + 1) reproduces
-    # the whole shipped table, to q^M.  No other source apart from the
-    # closed form reaches its top coefficients: B1 and B2 drop out of the K3
-    # and T4 counts.
+    # at every delta <= M = MAX_DELTA, so each of the pairs (d0, d0 + 1) and
+    # (d0 + 1, d0 + 2) reproduces the whole shipped table, to q^M.  No other
+    # source apart from the closed form reaches its top coefficients: B1 and
+    # B2 drop out of the K3 and T4 counts.
     m = MAX_DELTA
     assert len(B1_COEFFS) == len(B2_COEFFS) == m + 1
-    b1, b2 = b_series_from_pair(-(-m // 2) + 1, m)
-    assert b1 == PSeries(B1_COEFFS)
-    assert b2 == PSeries(B2_COEFFS)
+    d0 = -(-m // 2) + 1
+    for d in (d0, d0 + 1):
+        assert b_series_from_pair(d, m) == (PSeries(B1_COEFFS),
+                                            PSeries(B2_COEFFS)), d
 
 
 def plane_log_rows(m):
@@ -205,8 +205,7 @@ def plane_log_rows(m):
     proved range d >= delta (Kool-Shende-Thomas) would cost far more.
     """
     d0 = -(-m // 2) + 1
-    g0, g1, g2 = (PSeries([severi_degree(d, delta)
-                           for delta in range(m + 1)]).log()
+    g0, g1, g2 = (PSeries(severi_run((d,), m)).log()
                   for d in (d0, d0 + 1, d0 + 2))
     l0 = (g2 - 2 * g1 + g0) * Fraction(1, 2)
     l1 = ((2 * d0 + 1) * l0 - (g1 - g0)) * Fraction(1, 3)
@@ -243,17 +242,17 @@ def test_p1p1_counts_are_severi_degrees():
 
 def test_all_four_log_rows_from_severi_degrees():
     # On O(a, b), log F = 2ab l_0 - 2(a + b) l_1 + (8 l_2 + 4 l_3).  With
-    # l_0 and l_1 from the plane, the class (7, 7) gives 8 l_2 + 4 l_3, and
-    # with the plane's 9 l_2 + 3 l_3 that solves for all four rows (the
-    # determinant is 12): the closed form from enumerative data alone.
-    # Only delta <= 7 is a theorem on (7, 7) (7-very ample, Kool-Shende-
-    # Thomas); delta 8..12 rest on the Goettsche-type threshold
-    # min(a, b) >= delta/2 + 1, as the plane degrees do.
-    m = 12
+    # l_0 and l_1 from the plane, the class (d0, d0) gives 8 l_2 + 4 l_3,
+    # and with the plane's 9 l_2 + 3 l_3 that solves for all four rows (the
+    # determinant is 12): the closed form from enumerative data alone, to
+    # t^M = MAX_DELTA.  Only delta <= d0 is a theorem on (d0, d0) (d0-very
+    # ample, Kool-Shende-Thomas); delta past d0 rests on the Goettsche-type
+    # threshold min(a, b) >= delta/2 + 1, as the plane degrees do.
+    m = MAX_DELTA
+    d0 = -(-m // 2) + 1
     l0, l1, plane = plane_log_rows(m)
-    g = PSeries([severi_degree_p1p1(7, 7, delta)
-                 for delta in range(m + 1)]).log()
-    ruled = g - 98 * l0 + 28 * l1
+    g = PSeries(severi_run((d0, d0), m)).log()
+    ruled = g - 2 * d0 * d0 * l0 + 4 * d0 * l1
     l2 = (4 * plane - 3 * ruled) * Fraction(1, 12)
     l3 = (9 * ruled - 8 * plane) * Fraction(1, 12)
     rows = (l0, l1, l2, l3)

@@ -198,12 +198,14 @@ def test_set_system_equality_is_by_signature():
 
 
 def test_set_system_sets_round_trip():
-    # a copy keeps the route of a system given as lists: small elements
-    # the element-indexed list, a huge element the dict
+    # a copy keeps the route of a system: small elements in lists the
+    # element-indexed list, a huge element or Python sets the dict; 100
+    # listed 50 times takes the list, as its cap 2 * 50 + 65 counts the
+    # repeats, and a rebuild from the one distinct 100 would take the dict
     rng = random.Random(3)
     systems = [[[rng.randrange(12) for _ in range(rng.randrange(6))]
                 for _ in range(k)] for k in range(1, 6)]
-    for sets in systems + [[[10**30, 1], [1]]]:
+    for sets in systems + [[[10**30, 1], [1]], [{1}, {1, 2}], [[100] * 50]]:
         system = SetSystem(sets)
         assert system.sets == tuple(frozenset(s) for s in sets)
         assert system.union() == frozenset().union(*system.sets)
