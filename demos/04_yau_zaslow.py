@@ -14,11 +14,11 @@ from nodepoly import partition_power_series, yau_zaslow_check
 print("prod (1-q^k)^(-24) =", partition_power_series(24, 5))
 print()
 
-report = yau_zaslow_check(5)
+triples = yau_zaslow_check(5)
 print("delta   T_delta on K3    partition coefficient")
-for row in report.rows:
-    mark = "==" if row.equal else "!="
-    print(f"{row.delta:5d}   {row.node_value!s:>13}  {mark}  "
-          f"{row.partition_value}")
+for delta, node, partition in triples:
+    mark = "==" if node == partition else "!="
+    print(f"{delta:5d}   {node!s:>13}  {mark}  {partition}")
 print()
-print("exact agreement for all delta <= 5:", report.all_equal)
+print("exact agreement for all delta <= 5:",
+      all(node == partition for _, node, partition in triples))

@@ -14,10 +14,8 @@ from .inclexcl import (SetSystem, intersection_table, modified_cardinalities,
                        union_via_alternating, union_via_modified)
 from .modular import (d2g2_series, delta_series, dg2_series, g2_series,
                       partition_power_series, sigma1)
-from .nodal import (MAX_DELTA, BlowupCheck, FactorizedForm, NodalCount,
-                    YauZaslowReport, b1_series, b2_series,
-                    blowup_identity_check, closed_form_series,
-                    closed_form_symbolic, count_nodal,
+from .nodal import (MAX_DELTA, b1_series, b2_series, blowup_identity_check,
+                    closed_form_series, closed_form_symbolic, count_nodal,
                     factorize_generating_function, node_polynomials,
                     yau_zaslow_check)
 from .series import PSeries
@@ -25,9 +23,8 @@ from .series import PSeries
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupCheck", "ChernPoly", "FactorizedForm", "K3", "MAX_DELTA",
-    "NodalCount", "P2", "PSeries",
-    "RRCoefficients", "SetSystem", "SurfaceClass", "T4", "YauZaslowReport",
+    "ChernPoly", "K3", "MAX_DELTA", "P2", "PSeries", "RRCoefficients",
+    "SetSystem", "SurfaceClass", "T4",
     "b1_series", "b2_series", "blowup_identity_check", "builtin_catalog",
     "closed_form_series", "closed_form_symbolic", "count_nodal",
     "d2g2_series", "delta_series", "dg2_series",

@@ -13,9 +13,10 @@ basis c1(M) = -c1(K), where chi(L) = A1*c1(M)^2 + A2*c2 + A3*c1(M).c1(L)
 + A4*c1(L)^2; the stored data convert via c1(M).c1(L) = -LK and
 c1(M)^2 = K2.
 
-The package's records (here, in ``nodal`` and in ``inclexcl``) are
-namedtuple subclasses, not dataclasses: importing ``dataclasses`` pulls in
+The package's records (here and in ``inclexcl``) are namedtuple
+subclasses, not dataclasses: importing ``dataclasses`` pulls in
 ``inspect`` and ``ast`` and would cost a CLI run more than its computation.
+``nodal`` returns plain values: Fractions, series and tuples of them.
 """
 
 import sys

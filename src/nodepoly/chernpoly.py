@@ -4,9 +4,10 @@ The variables, in fixed order, are
 
     L2 = c1(L)^2,  LK = c1(L).c1(K),  K2 = c1(K)^2,  c2 = c2(M),
 
-with K the canonical class.  A :class:`ChernPoly` maps exponent 4-tuples to
-``Fraction`` coefficients; zero coefficients are never stored, so equality
-is plain dict equality.
+with K the canonical class.  A :class:`ChernPoly` maps exponent 4-tuples of
+non-negative ints to ``Fraction`` coefficients; the constructor rejects any
+other key, and zero coefficients are never stored, so equality is plain dict
+equality.
 
 ChernPoly is the output ring: the node polynomials T_delta and the
 coefficients of the symbolic closed form are ChernPolys, built once at the
@@ -47,10 +48,23 @@ class ChernPoly:
     def __init__(self, terms=None):
         canonical = {}
         for exps, c in (terms or {}).items():
+            if (type(exps) is not tuple or len(exps) != NVARS
+                    or not all(type(e) is int and e >= 0 for e in exps)):
+                raise ValueError(f"exponents must be a tuple of {NVARS} "
+                                 f"non-negative ints, got {exps!r}")
             c = _as_fraction(c)
             if c != 0:
-                canonical[tuple(exps)] = c
+                canonical[exps] = c
         object.__setattr__(self, "terms", canonical)
+
+    @classmethod
+    def _from_canonical(cls, terms):
+        """The ChernPoly of ``terms`` as they stand, unchecked and not
+        copied: a dict from exponent 4-tuples of non-negative ints to
+        nonzero Fractions, as ``__init__`` leaves it."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("ChernPoly is immutable")

@@ -162,39 +162,40 @@ def cmd_node_polys(args, stdin):
 
 def cmd_count(args, stdin):
     surface = parse_surface(args.surface)
-    result = nodal.count_nodal(surface, args.delta)
     return {
         "surface": surface._asdict(),
         "delta": args.delta,
-        "count": result.value,
-        "validity": result.validity,
+        "count": nodal.count_nodal(surface, args.delta),
+        "validity": nodal.validity_range(surface, args.delta),
         "chi_L": surface.chi_L(),
         "dim_linear_system": surface.dim_linear_system(),
     }, True
 
 
 def cmd_yau_zaslow(args, stdin):
-    report = nodal.yau_zaslow_check(args.max_delta)
     header = ("delta", "node_polynomial_value", "partition_coefficient",
               "equal")
-    rows = [(r.delta, r.node_value, r.partition_value, r.equal)
-            for r in report.rows]
+    triples = nodal.yau_zaslow_check(args.max_delta)
+    rows = [(delta, node, partition, node == partition)
+            for delta, node, partition in triples]
+    all_equal = all(row[3] for row in rows)
     if args.format == "csv":
-        return (header, rows), report.all_equal
+        return (header, rows), all_equal
     return {"rows": [dict(zip(header, row)) for row in rows],
-            "all_equal": report.all_equal}, report.all_equal
+            "all_equal": all_equal}, all_equal
 
 
 def cmd_blowup_check(args, stdin):
     surface = parse_surface(args.surface)
-    check = nodal.blowup_identity_check(surface, args.order)
+    lhs, rhs = nodal.blowup_identity_check(surface, args.order)
+    holds = lhs == rhs
     return {
         "surface": surface._asdict(),
         "blowup": surface.blowup()._asdict(),
-        "lhs": list(check.lhs),
-        "rhs": list(check.rhs),
-        "holds": check.holds,
-    }, check.holds
+        "lhs": list(lhs),
+        "rhs": list(rhs),
+        "holds": holds,
+    }, holds
 
 
 def cmd_rr_solve(args, stdin):
@@ -207,12 +208,9 @@ def cmd_rr_solve(args, stdin):
 
 def cmd_factorize(args, stdin):
     form = nodal.factorize_generating_function(args.max_delta)
-    ok = form.reassembles()
+    ok = nodal.reassembles(form)
     return {
-        "log_A1": list(form.log_a1),
-        "log_A2": list(form.log_a2),
-        "log_A3": list(form.log_a3),
-        "log_A4": list(form.log_a4),
+        **{f"log_A{i}": list(series) for i, series in enumerate(form, 1)},
         "exponents": {"A1": "K2", "A2": "c2", "A3": "L2", "A4": "LK"},
         "reassembly_exact": ok,
     }, ok

@@ -8,10 +8,11 @@ pinned down by the closed form it takes after the substitution t = DG2(q):
     F(DG2(q)) = (DG2/q)^chi(L) * B1^K2 * B2^LK / (Delta*D2G2/q^2)^(chi(O)/2)
 
 where B1, B2 are power series derived from Severi degrees of plane curves,
-held here to q^20 (:data:`B1_COEFFS`, from the Caporaso-Harris recursion at
-the degree pairs (11, 12) and (12, 13)).  That data limit caps everything
-here at delta <= 20, :data:`MAX_DELTA`: the cap is a property of the
-inputs, not of the algorithms.  The tests re-derive B1 and B2 at both pairs.
+held here to q^20 (:data:`B1_COEFFS`, from the Caporaso-Harris recursion).
+That data limit caps everything here at delta <= 20, :data:`MAX_DELTA`: the
+cap is a property of the inputs, not of the algorithms.  The tier-1 tests
+prove q^0..q^14 from Severi degrees d >= delta and CI proves q^0..q^20 the
+same way; the threshold pairs (11, 12) and (12, 13) remain the second check.
 
 The four exponents are linear in (L2, LK, K2, c2) and are stated once, as
 the rows of the Fraction matrix :data:`EXPONENTS`, whose chi(L) and
@@ -32,14 +33,14 @@ the Chern tuple is dotted with the four rows in integers and one Fraction
 series is exponentiated.  The polynomial ring appears only in the one
 integer exp, :func:`_exp_linear`, that turns the four rows into F with
 polynomial coefficients, whose t^delta coefficient is T_delta; that
-PSeries is what :func:`node_polynomials` returns.  The same four rows are the
-factorization of log F per Chern number, checked by
-:meth:`FactorizedForm.reassembles` against the closed form through
-composition with DG2; the Yau-Zaslow count on K3 and the one-point blowup
-formula are checked too.
+PSeries is what :func:`node_polynomials` returns.  The same four rows are
+the factorization of log F per Chern number, checked by :func:`reassembles`
+against the closed form through composition with DG2; the Yau-Zaslow count
+on K3 and the one-point blowup formula are checked too.  Every entry point
+returns plain values: a count is one Fraction, and a check returns the
+numbers or series it compares, for the caller to test with ``==``.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -53,10 +54,12 @@ from .series import (PSeries, _integer_run, _lagrange_fractions,
 
 # B1 and B2 to q^20 (Goettsche, alg-geom/9711012, gives them to q^5).  They
 # are derived from Severi degrees of plane curves by the Caporaso-Harris
-# recursion, as in tests/test_caporaso_harris.py: the degree pairs (11, 12)
-# and (12, 13) give the same series.  Degree ceil(M/2) + 1 reaches q^M at
-# Goettsche's threshold d >= delta/2 + 1, a conjecture; Kool-Shende-Thomas
-# (arXiv:1010.3211) prove the Severi degrees universal only for d >= delta.
+# recursion, as in tests/test_caporaso_harris.py.  Kool-Shende-Thomas
+# (arXiv:1010.3211) prove the Severi degrees universal for d >= delta: in
+# that range the tier-1 tests prove q^0..q^14 from the pair (14, 15) and CI
+# proves q^0..q^20 from the pair (20, 21).  The threshold pairs (11, 12) and
+# (12, 13), which reach q^20 at Goettsche's conjectured threshold
+# d >= delta/2 + 1, give the same series and remain the second check.
 B1_COEFFS = (
     1, -1, -5, 39, -345, 2961, -24866, 207759, -1737670, 14584625,
     -122937305, 1040906771, -8852158628, 75598131215, -648168748072,
@@ -86,7 +89,8 @@ _WEIGHT_DEN = lcm(*[e.denominator for row in EXPONENTS for e in row])
 _WEIGHTS = tuple(tuple(e.numerator * _WEIGHT_DEN // e.denominator for e in row)
                  for row in EXPONENTS)
 
-# Four independent Chern tuples (L2, LK, K2, c2): FactorizedForm.reassembles
+# Four surfaces with independent Chern tuples (L2, LK, K2, c2), on which
+# reassembles checks the factorization
 CHECK_SURFACES = (P2(1), P2(2), K3(2), T4(2))
 
 IN_RANGE = "in range"
@@ -220,7 +224,7 @@ def _exp_linear(rows):
             exps = list(mono)
             exps[v] += 1
             stack.append((tuple(exps), v, child, den * dc * exps[v]))
-    return PSeries([ChernPoly(c) for c in coeffs])
+    return PSeries([ChernPoly._from_canonical(c) for c in coeffs])
 
 
 def _numeric_series(rows, point):
@@ -274,92 +278,60 @@ def validity_range(surface, delta):
     return RANGE_UNKNOWN
 
 
-NodalCount = namedtuple("NodalCount", "surface delta value validity")
-
-
 def count_nodal(surface, delta):
-    """T_delta evaluated at the surface, with its validity flag.
-
-    The t^delta coefficient of F at the surface, with no polynomial built.
-    """
-    f = _numeric_series(_log_rows_in_t(delta), surface.chern_tuple())
-    return NodalCount(surface, delta, f[delta], validity_range(surface, delta))
+    """T_delta evaluated at the surface, a Fraction: the t^delta coefficient
+    of F at the surface, with no polynomial built.  Its validity flag is
+    :func:`validity_range`."""
+    return _numeric_series(_log_rows_in_t(delta), surface.chern_tuple())[delta]
 
 
 # -- identity checks ---------------------------------------------------------
 
-class YauZaslowRow(namedtuple("YauZaslowRow",
-                              "delta node_value partition_value")):
-    __slots__ = ()
-
-    @property
-    def equal(self):
-        return self.node_value == self.partition_value
-
-
-class YauZaslowReport(namedtuple("YauZaslowReport", "rows")):
-    __slots__ = ()
-
-    @property
-    def all_equal(self):
-        return all(row.equal for row in self.rows)
-
-
 def yau_zaslow_check(max_delta):
     """Rational-curve counts on K3 against the 24th partition power.
 
-    For each delta, T_delta at (2*delta-2, 0, 0, 24) is compared with the
-    q^delta coefficient of prod (1-q^k)^(-24).
+    For each delta <= max_delta, the triple (delta, T_delta at
+    (2*delta-2, 0, 0, 24), the q^delta coefficient of prod (1-q^k)^(-24));
+    the counts agree where the last two are equal.
     """
     log_rows = _log_rows_in_t(max_delta)
     partition24 = partition_power_series(24, max_delta)
-    rows = []
-    for delta in range(max_delta + 1):
-        lhs = _numeric_series(log_rows, (2 * delta - 2, 0, 0, 24))[delta]
-        rows.append(YauZaslowRow(delta, lhs, partition24[delta]))
-    return YauZaslowReport(tuple(rows))
-
-
-class BlowupCheck(namedtuple("BlowupCheck", "surface order lhs rhs")):
-    __slots__ = ()
-
-    @property
-    def holds(self):
-        return self.lhs == self.rhs
+    return tuple(
+        (delta, _numeric_series(log_rows, (2 * delta - 2, 0, 0, 24))[delta],
+         partition24[delta])
+        for delta in range(max_delta + 1))
 
 
 def blowup_identity_check(surface, order):
-    """Verify H_blowup(S) * B1 * (DG2/q) = H_S * B2 exactly.
-
-    This is the one-point blowup formula in denominator-free form.
-    """
+    """The two sides (lhs, rhs) of H_blowup(S) * B1 * (DG2/q) = H_S * B2,
+    the one-point blowup formula in denominator-free form: it holds exactly
+    when they are equal."""
     bases = _bases(order)
     dg2, b1, b2, _ = bases
     lhs = _closed_form(surface.blowup().chern_tuple(), bases) * b1 * dg2
     rhs = _closed_form(surface.chern_tuple(), bases) * b2
-    return BlowupCheck(surface, order, lhs, rhs)
-
-
-class FactorizedForm(namedtuple("FactorizedForm",
-                                "max_delta log_a1 log_a2 log_a3 log_a4")):
-    """log F split into one scalar series per Chern number:
-    F(t) = A1(t)^K2 * A2(t)^c2 * A3(t)^L2 * A4(t)^LK."""
-    __slots__ = ()
-
-    def reassembles(self):
-        """Whether F from the four series, composed with t = DG2(q), equals
-        :func:`closed_form_series` (the ``**`` route) on each surface of
-        :data:`CHECK_SURFACES`; log F is linear, so that fixes all four."""
-        rows = (self.log_a3, self.log_a4, self.log_a1, self.log_a2)
-        dg2 = dg2_series(self.max_delta)
-        bases = _bases(self.max_delta)
-        return all(_numeric_series(rows, s.chern_tuple()).compose(dg2)
-                   == _closed_form(s.chern_tuple(), bases)
-                   for s in CHECK_SURFACES)
+    return lhs, rhs
 
 
 def factorize_generating_function(max_delta):
-    """Split log F(t) into the four per-Chern-number series: these are the
-    rows of :func:`_log_rows_in_t`."""
+    """log F split into one scalar series per Chern number, (log A1,
+    log A2, log A3, log A4) with F(t) = A1(t)^K2 * A2(t)^c2 * A3(t)^L2 *
+    A4(t)^LK: the rows of :func:`_log_rows_in_t`, reordered."""
     l2, lk, k2, c2 = _log_rows_in_t(max_delta)
-    return FactorizedForm(max_delta, k2, c2, l2, lk)
+    return k2, c2, l2, lk
+
+
+def reassembles(form):
+    """Whether F from the four series of
+    :func:`factorize_generating_function`, composed with t = DG2(q), equals
+    :func:`closed_form_series` (the ``**`` route) on each surface of
+    :data:`CHECK_SURFACES`, to the order of the series; log F is linear,
+    so that fixes all four."""
+    log_a1, log_a2, log_a3, log_a4 = form
+    rows = (log_a3, log_a4, log_a1, log_a2)
+    order = min(row.order for row in rows)
+    dg2 = dg2_series(order)
+    bases = _bases(order)
+    return all(_numeric_series(rows, s.chern_tuple()).compose(dg2)
+               == _closed_form(s.chern_tuple(), bases)
+               for s in CHECK_SURFACES)

@@ -174,10 +174,12 @@ def test_severi_degree_anchors():
 
 def test_b_series_from_severi_degrees():
     # Kool-Shende-Thomas (arXiv:1010.3211) prove N^{d,delta} universal for
-    # d >= delta, so the pair (5, 6) gives B1 and B2 to q^5.
-    b1, b2 = b_series_from_pair(5, 5)
-    assert b1 == PSeries(B1_COEFFS[:6])
-    assert b2 == PSeries(B2_COEFFS[:6])
+    # d >= delta, so the pair (14, 15), whose degrees are both >= delta at
+    # every delta <= 14, proves B1 and B2 to q^14.  CI runs the pair
+    # (20, 21) to q^20, the whole shipped table.
+    b1, b2 = b_series_from_pair(14, 14)
+    assert b1 == PSeries(B1_COEFFS[:15])
+    assert b2 == PSeries(B2_COEFFS[:15])
 
 
 def test_b_table_from_severi_degrees_to_max_delta():
@@ -236,7 +238,7 @@ def test_p1p1_counts_are_severi_degrees():
     assert len(cases) == 77
     for a, b, delta in cases:
         surface = parse_surface(f"{2 * a * b},{-2 * (a + b)},8,4")
-        assert count_nodal(surface, delta).value == \
+        assert count_nodal(surface, delta) == \
             severi_degree_p1p1(a, b, delta), (a, b, delta)
 
 
@@ -266,5 +268,5 @@ def test_plane_counts_are_severi_degrees():
              if 2 * d >= delta + 2]
     assert len(cases) == 51
     for d, delta in cases:
-        assert count_nodal(P2(d), delta).value == severi_degree(d, delta), \
+        assert count_nodal(P2(d), delta) == severi_degree(d, delta), \
             (d, delta)

@@ -18,7 +18,7 @@ from nodepoly.nodal import (CHECK_SURFACES, EXPONENTS, IN_RANGE, MAX_DELTA,
                             closed_form_symbolic, count_nodal,
                             dg2_normalized, discriminant_factor,
                             factorize_generating_function, node_polynomials,
-                            validity_range, yau_zaslow_check)
+                            reassembles, validity_range, yau_zaslow_check)
 from nodepoly.series import PSeries
 from test_chern import random_surface
 from test_series import (exp_oracle, log_oracle, poly_compose,
@@ -234,15 +234,15 @@ def test_t1_on_plane_curves():
 
 
 def test_count_nodal_values_and_flags():
-    assert count_nodal(P2(3), 1).value == 12
-    assert count_nodal(P2(3), 1).validity == IN_RANGE
-    assert count_nodal(P2(2), 3).value == -32
-    assert count_nodal(P2(2), 3).validity == OUT_OF_RANGE
-    assert count_nodal(K3(0), 1).value == 24
-    assert count_nodal(K3(0), 1).validity == IN_RANGE
-    assert count_nodal(T4(2), 0).value == 1
+    assert count_nodal(P2(3), 1) == 12
+    assert validity_range(P2(3), 1) == IN_RANGE
+    assert count_nodal(P2(2), 3) == -32
+    assert validity_range(P2(2), 3) == OUT_OF_RANGE
+    assert count_nodal(K3(0), 1) == 24
+    assert validity_range(K3(0), 1) == IN_RANGE
+    assert count_nodal(T4(2), 0) == 1
     rng = random.Random(43)
-    assert count_nodal(random_surface(rng), 2).validity == RANGE_UNKNOWN
+    assert validity_range(random_surface(rng), 2) == RANGE_UNKNOWN
     with pytest.raises(ValueError):
         count_nodal(P2(3), MAX_DELTA + 1)
 
@@ -265,8 +265,8 @@ def test_p2_counts_match_severi_degrees():
     for d, delta, severi in ((3, 3, 15), (4, 3, 675), (8, 4, 11225145),
                              (10, 5, 4037126346)):
         assert f[delta].evaluate(*P2(d).chern_tuple()) == severi
-        assert count_nodal(P2(d), delta).value == severi
-        assert count_nodal(P2(d), delta).validity == IN_RANGE
+        assert count_nodal(P2(d), delta) == severi
+        assert validity_range(P2(d), delta) == IN_RANGE
 
 
 def test_in_range_p2_counts_are_nonnegative():
@@ -336,25 +336,26 @@ def test_counts_are_integers_on_catalog():
 # -- identities -----------------------------------------------------------------------
 
 def test_yau_zaslow_rows():
-    report = yau_zaslow_check(5)
-    assert report.all_equal
-    values = [row.node_value for row in report.rows]
-    assert values == [1, 24, 324, 3200, 25650, 176256]
-    assert [row.partition_value for row in report.rows] == values
+    deltas, values, partition = zip(*yau_zaslow_check(5))
+    assert deltas == tuple(range(6))
+    assert values == (1, 24, 324, 3200, 25650, 176256)
+    assert partition == values
 
 
 def test_blowup_identity_catalog_and_random():
     for s in (P2(3), K3(4)):
-        assert blowup_identity_check(s, 5).holds
+        lhs, rhs = blowup_identity_check(s, 5)
+        assert lhs == rhs
     rng = random.Random(47)
     for _ in range(8):
-        assert blowup_identity_check(random_surface(rng), 5).holds
+        lhs, rhs = blowup_identity_check(random_surface(rng), 5)
+        assert lhs == rhs
 
 
 def test_blowup_identity_zero_surface():
     zero = SurfaceClass("zero", 0, 0, 0, 0)
-    check = blowup_identity_check(zero, 5)
-    assert check.holds
+    lhs, rhs = blowup_identity_check(zero, 5)
+    assert lhs == rhs
     # H of the blowup is exactly the universal factor (B2/B1)*(DG2/q)^(-1)
     blown = closed_form_series(zero.blowup(), 5)
     assert blown == (b2_series(5) / b1_series(5)) * dg2_normalized(5).inverse()
@@ -362,19 +363,20 @@ def test_blowup_identity_zero_surface():
 
 def test_factorization_linear_parts():
     form = factorize_generating_function(5)
-    assert form.log_a3[1] == 3
-    assert form.log_a4[1] == 2
-    assert form.log_a2[1] == 1
-    assert form.log_a1[1] == 0
-    for series in (form.log_a1, form.log_a2, form.log_a3, form.log_a4):
+    log_a1, log_a2, log_a3, log_a4 = form
+    assert log_a3[1] == 3
+    assert log_a4[1] == 2
+    assert log_a2[1] == 1
+    assert log_a1[1] == 0
+    for series in form:
         assert series[0] == 0
 
 
 def test_factorization_reassembles_exactly():
-    form = factorize_generating_function(5)
-    assert form.reassembles()
-    assert linear_exp_oracle((form.log_a3, form.log_a4, form.log_a1,
-                              form.log_a2)) == node_polynomials(5)
+    log_a1, log_a2, log_a3, log_a4 = form = factorize_generating_function(5)
+    assert reassembles(form)
+    assert linear_exp_oracle((log_a3, log_a4, log_a1,
+                              log_a2)) == node_polynomials(5)
 
 
 def test_reassembly_surfaces_are_independent():
@@ -412,7 +414,7 @@ def test_reassembly_catches_wrong_rows(monkeypatch, mutate):
     rows = nodal._derivative_rows
     monkeypatch.setattr(nodal, "_derivative_rows",
                         lambda bases: mutate(rows(bases)))
-    assert not factorize_generating_function(5).reassembles()
+    assert not reassembles(factorize_generating_function(5))
 
 
 def test_factorization_log_is_homogeneous_linear():
@@ -465,20 +467,18 @@ def test_factorization_matches_symbolic_log():
             for series, c in zip(per_number, coefficients):
                 series.append(c)
         l2, lk, k2, c2 = (PSeries(s) for s in per_number)
-        form = factorize_generating_function(n)
-        assert form.max_delta == n
-        assert (form.log_a1, form.log_a2, form.log_a3, form.log_a4) == \
-            (k2, c2, l2, lk)
+        assert factorize_generating_function(n) == (k2, c2, l2, lk)
 
 
 def test_integer_exp_matches_oracle_on_package_terms():
     for n in range(6):
         assert node_polynomials(n) == linear_exp_oracle(_log_rows_in_t(n))
         assert closed_form_symbolic(n) == linear_exp_oracle(_log_rows(n))
-        form = factorize_generating_function(n)
-        assert form.reassembles()
+        log_a1, log_a2, log_a3, log_a4 = form = \
+            factorize_generating_function(n)
+        assert reassembles(form)
         assert node_polynomials(n) == linear_exp_oracle(
-            (form.log_a3, form.log_a4, form.log_a1, form.log_a2))
+            (log_a3, log_a4, log_a1, log_a2))
 
 
 # -- the integer log rows against the Fraction log/reversion/compose route ---
@@ -542,9 +542,10 @@ def test_product_paths_take_no_log_reversion_or_compose(monkeypatch):
         dg2_series(3).reversion()
     assert node_polynomials(5)[1] == \
         3 * chernpoly.L2 + 2 * chernpoly.LK + chernpoly.C2
-    assert count_nodal(P2(4), 3).value == 675
-    assert yau_zaslow_check(5).all_equal
-    assert factorize_generating_function(5).max_delta == 5
+    assert count_nodal(P2(4), 3) == 675
+    assert all(node == partition
+               for _, node, partition in yau_zaslow_check(5))
+    assert factorize_generating_function(5)[0].order == 5
     assert closed_form_symbolic(3)[0] == ChernPoly.constant(1)
 
 
@@ -589,14 +590,14 @@ def test_count_nodal_matches_table():
     for s in numeric_route_surfaces():
         for delta in range(6):
             value = f[delta].evaluate(*s.chern_tuple())
-            assert count_nodal(s, delta).value == value, (s.name, delta)
+            assert count_nodal(s, delta) == value, (s.name, delta)
 
 
 def test_yau_zaslow_rows_match_table():
     f = node_polynomials(5)
     for n in range(6):
-        rows = yau_zaslow_check(n).rows
-        assert [row.delta for row in rows] == list(range(n + 1))
-        for row in rows:
-            k3 = K3(2 * row.delta - 2)
-            assert row.node_value == f[row.delta].evaluate(*k3.chern_tuple())
+        triples = yau_zaslow_check(n)
+        assert [delta for delta, _, _ in triples] == list(range(n + 1))
+        for delta, node, _ in triples:
+            k3 = K3(2 * delta - 2)
+            assert node == f[delta].evaluate(*k3.chern_tuple())

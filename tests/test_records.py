@@ -1,9 +1,11 @@
 """The result records: immutable values that cost nothing to import.
 
-The records are namedtuple subclasses.  Each has named fields, a
-``Name(field=value, ...)`` repr, equality by value, a hash when every field
-hashes, and no way to assign a field.  The table of node polynomials is the
-series F that node_polynomials returns, a slotted PSeries with no hash.
+The records of ``chern`` and ``inclexcl`` are namedtuple subclasses.  Each
+has named fields, a ``Name(field=value, ...)`` repr, equality by value, a
+hash when every field hashes, and no way to assign a field.  The table of
+node polynomials is the series F that node_polynomials returns, a slotted
+PSeries with no hash.  The other ``nodal`` entry points return plain
+values: a Fraction, tuples, and series.
 Importing the CLI loads no module beyond what fractions loads already and
 the C module ``_json``, and a well-formed command line runs without loading
 argparse or json.
@@ -23,9 +25,7 @@ import pytest
 from nodepoly.chern import K3, P2, RRCoefficients, SurfaceClass
 from nodepoly.chernpoly import ChernPoly
 from nodepoly.inclexcl import SetSystem
-from nodepoly.nodal import (BlowupCheck, FactorizedForm, NodalCount,
-                            YauZaslowReport, YauZaslowRow,
-                            blowup_identity_check, count_nodal,
+from nodepoly.nodal import (blowup_identity_check, count_nodal,
                             factorize_generating_function, node_polynomials,
                             yau_zaslow_check)
 from nodepoly.series import PSeries
@@ -61,8 +61,6 @@ def test_cli_import_loads_no_extra_module():
 
 
 S = SurfaceClass("P2:3", 9, -9, 9, 3)
-ONE = PSeries([1])
-ZERO = PSeries([0])
 
 # (record, an equal record built separately, a different record, repr text)
 RECORDS = [
@@ -81,34 +79,9 @@ RECORDS = [
      "PSeries([ChernPoly({(0, 0, 0, 0): Fraction(1, 1)})])"),
     (ChernPoly.variable(0), ChernPoly({(1, 0, 0, 0): 1}),
      ChernPoly.variable(1), "ChernPoly({(1, 0, 0, 0): Fraction(1, 1)})"),
-    (count_nodal(P2(3), 1), NodalCount(S, 1, Fraction(12), "in range"),
-     count_nodal(P2(3), 0),
-     "NodalCount(surface=SurfaceClass(name='P2:3', L2=9, LK=-9, K2=9, c2=3), "
-     "delta=1, value=Fraction(12, 1), validity='in range')"),
-    (YauZaslowRow(1, Fraction(24), Fraction(24)),
-     yau_zaslow_check(1).rows[1], YauZaslowRow(1, Fraction(24), Fraction(0)),
-     "YauZaslowRow(delta=1, node_value=Fraction(24, 1), "
-     "partition_value=Fraction(24, 1))"),
-    (yau_zaslow_check(1),
-     YauZaslowReport((YauZaslowRow(0, Fraction(1), Fraction(1)),
-                      YauZaslowRow(1, Fraction(24), Fraction(24)))),
-     yau_zaslow_check(0),
-     "YauZaslowReport(rows=(YauZaslowRow(delta=0, node_value=Fraction(1, 1), "
-     "partition_value=Fraction(1, 1)), YauZaslowRow(delta=1, "
-     "node_value=Fraction(24, 1), partition_value=Fraction(24, 1))))"),
-    (blowup_identity_check(K3(0), 0), BlowupCheck(K3(0), 0, ONE, ONE),
-     blowup_identity_check(K3(2), 0),
-     "BlowupCheck(surface=SurfaceClass(name='K3:0', L2=0, LK=0, K2=0, c2=24), "
-     "order=0, lhs=PSeries([Fraction(1, 1)]), rhs=PSeries([Fraction(1, 1)]))"),
-    (factorize_generating_function(0),
-     FactorizedForm(0, ZERO, ZERO, ZERO, ZERO),
-     factorize_generating_function(1),
-     "FactorizedForm(max_delta=0, log_a1=PSeries([Fraction(0, 1)]), "
-     "log_a2=PSeries([Fraction(0, 1)]), log_a3=PSeries([Fraction(0, 1)]), "
-     "log_a4=PSeries([Fraction(0, 1)]))"),
 ]
-# these are or hold a PSeries, or are a ChernPoly, so they have no hash
-UNHASHABLE = (PSeries, ChernPoly, BlowupCheck, FactorizedForm)
+# a PSeries or a ChernPoly has no hash
+UNHASHABLE = (PSeries, ChernPoly)
 # node_polynomials' table T_0..T_delta is the series F, so its id is the table
 IDS = ["NodePolynomialTable" if type(r[0]) is PSeries else type(r[0]).__name__
        for r in RECORDS]
@@ -170,6 +143,20 @@ def test_chern_poly_variable_index_is_checked():
         with pytest.raises(ValueError, match=r"^variable index must be in "
                            r"0\.\.3$"):
             ChernPoly.variable(i)
+
+
+def test_chern_poly_exponents_are_checked():
+    # a fifth exponent was dropped by zip in a product, and a float
+    # exponent evaluated to a float
+    for exps in ((1, 0, 0, 0, 0), (1, 0, 0), (1.5, 0, 0, 0), (-1, 0, 0, 0),
+                 (True, 0, 0, 0), "1000"):
+        with pytest.raises(ValueError, match=r"^exponents must be a tuple "
+                           r"of 4 non-negative ints, got "):
+            ChernPoly({exps: 1})
+    # a key is checked whatever its coefficient, zero included
+    with pytest.raises(ValueError):
+        ChernPoly({(0, 0, 0, 0): 1, (0, 0, 0, 0, 0): 0})
+    assert ChernPoly({(0, 2, 0, 1): 3}).evaluate(1, 2, 3, 4) == 48
 
 
 def test_series_and_polynomials_copy_and_pickle():
@@ -246,17 +233,23 @@ def test_record_field_access():
     s = P2(3)
     assert (s.name, s.L2, s.LK, s.K2, s.c2) == ("P2:3", 9, -9, 9, 3)
     assert SurfaceClass(name="x", L2=1, LK=1, K2=0, c2=0).L2 == 1
-    count = count_nodal(K3(8), 5)
-    assert (count.surface, count.delta, count.value, count.validity) == \
-        (K3(8), 5, 176256, "in range")
     f = node_polynomials(2)
     assert f.order == 2 and f[1] == f.coeffs[1]
-    report = yau_zaslow_check(2)
-    assert report.all_equal and report.rows[2].equal
-    assert report.rows[2].node_value == report.rows[2].partition_value == 324
-    check = blowup_identity_check(P2(3), 2)
-    assert check.holds and check.surface == P2(3) and check.order == 2
-    form = factorize_generating_function(2)
-    assert form.max_delta == 2 and form.log_a3[1] == 3
     assert SetSystem([[1], [1, 2]]).k == 2
     assert RRCoefficients(1, 0, 0, 0).chi(P2(3)) == 9
+
+
+def test_nodal_returns_plain_values():
+    count = count_nodal(K3(8), 5)
+    assert type(count) is Fraction and count == 176256
+    triples = yau_zaslow_check(2)
+    assert type(triples) is tuple
+    assert triples == ((0, 1, 1), (1, 24, 24), (2, 324, 324))
+    assert all(type(x) is Fraction for _, *pair in triples for x in pair)
+    lhs, rhs = check = blowup_identity_check(P2(3), 2)
+    assert type(check) is tuple and type(lhs) is type(rhs) is PSeries
+    assert lhs == rhs and lhs.order == 2
+    form = factorize_generating_function(2)
+    assert type(form) is tuple and len(form) == 4
+    assert all(type(s) is PSeries and s.order == 2 for s in form)
+    assert form[2][1] == 3
