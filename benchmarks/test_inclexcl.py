@@ -16,7 +16,7 @@ the JSON text on stdin to the JSON document on stdout, parsing, counting
 and writing included.  Run it with pytest-benchmark installed:
 
     python -m pytest benchmarks/test_inclexcl.py                  # timings
-    python -m pytest benchmarks --benchmark-disable -q            # one pass
+    PYTHONPATH=tests python -m pytest benchmarks --benchmark-disable -q
 """
 
 import io

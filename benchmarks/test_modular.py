@@ -7,7 +7,7 @@ order the ``qseries-deep`` benchmark workload asks for, and at N = 500,
 the CLI's ``series`` bound.  Run it with pytest-benchmark installed:
 
     python -m pytest benchmarks/test_modular.py                   # timings
-    python -m pytest benchmarks --benchmark-disable -q            # one pass
+    PYTHONPATH=tests python -m pytest benchmarks --benchmark-disable -q
 """
 
 import pytest

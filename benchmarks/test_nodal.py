@@ -12,7 +12,7 @@ order), 12 and 20 (``nodal.MAX_DELTA``).  Run it with pytest-benchmark
 installed:
 
     python -m pytest benchmarks/test_nodal.py                     # timings
-    python -m pytest benchmarks --benchmark-disable -q            # one pass
+    PYTHONPATH=tests python -m pytest benchmarks --benchmark-disable -q
 """
 
 import pytest

@@ -26,7 +26,7 @@ Inputs are built outside the timed call.  This directory is outside the
 tier-1 test paths; run it with pytest-benchmark installed:
 
     python -m pytest benchmarks                                # timings
-    python -m pytest benchmarks --benchmark-disable -q         # one pass each
+    PYTHONPATH=tests python -m pytest benchmarks --benchmark-disable -q
 
 To compare two versions, run each side from inside its own checkout:
 ``pyproject.toml`` sets pytest's ``pythonpath = ["src"]``, which wins over

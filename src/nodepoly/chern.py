@@ -6,12 +6,13 @@ polynomials consume, in the canonical-class basis:
     L2 = c1(L)^2,  LK = c1(L).c1(K),  K2 = c1(K)^2,  c2 = c2(M).
 
 Riemann-Roch is stated once, as the linear forms :data:`CHI_O` and
-:data:`CHI_L`.  Two integrality constraints are enforced at construction:
-K2 + c2 must be divisible by 12 (Noether) and L2 - LK must be even (so
-chi(L) is an integer).  The Riemann-Roch solver works in the anticanonical
-basis c1(M) = -c1(K), where chi(L) = A1*c1(M)^2 + A2*c2 + A3*c1(M).c1(L)
-+ A4*c1(L)^2; the stored data convert via c1(M).c1(L) = -LK and
-c1(M)^2 = K2.
+:data:`CHI_L`.  The Chern numbers must be ints, and two integrality
+constraints are enforced: K2 + c2 must be divisible by 12 (Noether) and
+L2 - LK must be even (so chi(L) is an integer).  Every way of building a
+surface, ``_make`` and ``_replace`` included, goes through these checks.
+The Riemann-Roch solver works in the anticanonical basis c1(M) = -c1(K),
+where chi(L) = A1*c1(M)^2 + A2*c2 + A3*c1(M).c1(L) + A4*c1(L)^2; the
+stored data convert via c1(M).c1(L) = -LK and c1(M)^2 = K2.
 
 The package's records (here and in ``inclexcl``) are namedtuple
 subclasses, not dataclasses: importing ``dataclasses`` pulls in
@@ -33,6 +34,9 @@ class SurfaceClass(namedtuple("SurfaceClass", "name L2 LK K2 c2")):
     __slots__ = ()
 
     def __new__(cls, name, L2, LK, K2, c2):
+        for field, x in zip(cls._fields[1:], (L2, LK, K2, c2)):
+            if type(x) is not int:
+                raise TypeError(f"{name}: {field} = {x!r} is not an int")
         if (K2 + c2) % 12 != 0:
             raise ValueError(
                 f"{name}: K2 + c2 = {K2 + c2} is not divisible "
@@ -42,6 +46,11 @@ class SurfaceClass(namedtuple("SurfaceClass", "name L2 LK K2 c2")):
                 f"{name}: L2 - LK = {L2 - LK} is odd "
                 "(chi(L) would not be an integer)")
         return super().__new__(cls, name, L2, LK, K2, c2)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def chi_O(self):
         """Holomorphic Euler characteristic of the structure sheaf."""

@@ -157,8 +157,9 @@ def _derivative_rows(bases):
     """The derivatives l_v'(q) over the :func:`_bases` of one order, as four
     integer runs R_v with R_v,k = _WEIGHT_DEN * k * [q^k] l_v for k >= 1:
     the integer log-derivatives of the bases weighted by column v of
-    :data:`_WEIGHTS`."""
-    logs = [_log_derivative([c.numerator for c in base])[1:]
+    :data:`_WEIGHTS`.  Each base is an integer series with constant term 1,
+    so it clears to itself (d = 1) and its L_k is k * [q^k] log base."""
+    logs = [_log_derivative(_integer_run(base.coeffs, "log")[1])[1:]
             for base in bases]
     return tuple([sum(map(mul, column, ks)) for ks in zip(*logs)]
                  for column in zip(*_WEIGHTS))
@@ -176,8 +177,9 @@ def _log_rows_in_t(order):
     """The rows l_v(DG2^{-1}(t)) as four Fraction series to t^order, by the
     Lagrange-Buermann pass of the module docstring over the base DG2/q."""
     bases = _bases(order)
+    d, run = _integer_run(bases[0].coeffs, "reversion")
     return tuple(map(PSeries, _lagrange_fractions(
-        bases[0].coeffs, _derivative_rows(bases), order, _WEIGHT_DEN)))
+        d, run, _derivative_rows(bases), order, _WEIGHT_DEN)))
 
 
 def _cleared(rows):
@@ -186,7 +188,7 @@ def _cleared(rows):
     from t^1 with row v = R_v / dc."""
     order = min(map(len, rows)) - 1
     dc, flat = _integer_run([c for row in rows
-                             for c in row.coeffs[1:order + 1]])
+                             for c in row.coeffs[1:order + 1]], "exp")
     return dc, [flat[v * order:(v + 1) * order] for v in range(4)]
 
 

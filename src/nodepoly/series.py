@@ -12,33 +12,33 @@ freely with ``Fraction``.  Plain ``int`` coefficients are promoted to
 ``Fraction`` on construction so division never silently produces floats;
 numbers that are not rational (float, complex, Decimal) are rejected.
 
-On all-``Fraction`` series the seven kernels -- product, composition
-(Horner's rule), inverse, log, exp, powers s**e (for an int or Fraction e,
-one Miller recurrence) and reversion -- clear denominators once, run in
-Python ints and build one Fraction per output coefficient.  Reversion is
-the identity case h = q of one Lagrange-Buermann kernel,
+The seven kernels -- product, composition (Horner's rule), inverse, log,
+exp, powers s**e (for an int or Fraction e, one Miller recurrence) and
+reversion -- see only integers.  The way in is :func:`_integer_run`: it
+raises TypeError, naming the operation, on a coefficient that is not a
+Fraction, and clears the run to (d, A) with a = A/d.  Each method clears
+its runs through it once, then checks its domain on A (a_0 = 0 is A_0 = 0,
+a_0 = 1 is A_0 = d), so a TypeError comes before any ValueError.  The
+product alone catches the TypeError and runs the same truncated product,
+:func:`_truncated_product`, on the coefficients themselves (ChernPoly,
+alone or mixed with Fraction).  The way out is one Fraction per output
+coefficient, through :func:`_over` where the run has one denominator.
+Reversion is the case h = q of one Lagrange-Buermann kernel,
 :func:`_lagrange_fractions`, which gives h(g) for the compositional
-inverse g of s and any h given by its integer derivative run, every power
-(s/q)^(-m) from one shared integer log-derivative; ``nodal`` runs it with
-four h at once.  The product runs one truncated product,
-:func:`_truncated_product`, on every coefficient ring: on the integer runs
-of two all-Fraction factors, on the coefficients themselves otherwise
-(ChernPoly, alone or mixed with Fraction); the other six raise TypeError
-on other rings.  The product (whose integer form the polynomial exp of
-``nodal`` and every Horner step of composition also run), inverse, exp
-and reversion take each inner sum as one C-level ``sum(map(mul, ...))``,
-zeros included: at N = 96 the product takes x0.68-0.85 the time of a
-zero-skipping loop on the dense bases of the closed form, and x1.9-2.4
-on sparse input such as (1+q)^2, which no caller multiplies.  The exp
-and Miller's recurrence hold their coefficients over one running
-denominator that grows only when a step needs it (so an exp with integer
-outputs, such as the counts of ``nodal``, works at the size of its
-output), for Miller as c^t with c = A_0 r^2 and e = p/r, t raised to 2m
-at an inexact step m > t: about log2(N) rescales.  Composition, which
-only ``factorize``'s check runs (four times, at n = max_delta), takes
-each Horner step as one truncated product with G/q (G_0 = 0): x1.1-1.3
-the time of an in-place triple loop at M = 5-40.  The log and Miller
-keep plain accumulating loops, the only hand-written inner loops: a dot
+inverse g of s and any h given by its integer derivative run; ``nodal``
+runs it with four h at once, on runs cleared by the same helper.
+
+The product (whose integer form the polynomial exp of ``nodal`` and every
+Horner step of composition also run), inverse, exp and reversion take
+each inner sum as one C-level ``sum(map(mul, ...))``, zeros included: at
+N = 96 the product takes x0.68-0.85 the time of a zero-skipping loop on
+the dense bases of the closed form, and x1.9-2.4 on sparse input such as
+(1+q)^2, which no caller multiplies.  The exp and Miller's recurrence hold
+their coefficients over one running denominator that grows only when a
+step needs it, so an exp with integer outputs, such as the counts of
+``nodal``, works at the size of its output.  Composition, which only
+``factorize``'s check runs, takes x1.1-1.3 the time of an in-place triple
+loop at M = 5-40.  The log and Miller keep plain accumulating loops: a dot
 was no faster for the log and 1.3-2x slower for Miller, whose weights
 ((p+r)k - rm) change with every step m.
 
@@ -65,24 +65,25 @@ def _promote(c):
     return c
 
 
-def _require_fractions(coeffs, what):
+def _integer_run(coeffs, what):
+    """The way into the integer kernels: an all-Fraction run a cleared to
+    (d, [a_k * d]) with d the least common denominator, so that a = A/d.
+    Any other coefficient raises TypeError, naming the operation ``what``,
+    before any arithmetic on the run."""
     if any(type(c) is not Fraction for c in coeffs):
         raise TypeError(f"{what} needs Fraction coefficients")
-
-
-def _integer_run(a):
-    """Clear an all-Fraction run to integers: (d, [a_k * d]) with d the
-    least common denominator, so that a = A/d."""
-    return _clear_pairs(list(map(Fraction.as_integer_ratio, a)))
-
-
-def _clear_pairs(pairs):
-    """:func:`_integer_run` for a run given as reduced (numerator,
-    denominator) pairs."""
+    pairs = list(map(Fraction.as_integer_ratio, coeffs))
     d = lcm(*[q for _, q in pairs])
     if d == 1:
         return 1, [n for n, _ in pairs]
     return d, [n * (d // q) for n, q in pairs]
+
+
+def _over(run, den):
+    """The way out of the integer kernels: the Fractions x/den for x in run."""
+    if den == 1:
+        return [Fraction(x) for x in run]
+    return [Fraction(x, den) for x in run]
 
 
 def _scale_up(num, base):
@@ -103,34 +104,20 @@ def _truncated_product(a, back, n):
     return [sum(map(mul, a, back[-1 - m:])) for m in range(n)]
 
 
-def _convolve_fractions(a, b, n):
-    """Cauchy product of all-Fraction coefficient runs to q^n.
+def _invert_fractions(d, num):
+    """1/a for a = A/d with A_0 != 0.
 
-    Clearing each factor to a common denominator turns the inner loop into
-    pure big-integer work (:func:`_truncated_product`); the result is
-    renormalized once per output coefficient.
+    1/a = d * sum O_k q^k / A_0^(k+1) where O_0 = 1 and
+    O_k = -sum_{j=1..k} A_j * A_0^(j-1) * O_(k-j), one C-level dot per
+    coefficient.
     """
-    da, na = _integer_run(a)
-    db, nb = _integer_run(b)
-    den = da * db
-    return [Fraction(c, den) for c in _truncated_product(na, nb[::-1], n + 1)]
-
-
-def _invert_fractions(a):
-    """Reciprocal of an all-Fraction coefficient run, in integers.
-
-    With a = A/d for integers A_j, 1/a = d * sum O_k q^k / A_0^(k+1) where
-    O_0 = 1 and O_k = -sum_{j=1..k} A_j * A_0^(j-1) * O_(k-j), one C-level
-    dot per coefficient.
-    """
-    d, num = _integer_run(a)
     a0 = num[0]
     scaled = _scale_up(num, a0)[1:]
     o = [1]
     for _ in range(1, len(num)):
         o.append(-sum(map(mul, scaled, reversed(o))))
     if a0 == 1:
-        return [Fraction(d * x) for x in o]
+        return _over([d * x for x in o], 1)
     out = []
     p = a0
     for x in o:
@@ -158,13 +145,10 @@ def _log_derivative(num):
     return kl
 
 
-def _log_fractions(a):
-    """Logarithm of an all-Fraction run with a_0 = 1, in integers.
-
-    With a = A/d (so A_0 = d), l_n = L_n / (n * d^n) for the L_n of
-    :func:`_log_derivative`.
-    """
-    d, num = _integer_run(a)
+def _log_fractions(num):
+    """log a for a = A/d with a_0 = 1, so A_0 = d: l_n = L_n / (n * d^n)
+    for the L_n of :func:`_log_derivative`."""
+    d = num[0]
     out = [Fraction(0)]
     den = 1
     for n, x in enumerate(_log_derivative(num)[1:], 1):
@@ -173,10 +157,11 @@ def _log_fractions(a):
     return out
 
 
-def _exp_fractions(a):
-    """Exponential of an all-Fraction run with a_0 = 0, in integers.
+def _exp_fractions(d, num):
+    """exp a for a = A/d with a_0 = 0.
 
-    With k*a_k = C_k/dc for integers C_k, every b_j computed so far is
+    k*a_k = C_k/dc in lowest terms over one dc: with g = gcd(d, k*A_k for
+    every k), dc = d/g and C_k = k*A_k/g.  Every b_j computed so far is
     B_j / D over one running denominator D, starting at B_0 = D = 1.  The
     recurrence n*b_n = sum_k k*a_k*b_(n-k) gives b_n = S / (n*dc*D) with
     S = sum_k C_k * B_(n-k).  With g = gcd(S, n*dc), D grows only by
@@ -184,15 +169,11 @@ def _exp_fractions(a):
     whose outputs are integers keeps D = 1 and works at the size of its
     output.
     """
-    pairs = []
-    for k, c in enumerate(a):  # k*a_k in lowest terms, without Fractions
-        n, q = c.as_integer_ratio()
-        g = gcd(k, q)
-        pairs.append((k // g * n, q // g))
-    dc, num = _clear_pairs(pairs)
-    num = num[1:]
+    ks = [k * x for k, x in enumerate(num)]
+    g = gcd(d, *ks)
+    dc, num = d // g, [x // g for x in ks[1:]]
     b, den = [1], 1
-    for n in range(1, len(a)):
+    for n in range(1, len(ks)):
         s = sum(map(mul, num, reversed(b)))
         m = n * dc
         g = gcd(s, m)
@@ -201,15 +182,12 @@ def _exp_fractions(a):
             den *= f
             b = [x * f for x in b]
         b.append(s // g)
-    if den == 1:
-        return [Fraction(x) for x in b]
-    return [Fraction(x, den) for x in b]
+    return _over(b, den)
 
 
-def _power_fractions(a, e):
-    """a^e for an all-Fraction run with a_0 != 0 and e = p/r, in integers:
-    a^e = a_0^p * b for a = A/d and b = (A/A_0)^(p/r) (a_0 = 1 unless e is
-    an integer), with b_m = B_m / D.
+def _power_fractions(d, num, e):
+    """a^e for a = A/d with a_0 != 0 and e = p/r: a^e = a_0^p * b for
+    b = (A/A_0)^(p/r) (a_0 = 1 unless e is an integer), with b_m = B_m / D.
 
     Miller's recurrence m*a_0*b_m = sum_k ((e+1)k - m) a_k b_(m-k) for
     b = a^e reads, for b = (A/A_0)^(p/r) with integers A_k, B_0 = D and
@@ -224,8 +202,7 @@ def _power_fractions(a, e):
     rescales, where a fixed scale c^m would carry every one of them.  For
     c = 1 (A_0 = 1 and an integer exponent) D = 1 and B_m = S/m.
     """
-    p, r, n = e.numerator, e.denominator, len(a)
-    num = _integer_run(a)[1]
+    p, r, n = e.numerator, e.denominator, len(num)
     c, q0 = num[0] * r * r, num[0] * r
     terms = [(k, (p + r) * k, num[k]) for k in range(1, n) if num[k]]
     b, i, t = [1], 0, 0
@@ -250,44 +227,42 @@ def _power_fractions(a, e):
             b = [x * f for x in b]
             acc *= f
         b.append(acc // q)
-    top, den = (a[0] ** p).as_integer_ratio()
-    den *= c ** t
-    if den == 1:
-        return [Fraction(top * x) for x in b]
-    return [Fraction(top * x, den) for x in b]
+    g = gcd(num[0], d)  # a_0 = A_0/d in lowest terms, then to the power p
+    top, den = num[0] // g, d // g
+    if p < 0:
+        top, den, p = den, top, -p
+    top, den = top ** p, den ** p * c ** t
+    return _over([top * x for x in b], den)
 
 
-def _compose_fractions(c, g):
-    """c(g) for all-Fraction runs of one length with g_0 = 0, in integers.
+def _compose_fractions(dc, num, dg, inner):
+    """c(g) for c = C/dc and g = G/dg of one length with G_0 = 0.
 
-    With c = C/dc and g = G/dg, Horner's rule scaled by dg^(n-k) reads
-    R_n = C_n and R_k = R_(k+1) * G + C_k * dg^(n-k), so c(g) = R_0 /
-    (dc * dg^n).  As G_0 = 0, R_k is needed only to q^(n-k), and
-    R_(k+1) * G is q times the truncated product of R_(k+1) with G/q: one
-    :func:`_truncated_product` per step.  On log(DG2/q) composed with the
-    reversion of DG2 this takes x1.1-1.3 the time of an in-place triple
-    loop (M = 5-40), and no benchmark workload composes past n = 5.
+    Horner's rule scaled by dg^(n-k) reads R_n = C_n and
+    R_k = R_(k+1) * G + C_k * dg^(n-k), so c(g) = R_0 / (dc * dg^n).  As
+    G_0 = 0, R_k is needed only to q^(n-k), and R_(k+1) * G is q times the
+    truncated product of R_(k+1) with G/q: one :func:`_truncated_product`
+    per step.  On log(DG2/q) composed with the reversion of DG2 this takes
+    x1.1-1.3 the time of an in-place triple loop (M = 5-40), and no
+    benchmark workload composes past n = 5.
     """
-    n = len(c) - 1
-    dc, num = _integer_run(c)
-    dg, inner = _integer_run(g)
+    n = len(num) - 1
     back = inner[:0:-1]  # G/q, reversed
     r = [num[n]]
     p = 1
     for k in range(n - 1, -1, -1):
         p *= dg
         r = [num[k] * p] + _truncated_product(r, back, n - k)
-    den = dc * p
-    return [Fraction(x, den) for x in r]
+    return _over(r, dc * p)
 
 
-def _lagrange_fractions(u, derivatives, n, den=1):
+def _lagrange_fractions(d, num, derivatives, n, den=1):
     """Lagrange-Buermann: t^0 .. t^n of h(g(t)) for each h with h(0) = 0,
-    where g is the compositional inverse of s = q*u for an all-Fraction run
-    u with u_0 != 0, and h' = D/den for an integer run D of ``derivatives``.
+    where g is the compositional inverse of s = q*u for u = A/d with
+    A_0 != 0, and h' = D/den for an integer run D of ``derivatives``.
 
-    [t^m] h(g) = [q^(m-1)] h'(q) * (s/q)^(-m) / m.  With u = A/d and
-    U_0 = A_0, (s/q)^(-m) = (d/U_0)^m * exp(-m * log(A/U_0)), so
+    [t^m] h(g) = [q^(m-1)] h'(q) * (s/q)^(-m) / m.  With U_0 = A_0,
+    (s/q)^(-m) = (d/U_0)^m * exp(-m * log(A/U_0)), so
     E_j = [q^j] (A/U_0)^(-m) * U_0^j solves j*E_j = -m * sum_k L_k E_(j-k)
     from E_0 = 1, with the L_k of :func:`_log_derivative` shared by every m
     and every h.  Each E_j is an integer (q -> U_0 q takes A/U_0 into
@@ -295,10 +270,9 @@ def _lagrange_fractions(u, derivatives, n, den=1):
     [t^m] h(g) = d^m * sum_j D_j U_0^j E_(m-1-j) / (den * m * U_0^(2m-1)),
     one more dot per h.  The E run is held reversed, newest first, so both
     dots read it as it stands.  Reversion is the case h = q: D = [1],
-    den = 1.  u needs n coefficients and each D n entries (a shorter D
-    reads as padded with zeros).
+    den = 1.  A needs n entries and each D n entries (a shorter D reads as
+    padded with zeros).
     """
-    d, num = _integer_run(u)
     kl = [-x for x in _log_derivative(num)[1:]]
     u0 = num[0]
     derivatives = [[x * u0 ** j for j, x in enumerate(dv)]
@@ -433,10 +407,12 @@ class PSeries:
         if isinstance(other, PSeries):
             n = min(self.order, other.order)
             a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-            if all(type(c) is Fraction for c in a) \
-                    and all(type(c) is Fraction for c in b):
-                return PSeries(_convolve_fractions(a, b, n))
-            return PSeries(_truncated_product(a, b[::-1], n + 1))
+            try:
+                da, na = _integer_run(a, "product")
+                db, nb = _integer_run(b, "product")
+            except TypeError:  # another ring: the product of the coefficients
+                return PSeries(_truncated_product(a, b[::-1], n + 1))
+            return PSeries(_over(_truncated_product(na, nb[::-1], n + 1), da * db))
         o = _promote(other)
         return PSeries([c * o for c in self.coeffs])
 
@@ -444,20 +420,18 @@ class PSeries:
 
     def inverse(self):
         """Multiplicative inverse; requires a nonzero constant term."""
-        a = self.coeffs
-        _require_fractions(a, "inverse")
-        if a[0] == 0:
+        d, num = _integer_run(self.coeffs, "inverse")
+        if num[0] == 0:
             raise ValueError("constant term is not invertible (zero)")
-        return PSeries(_invert_fractions(a))
+        return PSeries(_invert_fractions(d, num))
 
     def __truediv__(self, other):
         if isinstance(other, PSeries):
             return self * other.inverse()
-        o = _promote(other)
-        _require_fractions((o,), "division")
-        if o == 0:
+        d, (x,) = _integer_run((_promote(other),), "division")
+        if x == 0:
             raise ValueError("the divisor is zero")
-        return self * (1 / o)
+        return self * Fraction(d, x)
 
     def __rtruediv__(self, other):
         return self.inverse() * _promote(other)
@@ -468,21 +442,22 @@ class PSeries:
         A non-integer e needs constant term 1.  For q^v*u with u_0 != 0 and
         an integer e >= 1 the result is q^(v*e) * u^e; e = 0 gives one.
         """
-        a = self.coeffs
-        if not isinstance(e, (int, Fraction)) or any(type(c) is not Fraction for c in a):
-            raise TypeError("powers need an int or Fraction exponent and Fraction coefficients")
+        if not isinstance(e, (int, Fraction)):
+            raise TypeError("powers need an int or Fraction exponent")
+        d, num = _integer_run(self.coeffs, "a power")
         e = Fraction(e)
         if e == 0:
             return PSeries.one(self.order)
-        if e.denominator != 1 and a[0] != 1:
+        if e.denominator != 1 and num[0] != d:
             raise ValueError("non-integer exponent needs constant term 1")
-        v = next((k for k, c in enumerate(a) if c), len(a))
+        v = next((k for k, x in enumerate(num) if x), len(num))
         if v and e < 0:
             raise ValueError("constant term is not invertible (zero)")
         shift = v * int(e)
         if shift > self.order:
             return PSeries.zero(self.order)
-        return PSeries(_power_fractions(a[v:v + self.order + 1 - shift], e)).shift_up(shift)
+        run = num[v:v + self.order + 1 - shift]
+        return PSeries(_power_fractions(d, run, e)).shift_up(shift)
 
     # -- transcendental operations ----------------------------------------
 
@@ -494,30 +469,28 @@ class PSeries:
         runs the same recurrence once and shares it across its Lagrange
         powers.
         """
-        a = self.coeffs
-        _require_fractions(a, "log")
-        if a[0] != 1:
+        d, num = _integer_run(self.coeffs, "log")
+        if num[0] != d:
             raise ValueError("log needs constant term 1")
-        return PSeries(_log_fractions(a))
+        return PSeries(_log_fractions(num))
 
     def exp(self):
         """Formal exponential; requires constant term 0."""
-        a = self.coeffs
-        _require_fractions(a, "exp")
-        if a[0] != 0:
+        d, num = _integer_run(self.coeffs, "exp")
+        if num[0] != 0:
             raise ValueError("exp needs constant term 0")
-        return PSeries(_exp_fractions(a))
+        return PSeries(_exp_fractions(d, num))
 
     # -- composition and reversion ----------------------------------------
 
     def compose(self, inner):
         """Formal substitution self(inner); inner must kill the constant."""
         n = min(self.order, inner.order)
-        c, g = self.coeffs[:n + 1], inner.coeffs[:n + 1]
-        _require_fractions(c + g, "compose")
-        if g[0] != 0:
+        dc, num = _integer_run(self.coeffs[:n + 1], "compose")
+        dg, run = _integer_run(inner.coeffs[:n + 1], "compose")
+        if run[0] != 0:
             raise ValueError("composition needs inner constant term 0")
-        return PSeries(_compose_fractions(c, g))
+        return PSeries(_compose_fractions(dc, num, dg, run))
 
     def reversion(self):
         """Compositional inverse: the series g with self(g) = g(self) = q.
@@ -529,15 +502,14 @@ class PSeries:
         log-derivative of self/q serves every m, and each power's
         coefficients to q^(m-1) cost one dot each.
         """
+        d, num = _integer_run(self.coeffs, "reversion")
         if self.order < 1:
             raise ValueError("reversion needs order >= 1")
-        a = self.coeffs
-        _require_fractions(a, "reversion")
-        if a[0] != 0:
+        if num[0] != 0:
             raise ValueError("reversion needs constant term 0")
-        if a[1] == 0:
+        if num[1] == 0:
             raise ValueError("linear coefficient is not invertible (zero)")
-        return PSeries(_lagrange_fractions(a[1:], [[1]], self.order)[0])
+        return PSeries(_lagrange_fractions(d, num[1:], [[1]], self.order)[0])
 
     # -- q-calculus --------------------------------------------------------
 

@@ -48,6 +48,32 @@ def test_invariant_violations_raise():
         SurfaceClass("bad-parity", 1, 0, 0, 24)
 
 
+def test_replace_and_make_keep_the_invariant_checks():
+    # namedtuple's _make, which _replace calls, builds the tuple without
+    # __new__: P2:3 with K2 = 1 would have chi(O) = 1/3
+    with pytest.raises(ValueError, match="Noether"):
+        P2(3)._replace(K2=1)
+    with pytest.raises(ValueError, match="odd"):
+        P2(3)._replace(L2=8)
+    with pytest.raises(ValueError, match="Noether"):
+        SurfaceClass._make(("bad-noether", 0, 0, 1, 0))
+    with pytest.raises(TypeError):
+        K3(4)._replace(L2=4.0)
+    renamed = P2(3)._replace(name="plane")
+    assert renamed == SurfaceClass("plane", 9, -9, 9, 3)
+    assert renamed.chi_L() == 10
+
+
+def test_chern_numbers_must_be_ints():
+    # the rule ChernPoly applies to its exponents: type int, so neither a
+    # float, whose chi(L) int() would truncate, nor a Fraction nor a bool
+    for build in (lambda: K3(4.0), lambda: P2(1.0), lambda: K3(True),
+                  lambda: P2(F(1)),
+                  lambda: SurfaceClass("x", 2, 0, 0, F(24))):
+        with pytest.raises(TypeError, match="is not an int"):
+            build()
+
+
 def test_blowup_arithmetic():
     blown = P2(3).blowup()
     assert blown.chern_tuple() == (8, -8, 8, 4)

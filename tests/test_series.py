@@ -247,10 +247,11 @@ def test_lagrange_substitution_matches_compose_with_reversion():
         hs = [random_rational_series(rng, order, first=1) for _ in range(3)]
         hs += [PSeries.zero(order), PSeries.identity(order)]
         den, flat = _integer_run([k * c for h in hs
-                                  for k, c in enumerate(h.coeffs) if k])
+                                  for k, c in enumerate(h.coeffs) if k], "h")
         derivatives = [flat[i * order:(i + 1) * order]
                        for i in range(len(hs))]
-        got = _lagrange_fractions(s.coeffs[1:], derivatives, order, den)
+        d, u = _integer_run(s.coeffs[1:], "s/q")
+        got = _lagrange_fractions(d, u, derivatives, order, den)
         rev = s.reversion()
         assert [PSeries(g) for g in got] == [h.compose(rev) for h in hs]
 
@@ -336,6 +337,36 @@ def test_kernels_reject_polynomial_coefficients():
                          (PSeries([1, 1], order=3), PSeries([0, x], order=3))):
         with pytest.raises(TypeError):
             outer.compose(inner)
+
+
+# The Fraction-only entry points: name -> (v, call(s, x)), where a series s
+# or a divisor x with constant term v fails the domain check
+FRACTION_ONLY = {
+    "inverse": (0, lambda s, x: s.inverse()),
+    "log": (2, lambda s, x: s.log()),
+    "exp": (1, lambda s, x: s.exp()),
+    "power": (2, lambda s, x: s ** F(1, 2)),
+    "compose outer": (1, lambda s, x: s.compose(PSeries([1, 1], order=3))),
+    "compose inner": (1, lambda s, x: PSeries([1, 1], order=3).compose(s)),
+    "reversion": (1, lambda s, x: s.reversion()),
+    "division": (0, lambda s, x: PSeries([1, 1], order=3) / x),
+}
+# a coefficient kind -> v -> (the series, the divisor)
+NOT_FRACTIONS = {
+    "ChernPoly constant": lambda v: (
+        PSeries([ChernPoly.constant(v), 1], order=3), ChernPoly.constant(v)),
+    "str coefficient": lambda v: (PSeries([v, "x"], order=3), "x"),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_FRACTIONS)
+@pytest.mark.parametrize("entry", FRACTION_ONLY)
+def test_fraction_check_comes_before_the_domain_check(entry, kind):
+    v, call = FRACTION_ONLY[entry]
+    with pytest.raises(ValueError):
+        call(PSeries([v, 1], order=3), F(v))
+    with pytest.raises(TypeError, match="Fraction coefficients"):
+        call(*NOT_FRACTIONS[kind](v))
 
 
 # -- construction and truncation ---------------------------------------------
