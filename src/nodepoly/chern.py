@@ -125,6 +125,8 @@ def solve_rr_coefficients(pairs):
 
 def P2(d):
     """The projective plane polarized by H^d (K = -3H, so LK = -3d)."""
+    if type(d) is not int:
+        raise TypeError(f"P2: d = {d!r} is not an int")
     if d < 0:
         raise ValueError("P2 degree must be >= 0")
     return SurfaceClass(f"P2:{d}", d * d, -3 * d, 9, 3)

@@ -18,14 +18,14 @@ Fraction included, to serve as a coefficient ring for the sums and
 products of :class:`nodepoly.series.PSeries`: the product runs the same
 truncated product on ChernPoly coefficients as on integers, each sum
 starting from the int 0.  That is how the tests' polynomial-coefficient
-oracles use it.  It prints its sorted terms through
-``series._signed_sum``, the rule ``PSeries`` prints by.
+oracles use it.  It prints its sorted terms through :func:`_signed_sum`,
+the rule ``PSeries`` prints by, and :func:`_as_fraction` is the package's
+one rule for an exact scalar, by which ``PSeries`` reads its coefficients
+too; so this module imports nothing from the package.
 """
 
 from fractions import Fraction
 from operator import add
-
-from .series import _signed_sum
 
 VAR_NAMES = ("L2", "LK", "K2", "c2")
 NVARS = 4
@@ -33,11 +33,22 @@ _ZERO_EXP = (0, 0, 0, 0)
 
 
 def _as_fraction(c):
+    """An int (bools too) as a Fraction, a Fraction as is, else TypeError."""
     if isinstance(c, int):
         return Fraction(c)
     if isinstance(c, Fraction):
         return c
-    raise TypeError(f"scalar expected, got {type(c).__name__}")
+    raise TypeError(f"expected an int or a Fraction, got {type(c).__name__}")
+
+
+def _signed_sum(terms):
+    """The printed sum of (coefficient text, monomial text) terms, the
+    monomial "" for a constant: a coefficient 1 or -1 before a monomial
+    prints as its sign, "+ -" reads "- " and the empty sum is "0"."""
+    parts = [cs if not mono else
+             {"1": mono, "-1": f"-{mono}"}.get(cs, f"{cs}*{mono}")
+             for cs, mono in terms]
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 class ChernPoly:

@@ -29,28 +29,28 @@ Lagrange-Buermann pass,
 
 whose (q/DG2)^m runs serve all four rows, so building the rows takes no
 log, reversion or composition of Fraction series.  Counts are numeric:
-the Chern tuple is dotted with the four rows in integers and one Fraction
-series is exponentiated.  The polynomial ring appears only in the one
-integer exp, :func:`_exp_linear`, that turns the four rows into F with
-polynomial coefficients, whose t^delta coefficient is T_delta; that
-PSeries is what :func:`node_polynomials` returns.  The same four rows are
-the factorization of log F per Chern number, checked by :func:`reassembles`
-against the closed form through composition with DG2; the Yau-Zaslow count
-on K3 and the one-point blowup formula are checked too.  Every entry point
-returns plain values: a count is one Fraction, and a check returns the
-numbers or series it compares, for the caller to test with ``==``.
+the Chern tuple is dotted with the four rows in integers, and the exp
+kernel of ``series`` takes that run as it stands.  The polynomial ring
+appears only in the one integer exp, :func:`_exp_linear`, that turns the
+four rows into F with polynomial coefficients, whose t^delta coefficient
+is T_delta; that PSeries is what :func:`node_polynomials` returns.  The
+same four rows are the factorization of log F per Chern number, checked
+by :func:`reassembles` against the closed form through composition with
+DG2; the Yau-Zaslow count on K3 and the one-point blowup formula are
+checked too.  Every entry point returns plain values: a count is one
+Fraction, and a check returns the numbers or series it compares, for the
+caller to test with ``==``.
 """
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .chern import CHI_L, CHI_O, K3, P2, T4
 from .chernpoly import ChernPoly
 from .modular import (d2g2_series, delta_series, dg2_series,
                       partition_power_series)
-from .series import (PSeries, _integer_run, _lagrange_fractions,
-                     _log_derivative, _truncated_product)
+from .series import (PSeries, _exp_fractions, _integer_run,
+                     _lagrange_fractions, _log_derivative, _truncated_product)
 
 # B1 and B2 to q^20 (Goettsche, alg-geom/9711012, gives them to q^5).  They
 # are derived from Severi degrees of plane curves by the Caporaso-Harris
@@ -83,11 +83,10 @@ EXPONENTS = (
     tuple(map(Fraction, (0, 1, 0, 0))),
     tuple(-e / 2 for e in CHI_O),
 )
-# EXPONENTS cleared to integers once: EXPONENTS = _WEIGHTS / _WEIGHT_DEN,
-# with _WEIGHT_DEN = 24
-_WEIGHT_DEN = lcm(*[e.denominator for row in EXPONENTS for e in row])
-_WEIGHTS = tuple(tuple(e.numerator * _WEIGHT_DEN // e.denominator for e in row)
-                 for row in EXPONENTS)
+# EXPONENTS flattened by rows and cleared to integers once, with
+# _WEIGHT_DEN = 24: EXPONENTS[i][v] = _WEIGHTS[4 * i + v] / _WEIGHT_DEN
+_WEIGHT_DEN, _WEIGHTS = _integer_run([e for row in EXPONENTS for e in row],
+                                     "EXPONENTS")
 
 # Four surfaces with independent Chern tuples (L2, LK, K2, c2), on which
 # reassembles checks the factorization
@@ -156,13 +155,13 @@ def _closed_form(point, bases):
 def _derivative_rows(bases):
     """The derivatives l_v'(q) over the :func:`_bases` of one order, as four
     integer runs R_v with R_v,k = _WEIGHT_DEN * k * [q^k] l_v for k >= 1:
-    the integer log-derivatives of the bases weighted by column v of
-    :data:`_WEIGHTS`.  Each base is an integer series with constant term 1,
-    so it clears to itself (d = 1) and its L_k is k * [q^k] log base."""
+    the integer log-derivatives of the bases weighted by ``_WEIGHTS[v::4]``
+    (column v).  Each base is an integer series with constant term 1, so it
+    clears to itself (d = 1) and its L_k is k * [q^k] log base."""
     logs = [_log_derivative(_integer_run(base.coeffs, "log")[1])[1:]
             for base in bases]
-    return tuple([sum(map(mul, column, ks)) for ks in zip(*logs)]
-                 for column in zip(*_WEIGHTS))
+    return tuple([sum(map(mul, _WEIGHTS[v::4], ks)) for ks in zip(*logs)]
+                 for v in range(4))
 
 
 def _log_rows(order):
@@ -230,13 +229,13 @@ def _exp_linear(rows):
 
 
 def _numeric_series(rows, point):
-    """F(t) at one point (L2, LK, K2, c2) from the rows of
+    """F(t) at one integer point (L2, LK, K2, c2) from the rows of
     :func:`_log_rows_in_t`: the point dotted with the :func:`_cleared` rows
-    in integers, zero entries skipped, then one exp of a Fraction series."""
+    in integers, zero entries skipped, then one integer exp over dc."""
     dc, runs = _cleared(rows)
     terms = [(x, run) for x, run in zip(point, runs) if x]
-    return PSeries([0] + [Fraction(sum(x * run[k] for x, run in terms), dc)
-                          for k in range(len(runs[0]))]).exp()
+    dotted = [sum(x * run[k] for x, run in terms) for k in range(len(runs[0]))]
+    return PSeries(_exp_fractions(dc, [0] + dotted))
 
 
 def closed_form_symbolic(order):
@@ -268,14 +267,18 @@ def validity_range(surface, delta):
     ``P2(d)`` for d = -LK/3 >= 0: with L ample, LK < 0 and K2 = 9 force the
     plane, and L2 = d^2 makes L = O(d).  On K3 and abelian surfaces the
     correction terms vanish for every polarization, so those are always in
-    range; they stay keyed on the family name, because (l2, 0, 0, 0) also
-    fits bielliptic surfaces.  Anything else is unknown.
+    range: both the family name, as (l2, 0, 0, 0) also fits bielliptic
+    surfaces, and its data, (l2, 0, 0, 24) on K3 and (l2, 0, 0, 0) on T4,
+    are required.  Anything else is unknown; a negative delta is an error.
     """
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
     l2, lk, k2, c2 = surface.chern_tuple()
     d = -lk // 3
     if d >= 0 and P2(d).chern_tuple() == (l2, lk, k2, c2):
         return IN_RANGE if d >= delta else OUT_OF_RANGE
-    if surface.name.partition(":")[0] in ("K3", "T4"):
+    family = surface.name.partition(":")[0]
+    if (family, lk, k2, c2) in (("K3", 0, 0, 24), ("T4", 0, 0, 0)):
         return IN_RANGE
     return RANGE_UNKNOWN
 

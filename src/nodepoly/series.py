@@ -5,12 +5,12 @@ represents a power series known exactly modulo ``q^(N+1)``.  The truncation
 order travels with the value: binary operations on series of different
 orders truncate to the smaller order, so precision loss is always explicit.
 
-Sums and products accept coefficients in any commutative ring containing
-the rationals that supports ``+``, ``-``, ``*`` and comparison with the
-scalars 0 and 1, such as :class:`nodepoly.chernpoly.ChernPoly`, mixed
-freely with ``Fraction``.  Plain ``int`` coefficients are promoted to
-``Fraction`` on construction so division never silently produces floats;
-numbers that are not rational (float, complex, Decimal) are rejected.
+A coefficient is a ``Fraction`` or a :class:`~nodepoly.chernpoly.ChernPoly`,
+and only sums and products take ChernPoly.  An ``int`` is promoted to a
+Fraction, so division never silently produces floats; any other value, a
+float, str or None alike, raises the TypeError of
+:func:`nodepoly.chernpoly._as_fraction` at construction.  Scalar operands
+and the exponent of ``**`` are read by the same rule.
 
 The seven kernels -- product, composition (Horner's rule), inverse, log,
 exp, powers s**e (for an int or Fraction e, one Miller recurrence) and
@@ -42,27 +42,23 @@ loop at M = 5-40.  The log and Miller keep plain accumulating loops: a dot
 was no faster for the log and 1.3-2x slower for Miller, whose weights
 ((p+r)k - rm) change with every step m.
 
-A series prints its terms c*q^k through ``_signed_sum``, as ``ChernPoly`` does.
+A series prints its terms c*q^k through ``chernpoly._signed_sum``, as
+``ChernPoly`` does.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Number, Rational
 from operator import mul
 
-
-def _inexact(c):
-    """True for a number that is not rational: a float, complex or Decimal."""
-    return isinstance(c, Number) and not isinstance(c, Rational)
+from .chernpoly import ChernPoly, _as_fraction, _signed_sum
 
 
 def _promote(c):
-    """Coerce a coefficient into the exact ring (ints become Fractions)."""
+    """A coefficient: an int as a Fraction, a ChernPoly as it is, anything
+    else through :func:`~nodepoly.chernpoly._as_fraction`."""
     if isinstance(c, int):
         return Fraction(c)
-    if _inexact(c):
-        raise TypeError("floating-point coefficients are not allowed")
-    return c
+    return c if isinstance(c, ChernPoly) else _as_fraction(c)
 
 
 def _integer_run(coeffs, what):
@@ -292,16 +288,6 @@ def _lagrange_fractions(d, num, derivatives, n, den=1):
     return outs
 
 
-def _signed_sum(terms):
-    """The printed sum of (coefficient text, monomial text) terms, the
-    monomial "" for a constant: a coefficient 1 or -1 before a monomial
-    prints as its sign, "+ -" reads "- " and the empty sum is "0"."""
-    parts = [cs if not mono else
-             {"1": mono, "-1": f"-{mono}"}.get(cs, f"{cs}*{mono}")
-             for cs, mono in terms]
-    return " + ".join(parts).replace("+ -", "- ") or "0"
-
-
 class PSeries:
     """An exact power series truncated at a fixed order."""
 
@@ -368,11 +354,9 @@ class PSeries:
     def __eq__(self, other):
         if isinstance(other, PSeries):
             return self.coeffs == other.coeffs
-        if _inexact(other):
+        if not isinstance(other, (int, Fraction, ChernPoly)):
             return NotImplemented  # never a coefficient, so never equal
-        # scalar comparison: constant series of matching value
-        o = _promote(other)
-        return self.coeffs[0] == o and all(c == 0 for c in self.coeffs[1:])
+        return self.coeffs[0] == other and all(c == 0 for c in self.coeffs[1:])
 
     __hash__ = None
 
@@ -442,10 +426,8 @@ class PSeries:
         A non-integer e needs constant term 1.  For q^v*u with u_0 != 0 and
         an integer e >= 1 the result is q^(v*e) * u^e; e = 0 gives one.
         """
-        if not isinstance(e, (int, Fraction)):
-            raise TypeError("powers need an int or Fraction exponent")
+        e = _as_fraction(e)
         d, num = _integer_run(self.coeffs, "a power")
-        e = Fraction(e)
         if e == 0:
             return PSeries.one(self.order)
         if e.denominator != 1 and num[0] != d:

@@ -68,7 +68,7 @@ def test_chern_numbers_must_be_ints():
     # the rule ChernPoly applies to its exponents: type int, so neither a
     # float, whose chi(L) int() would truncate, nor a Fraction nor a bool
     for build in (lambda: K3(4.0), lambda: P2(1.0), lambda: K3(True),
-                  lambda: P2(F(1)),
+                  lambda: P2(F(1)), lambda: P2(True),
                   lambda: SurfaceClass("x", 2, 0, 0, F(24))):
         with pytest.raises(TypeError, match="is not an int"):
             build()

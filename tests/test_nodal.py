@@ -256,6 +256,17 @@ def test_validity_range_rule():
     assert validity_range(K3(8), 5) == IN_RANGE
     assert validity_range(T4(6), 4) == IN_RANGE
     assert validity_range(P2(3).blowup(), 1) == RANGE_UNKNOWN
+    # K3 and T4 need the family's data as well as its name: a name on other
+    # Chern data is only a label, and the data under another name fit
+    # bielliptic surfaces too
+    for name, data in (("K3:4", (5, 1, 0, 24)), ("T4:2", (2, 0, 0, 24)),
+                       ("custom(2,0,0,0)", (2, 0, 0, 0))):
+        assert validity_range(SurfaceClass(name, *data), 1) == RANGE_UNKNOWN
+    for name, data in (("K3:4", (4, 0, 0, 24)), ("T4:2", (2, 0, 0, 0))):
+        assert validity_range(SurfaceClass(name, *data), 1) == IN_RANGE
+    for surface, delta in ((P2(3), -1), (K3(4), -5), (T4(2), -1)):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            validity_range(surface, delta)
 
 
 def test_p2_counts_match_severi_degrees():

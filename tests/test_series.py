@@ -351,11 +351,14 @@ FRACTION_ONLY = {
     "reversion": (1, lambda s, x: s.reversion()),
     "division": (0, lambda s, x: PSeries([1, 1], order=3) / x),
 }
-# a coefficient kind -> v -> (the series, the divisor)
+# a coefficient kind -> v -> (the series, the divisor); ChernPoly is the one
+# coefficient that is not a Fraction, so the only one that reaches a kernel.
+# At q^1 it leaves the Fraction v in place to fail the domain check.
 NOT_FRACTIONS = {
     "ChernPoly constant": lambda v: (
         PSeries([ChernPoly.constant(v), 1], order=3), ChernPoly.constant(v)),
-    "str coefficient": lambda v: (PSeries([v, "x"], order=3), "x"),
+    "ChernPoly at q^1": lambda v: (
+        PSeries([v, ChernPoly.variable(0)], order=3), ChernPoly.variable(0)),
 }
 
 
@@ -391,7 +394,7 @@ def test_order_and_padding():
     with pytest.raises(ValueError, match="truncation order"):
         s.truncate(-1)
     for inexact in (1.5, 1j, 0.5j, Decimal("0.1")):
-        with pytest.raises(TypeError, match="floating-point"):
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
             PSeries([inexact])
 
 
@@ -407,9 +410,36 @@ def test_equality_with_a_float_is_false():
         assert s in [inexact, s]
         for make in (lambda: PSeries([inexact]), lambda: s * inexact,
                      lambda: inexact * s):
-            with pytest.raises(TypeError, match="floating-point"):
+            with pytest.raises(TypeError,
+                               match="expected an int or a Fraction"):
                 make()
     assert PSeries([1]) == 1 and PSeries([1]) == F(1)
+
+
+# Values that are neither an exact scalar nor a ChernPoly, each rejected
+# with the one TypeError of the coefficient rule wherever it would become a
+# coefficient: name -> value
+NOT_COEFFICIENTS = {
+    "str": "x", "None": None, "list": [1], "float": 1.5, "complex": 1j,
+    "Decimal": Decimal("0.1"), "object": object(),
+}
+COEFFICIENT_ENTRIES = {
+    "PSeries": lambda x: PSeries([x, 1]),
+    "s + x": lambda x: PSeries([1, 1]) + x,
+    "s * x": lambda x: PSeries([1, 1]) * x,
+    "s ** x": lambda x: PSeries([1, 1]) ** x,
+    "ChernPoly": lambda x: ChernPoly({(0, 0, 0, 0): x}),
+}
+
+
+@pytest.mark.parametrize("entry", COEFFICIENT_ENTRIES)
+@pytest.mark.parametrize("kind", NOT_COEFFICIENTS)
+def test_coefficient_rule_rejects_at_construction(kind, entry):
+    x = NOT_COEFFICIENTS[kind]
+    with pytest.raises(TypeError, match=f"expected an int or a Fraction, "
+                                        f"got {type(x).__name__}$"):
+        COEFFICIENT_ENTRIES[entry](x)
+    assert PSeries([1, 1]) != x
 
 
 def test_add_truncates_to_min_order():
